@@ -95,7 +95,7 @@ def _run_suite(args) -> list:
             ("stolarsky", "gini", "identric2", "heronian2", "hd")
         regions = (_REGION_ALIASES[args.region],) if args.region else \
             ("positive_quadrant", "negative_quadrant")
-        return convexity_suite(families=families, regions=regions, seed=args.seed)
+        return convexity_suite(families=families, regions=regions)
     if args.suite == "inequalities":
         return inequality_suite(plan)
     if args.suite == "identities":
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--family", dest="family_filter", default=None)
     p_check.add_argument("--region", default=None)
     p_check.add_argument("--out", default=None)
-    p_check.add_argument("--format", choices=["json"], default="json")
     p_check.add_argument("--config", default=None)
     p_check.set_defaults(func=cmd_check)
 
@@ -310,12 +309,17 @@ def main(argv=None) -> int:
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return EXIT_BAD_ARGS
             current = getattr(args, attr)
-            if isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, attr, int(raw))
-            elif isinstance(current, float):
-                setattr(args, attr, float(raw))
-            else:
-                setattr(args, attr, raw)
+            try:
+                if isinstance(current, int) and not isinstance(current, bool):
+                    setattr(args, attr, int(raw))
+                elif isinstance(current, float):
+                    setattr(args, attr, float(raw))
+                else:
+                    setattr(args, attr, raw)
+            except ValueError:
+                print(f"error: config key {key!r} has a non-numeric value {raw!r}",
+                      file=sys.stderr)
+                return EXIT_BAD_ARGS
     try:
         return args.func(args)
     except ParMeansError as exc:

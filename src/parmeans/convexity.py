@@ -81,7 +81,6 @@ class ScanSpec:
     exclusion_band: float = 0.05
     sign_tol: float = 1e-7
     step_scale: float = _EPS ** 0.25
-    seed: int = 0
 
     def __post_init__(self):
         if self.region not in ("positive_quadrant", "negative_quadrant"):

@@ -1,14 +1,24 @@
 """Closed-form, branch-complete evaluation of the parametric bivariate means.
 
 Every two-parameter family here is a ratio-power of a one-homogeneous
-generator evaluated at (a^p, b^p) and (a^q, b^q).  Writing
+generator evaluated at (a^p, b^p) and (a^q, b^q).  With w = ln(a/b) and
 E(t) = ln f(a^t, b^t) - t ln(b), the mean is
 
     ln M(p, q) = ln(b) + (E(p) - E(q)) / (p - q)
 
-with the removable singularity at p = q filled by E'((p+q)/2).  Each
-family supplies its E and E' in cancellation-free form (see stable.py);
-the shared engine below owns the branch policy:
+with the removable singularity at p = q filled by E'((p+q)/2).
+
+Kernel pairs.  For the four named families E depends on t only through
+z = t w, so each family is a module-level pair (e, e1) of cancellation-
+free kernels from stable.py, with E(t) = e(t w) and E'(t) = w e1(t w):
+
+    stolarsky   e = log_exprel(z)         e1 = exprel_logd(z)
+    gini        e = softplus(z)           e1 = sigmoid(z)
+    identric2   e = z exprel_logd(z)      e1 = exprel_logd(z) + z exprel_logd2(z)
+    heronian2   e = log_heronian_sum(z)   e1 = heronian_weight(z)
+
+Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, branch, estimated
+error of ln M), creates no closure, and owns the branch policy:
 
   * |p - q| <= 1e-6 * (1 + |p| + |q|): limit branch, value E'((p+q)/2);
   * |p - q| <= 1e-3: midpoint rule E'((p+q)/2), error O((p-q)^2 E''');
@@ -16,7 +26,15 @@ the shared engine below owns the branch policy:
 
 Zero-parameter loci need no special formula (E is smooth at 0), only a
 branch tag; their tagging threshold is 1e-13 * scale because the expm1
-based quotient stays exact arbitrarily close to zero.
+based quotient stays exact arbitrarily close to zero.  Evaluators whose
+E is not a function of t w alone (four_param_F here, hf_eval in hgf)
+pass their own E(t), E'(t) with w = 1, which the engine applies exactly.
+
+Fast path.  _family_ln(kernels, p, q, a, b) is the float-only log path
+of the named families: no dataclass, no closure and no exp/log round
+trip.  The public evaluators are thin wrappers that validate at the
+dataclass boundary, call it and exponentiate; the inequality checker
+reads ln M from it directly.
 """
 
 from __future__ import annotations
@@ -53,6 +71,20 @@ BRANCH_DIAGONAL = "diagonal_ab"
 BRANCH_SWAPPED = "swapped"
 
 _EPS = 2.0 ** -52
+_INF = math.inf
+
+
+def _check_point(a: float, b: float) -> None:
+    """Raise DomainError unless a and b are positive finite reals.
+
+    One combined test decides for float pairs; the per-field test runs
+    only for other types (ints pass) and to name the offending field.
+    """
+    if type(a) is float and type(b) is float and 0.0 < a < _INF and 0.0 < b < _INF:
+        return
+    for name, v in (("a", a), ("b", b)):
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            raise DomainError(f"MeanPoint.{name} must be a positive finite real, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +95,7 @@ class MeanPoint:
     b: float
 
     def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"MeanPoint.{name} must be a positive finite real, got {v!r}")
+        _check_point(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -115,39 +145,45 @@ class ReductionTag:
     q: float
 
 
-def _check_saturation(params: tuple[float, ...], gens: tuple[float, ...], w: float) -> None:
-    """Reject exponent products |p*r*w| beyond the floating range."""
-    worst = 0.0
-    for t in params:
-        for u in gens:
-            worst = max(worst, abs(t * u * w))
+def _check_saturation(p: float, q: float, gen_max: float, w: float) -> None:
+    """Reject exponent products |t*u*w| beyond the floating range.
+
+    t runs over (p, q) and u over the generator parameters, with
+    gen_max = max |u|.  Rounding is monotone and sign-symmetric, so
+    |max(|p|, |q|) * gen_max * w| is the largest |t*u*w| bit for bit.
+    """
+    worst = abs(max(abs(p), abs(q)) * gen_max * w)
     if worst > OVERFLOW_LIMIT:
         raise SaturationError("exponent product a^(p*r) not representable", worst, OVERFLOW_LIMIT)
 
 
-def _quotient_eval(
-    E: Callable[[float], float],
-    E1: Callable[[float], float],
+def _ln_eval(
+    e: Callable[[float], float],
+    e1: Callable[[float], float],
+    w: float,
     p: float,
     q: float,
     lnb: float,
 ) -> tuple[float, str, float]:
-    """Shared branch engine, returns (ln value, branch tag, est ln error)."""
+    """Shared branch engine, returns (ln value, branch tag, est ln error).
+
+    E(t) = e(t*w) and E'(t) = w*e1(t*w); see the module docstring.
+    """
     scale = 1.0 + abs(p) + abs(q)
     d = p - q
     if abs(d) <= SINGULAR_DELTA * scale:
         m = 0.5 * (p + q)
-        ln = lnb + E1(m)
+        ln = lnb + w * e1(m * w)
         branch = BRANCH_BOTH_ZERO if max(abs(p), abs(q)) <= ZERO_TOL * scale else BRANCH_P_EQ_Q
         return ln, branch, 4.0 * _EPS * (1.0 + abs(ln))
     if abs(d) <= MIDPOINT_BAND:
         m = 0.5 * (p + q)
-        e1m = E1(m)
+        e1m = w * e1(m * w)
         # midpoint-rule error (p-q)^2 E'''(m)/24, E''' from a cheap stencil
-        e3 = (E1(p) - 2.0 * e1m + E1(q)) / (0.25 * d * d) if d != 0.0 else 0.0
+        e3 = (w * e1(p * w) - 2.0 * e1m + w * e1(q * w)) / (0.25 * d * d) if d != 0.0 else 0.0
         est = abs(e3) * d * d / 24.0 + 4.0 * _EPS * (1.0 + abs(lnb + e1m))
         return lnb + e1m, BRANCH_GENERIC, est
-    ep, eq = E(p), E(q)
+    ep, eq = e(p * w), e(q * w)
     ln = lnb + (ep - eq) / d
     if abs(q) <= ZERO_TOL * scale:
         branch = BRANCH_Q_ZERO
@@ -159,9 +195,50 @@ def _quotient_eval(
     return ln, branch, est
 
 
-def _finish(ln: float, branch: str, est: float) -> EvalResult:
+def _check_range(ln: float) -> None:
     if abs(ln) > 709.0:
         raise SaturationError("result magnitude outside floating range", ln)
+
+
+def _finish(ln: float, branch: str, est: float) -> EvalResult:
+    _check_range(ln)
+    return EvalResult(math.exp(ln), branch, est)
+
+
+def _identric_e(z: float) -> float:
+    return z * exprel_logd(z)
+
+
+def _identric_e1(z: float) -> float:
+    return exprel_logd(z) + z * exprel_logd2(z)
+
+
+# (e, e1, max |generator parameter|) of each named family
+_STOLARSKY = (log_exprel, exprel_logd, 1.0)
+_GINI = (softplus, sigmoid, 2.0)
+_IDENTRIC2 = (_identric_e, _identric_e1, 1.0)
+_HERONIAN2 = (log_heronian_sum, heronian_weight, 1.0)
+
+
+def _family_ln(kernels: tuple, p: float, q: float, a: float, b: float
+               ) -> tuple[float, str, float]:
+    """(ln M, branch, est ln error) of a named family at valid inputs.
+
+    Raises SaturationError where the public evaluator does: |p*r*w| > 700
+    or |ln M| > 709.  At a = b, w = 0 and every branch gives ln b exactly.
+    """
+    e, e1, gen_max = kernels
+    w = log_ratio(a, b)
+    _check_saturation(p, q, gen_max, w)
+    ln, branch, est = _ln_eval(e, e1, w, p, q, math.log(b))
+    _check_range(ln)
+    return ln, branch, est
+
+
+def _family_eval(kernels: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
+    if pt.a == pt.b:
+        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
+    ln, branch, est = _family_ln(kernels, pp.p, pp.q, pt.a, pt.b)
     return EvalResult(math.exp(ln), branch, est)
 
 
@@ -209,9 +286,13 @@ def identric_mean(pt: MeanPoint) -> float:
 
 
 def power_exponential_Z(pt: MeanPoint) -> float:
-    """Z(a, b) = exp((a ln a + b ln b)/(a + b))."""
+    """Z(a, b) = exp((a ln a + b ln b)/(a + b)).
+
+    The weights a/(a+b) = 1/(1 + b/a) and b/(a+b) are formed from the
+    quotients, which cannot overflow the way a ln a and a + b can.
+    """
     a, b = pt.a, pt.b
-    return math.exp((a * math.log(a) + b * math.log(b)) / (a + b))
+    return math.exp(math.log(a) / (1.0 + b / a) + math.log(b) / (1.0 + a / b))
 
 
 def heronian_mean(pt: MeanPoint) -> float:
@@ -227,25 +308,42 @@ def Y_mean(pt: MeanPoint) -> float:
     return identric_mean(pt) * math.exp(1.0 - (g / ell) ** 2)
 
 
-def power_mean(t: float, pt: MeanPoint) -> float:
-    """Power mean ((a^t + b^t)/2)^(1/t); geometric mean at t = 0.
-
-    ln PM = ln b + log1p(expm1(t w)/2)/t is cancellation-free across t = 0.
-    """
-    if t == 0.0:
-        return geometric_mean(pt)
-    a, b = pt.a, pt.b
-    if a == b:
-        return a
-    w = log_ratio(a, b)
-    z = t * w
+def _power_mean_exponent(t: float, a: float, b: float) -> float:
+    """ln PM - ln b = log1p(expm1(t w)/2)/t, cancellation-free across t = 0."""
+    z = t * log_ratio(a, b)
     if abs(z) > OVERFLOW_LIMIT:
         raise SaturationError("power-mean exponent not representable", z)
     if z > 30.0:
         body = z + math.log1p(math.exp(-z)) - math.log(2.0)
     else:
         body = math.log1p(0.5 * math.expm1(z))
-    return b * math.exp(body / t)
+    return body / t
+
+
+def _ln_power_mean(t: float, a: float, b: float) -> float:
+    """ln of the power mean for t != 0, without leaving log space."""
+    return math.log(b) + _power_mean_exponent(t, a, b)
+
+
+def power_mean(t: float, pt: MeanPoint) -> float:
+    """Power mean ((a^t + b^t)/2)^(1/t); geometric mean at t = 0.
+
+    b * exp(ln PM - ln b) where that is finite and nonzero, exp(ln PM)
+    where the factor exp(ln PM - ln b) alone over- or underflows.
+    """
+    if t == 0.0:
+        return geometric_mean(pt)
+    a, b = pt.a, pt.b
+    if a == b:
+        return a
+    x = _power_mean_exponent(t, a, b)
+    try:
+        value = b * math.exp(x)
+    except OverflowError:
+        value = _INF
+    if 0.0 < value < _INF:
+        return value
+    return math.exp(math.log(b) + x)
 
 
 # ---------------------------------------------------------------------------
@@ -254,46 +352,22 @@ def power_mean(t: float, pt: MeanPoint) -> float:
 
 def stolarsky(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     """Stolarsky mean S_{p,q}(a, b), all five parameter branches."""
-    if pt.a == pt.b:
-        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    w = log_ratio(pt.a, pt.b)
-    _check_saturation((pp.p, pp.q), (1.0,), w)
-    E = lambda t: log_exprel(t * w)
-    E1 = lambda t: w * exprel_logd(t * w)
-    return _finish(*_quotient_eval(E, E1, pp.p, pp.q, math.log(pt.b)))
+    return _family_eval(_STOLARSKY, pp, pt)
 
 
 def gini(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     """Gini mean G_{p,q}(a, b)."""
-    if pt.a == pt.b:
-        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    w = log_ratio(pt.a, pt.b)
-    _check_saturation((pp.p, pp.q), (2.0, 1.0), w)
-    E = lambda t: softplus(t * w)
-    E1 = lambda t: w * sigmoid(t * w)
-    return _finish(*_quotient_eval(E, E1, pp.p, pp.q, math.log(pt.b)))
+    return _family_eval(_GINI, pp, pt)
 
 
 def two_param_identric(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     """Two-parameter identric mean I_{p,q}(a, b) of the identric-ratio form."""
-    if pt.a == pt.b:
-        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    w = log_ratio(pt.a, pt.b)
-    _check_saturation((pp.p, pp.q), (1.0,), w)
-    E = lambda t: t * w * exprel_logd(t * w)
-    E1 = lambda t: w * (exprel_logd(t * w) + t * w * exprel_logd2(t * w))
-    return _finish(*_quotient_eval(E, E1, pp.p, pp.q, math.log(pt.b)))
+    return _family_eval(_IDENTRIC2, pp, pt)
 
 
 def two_param_heronian(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     """Two-parameter Heronian mean He_{p,q}(a, b)."""
-    if pt.a == pt.b:
-        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    w = log_ratio(pt.a, pt.b)
-    _check_saturation((pp.p, pp.q), (1.0,), w)
-    E = lambda t: log_heronian_sum(t * w)
-    E1 = lambda t: w * heronian_weight(t * w)
-    return _finish(*_quotient_eval(E, E1, pp.p, pp.q, math.log(pt.b)))
+    return _family_eval(_HERONIAN2, pp, pt)
 
 
 def _four_param_generator(w: float, r: float, s: float):
@@ -331,7 +405,7 @@ def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
     w = log_ratio(pt.a, pt.b)
-    _check_saturation((pp.p, pp.q), (gp.r, gp.s), w)
+    _check_saturation(pp.p, pp.q, max(abs(gp.r), abs(gp.s)), w)
 
     pq_singular = abs(pp.p - pp.q) <= SINGULAR_DELTA * (1.0 + abs(pp.p) + abs(pp.q))
     rs_singular = abs(gp.r - gp.s) <= SINGULAR_DELTA * (1.0 + abs(gp.r) + abs(gp.s))
@@ -340,7 +414,7 @@ def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
         return EvalResult(inner.value, BRANCH_SWAPPED, inner.est_rel_error)
 
     E, E1 = _four_param_generator(w, gp.r, gp.s)
-    return _finish(*_quotient_eval(E, E1, pp.p, pp.q, math.log(pt.b)))
+    return _finish(*_ln_eval(E, E1, 1.0, pp.p, pp.q, math.log(pt.b)))
 
 
 def reduction_table(pp: ParamPair, gp: GeneratorPair) -> Optional[ReductionTag]:

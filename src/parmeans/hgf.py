@@ -28,7 +28,7 @@ from .core import (
     SINGULAR_DELTA,
     ZERO_TOL,
     _finish,
-    _quotient_eval,
+    _ln_eval,
 )
 from .errors import DomainError, SaturationError, StepSizeError
 from .generators import GeneratorFunction
@@ -117,7 +117,7 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
         )
     E = lambda t: ln_f_power(f, t, pt)
     E1 = lambda t: t_prime(f, t, pt)
-    return _finish(*_quotient_eval(E, E1, p, q, 0.0))
+    return _finish(*_ln_eval(E, E1, 1.0, p, q, 0.0))
 
 
 def hf_integral_oracle(

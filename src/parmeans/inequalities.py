@@ -19,20 +19,21 @@ from typing import Callable, Optional
 from .convexity import CheckReport
 from .core import (
     MeanPoint,
-    ParamPair,
     Y_mean,
+    _GINI,
+    _HERONIAN2,
+    _IDENTRIC2,
+    _STOLARSKY,
+    _check_point,
+    _family_ln,
+    _ln_power_mean,
     arithmetic_mean,
     geometric_mean,
-    gini,
     heronian_mean,
     ln_identric,
     log_mean,
-    power_mean,
-    stolarsky,
-    two_param_heronian,
-    two_param_identric,
 )
-from .errors import ParMeansError
+from .errors import DomainError, ParMeansError
 
 Sample = dict
 
@@ -65,6 +66,10 @@ class SamplingPlan:
     b_low: float = 1.001
     b_high: float = 1e6
 
+    def __post_init__(self):
+        if self.random_count < 0:
+            raise DomainError(f"SamplingPlan.random_count must be >= 0, got {self.random_count}")
+
 
 @dataclass(frozen=True)
 class InequalityCase:
@@ -72,8 +77,9 @@ class InequalityCase:
 
     log_value maps a sample to the scanned log expression; log_lower and
     log_upper (either may be None) bracket it.  draw produces the random
-    free variables, grid the structured ones.  assert_in marks samples
-    where a violation counts as a failure; elsewhere it is only noted.
+    free variables, grid the structured ones; every sample carries the
+    mean arguments "a" and "b".  assert_in marks samples where a
+    violation counts as a failure; elsewhere it is only noted.
     """
 
     case_id: str
@@ -94,24 +100,27 @@ def _pt(s: Sample) -> MeanPoint:
     return MeanPoint(s["a"], s["b"])
 
 
+# The two-parameter families and the power mean are read in log space
+# straight from the core fast path; check_case validates (a, b) once.
+
 def _ln_S(r: float, s_: float, s: Sample) -> float:
-    return math.log(stolarsky(ParamPair(r, s_), _pt(s)).value)
+    return _family_ln(_STOLARSKY, r, s_, s["a"], s["b"])[0]
 
 
 def _ln_G(r: float, s_: float, s: Sample) -> float:
-    return math.log(gini(ParamPair(r, s_), _pt(s)).value)
+    return _family_ln(_GINI, r, s_, s["a"], s["b"])[0]
 
 
 def _ln_I2(r: float, s_: float, s: Sample) -> float:
-    return math.log(two_param_identric(ParamPair(r, s_), _pt(s)).value)
+    return _family_ln(_IDENTRIC2, r, s_, s["a"], s["b"])[0]
 
 
 def _ln_He2(r: float, s_: float, s: Sample) -> float:
-    return math.log(two_param_heronian(ParamPair(r, s_), _pt(s)).value)
+    return _family_ln(_HERONIAN2, r, s_, s["a"], s["b"])[0]
 
 
 def _ln_A(t: float, s: Sample) -> float:
-    return math.log(power_mean(t, _pt(s)))
+    return _ln_power_mean(t, s["a"], s["b"])
 
 
 def _param_L(p: float, q: float) -> float:
@@ -404,8 +413,9 @@ def check_case(case: InequalityCase, plan: SamplingPlan = SamplingPlan()
     """Evaluate one case on its structured grid plus random samples.
 
     A sample fails when either bracket side is violated by more than
-    SLACK_COEFF * (1 + |value| + |bound|) in log scale; evaluator
-    saturation makes the sample inconclusive.  Deterministic in the seed.
+    SLACK_COEFF * (1 + |value| + |bound|) in log scale; invalid (a, b)
+    and evaluator saturation make the sample inconclusive.  Deterministic
+    in the seed.
     """
     rng = random.Random(plan.seed)
     samples = case.grid(plan)
@@ -423,6 +433,7 @@ def check_case(case: InequalityCase, plan: SamplingPlan = SamplingPlan()
     for s in samples:
         total += 1
         try:
+            _check_point(s["a"], s["b"])
             val = case.log_value(s)
             lo = case.log_lower(s) if case.log_lower is not None else None
             hi = case.log_upper(s) if case.log_upper is not None else None

@@ -198,7 +198,6 @@ def convexity_suite(
     regions: tuple[str, ...] = ("positive_quadrant", "negative_quadrant"),
     grid: tuple[float, ...] = DEFAULT_GRID,
     mean_points: tuple[MeanPoint, ...] = DEFAULT_MEAN_POINTS,
-    seed: int = 0,
 ) -> list[CheckReport]:
     reports = []
     for family in families:
@@ -206,7 +205,7 @@ def convexity_suite(
             spec = ScanSpec(family=family, region=region,
                             p_grid=tuple(-v for v in grid) if region == "negative_quadrant" else grid,
                             q_grid=tuple(-v for v in grid) if region == "negative_quadrant" else grid,
-                            mean_points=mean_points, seed=seed)
+                            mean_points=mean_points)
             reports.append(scan_convexity(spec))
     return reports
 
@@ -228,6 +227,6 @@ def inequality_suite(plan: SamplingPlan = SamplingPlan()) -> list[CheckReport]:
 
 def full_suite(seed: int = 0, plan: SamplingPlan | None = None) -> list[CheckReport]:
     plan = plan or SamplingPlan(seed=seed)
-    return (convexity_suite(seed=seed)
+    return (convexity_suite()
             + inequality_suite(plan)
             + identity_suite(seed=seed))

@@ -208,3 +208,22 @@ def test_check_exit_code_thresholds():
     assert check_exit_code(0, 6, 100) == 3
     assert check_exit_code(2, 50, 100) == 1    # failures dominate
     assert check_exit_code(0, 0, 0) == 0
+
+
+def test_config_non_numeric_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("random-count = many\n")
+    code, _, err = run(capsys, "check", "--suite", "identities", "--config", str(cfg))
+    assert code == 2
+    assert "random-count" in err and "Traceback" not in err
+
+
+def test_negative_random_count_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "check", "--suite", "inequalities", "--random-count", "-5")
+    assert code == 2
+    assert "random_count" in err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("random-count = -1\n")
+    code, _, _ = run(capsys, "check", "--suite", "identities", "--config", str(cfg))
+    assert code == 2
+

@@ -1,0 +1,258 @@
+"""The float-only log path against a copy of the closure-based formulas it replaced.
+
+The reference engine below is the branch rule as it stood before the
+family kernels became module-level (e, e1) pairs: per-call closures
+E(t), E'(t) and a pairwise saturation loop.  The public evaluators must
+reproduce it bit for bit, and the inequality checker, which now reads
+ln M from the fast path, must reach the same verdicts as a slow path
+through the public evaluators.
+"""
+
+import math
+import random
+
+import pytest
+
+from parmeans import (
+    GeneratorPair,
+    MeanPoint,
+    ParamPair,
+    SamplingPlan,
+    SaturationError,
+    catalog,
+    check_case,
+    four_param_F,
+    gini,
+    power_mean,
+    stolarsky,
+    two_param_heronian,
+    two_param_identric,
+)
+from parmeans import inequalities
+from parmeans.core import _check_saturation, _four_param_generator
+from parmeans.stable import (
+    exprel_logd,
+    exprel_logd2,
+    heronian_weight,
+    log_exprel,
+    log_heronian_sum,
+    log_ratio,
+    sigmoid,
+    softplus,
+)
+
+_EPS = 2.0 ** -52
+
+
+# -- reference copy of the closure-based evaluators ---------------------------
+
+def _ref_check_saturation(params, gens, w):
+    worst = 0.0
+    for t in params:
+        for u in gens:
+            worst = max(worst, abs(t * u * w))
+    if worst > 700.0:
+        raise SaturationError("exponent product a^(p*r) not representable", worst, 700.0)
+
+
+def _ref_quotient_eval(E, E1, p, q, lnb):
+    scale = 1.0 + abs(p) + abs(q)
+    d = p - q
+    if abs(d) <= 1e-6 * scale:
+        m = 0.5 * (p + q)
+        ln = lnb + E1(m)
+        branch = "both_zero" if max(abs(p), abs(q)) <= 1e-13 * scale else "p_eq_q"
+        return ln, branch, 4.0 * _EPS * (1.0 + abs(ln))
+    if abs(d) <= 1e-3:
+        m = 0.5 * (p + q)
+        e1m = E1(m)
+        e3 = (E1(p) - 2.0 * e1m + E1(q)) / (0.25 * d * d) if d != 0.0 else 0.0
+        est = abs(e3) * d * d / 24.0 + 4.0 * _EPS * (1.0 + abs(lnb + e1m))
+        return lnb + e1m, "generic", est
+    ep, eq = E(p), E(q)
+    ln = lnb + (ep - eq) / d
+    if abs(q) <= 1e-13 * scale:
+        branch = "q_zero"
+    elif abs(p) <= 1e-13 * scale:
+        branch = "p_zero"
+    else:
+        branch = "generic"
+    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln))
+    return ln, branch, est
+
+
+def _ref_finish(ln, branch, est):
+    if abs(ln) > 709.0:
+        raise SaturationError("result magnitude outside floating range", ln)
+    return math.exp(ln), branch, est
+
+
+def _ref_family(gens, make_E):
+    def evaluate(p, q, a, b):
+        if a == b:
+            return a, "diagonal_ab", 0.0
+        w = log_ratio(a, b)
+        _ref_check_saturation((p, q), gens, w)
+        E, E1 = make_E(w)
+        return _ref_finish(*_ref_quotient_eval(E, E1, p, q, math.log(b)))
+    return evaluate
+
+
+REFERENCE = {
+    "stolarsky": _ref_family((1.0,), lambda w: (
+        lambda t: log_exprel(t * w),
+        lambda t: w * exprel_logd(t * w))),
+    "gini": _ref_family((2.0, 1.0), lambda w: (
+        lambda t: softplus(t * w),
+        lambda t: w * sigmoid(t * w))),
+    "identric2": _ref_family((1.0,), lambda w: (
+        lambda t: t * w * exprel_logd(t * w),
+        lambda t: w * (exprel_logd(t * w) + t * w * exprel_logd2(t * w)))),
+    "heronian2": _ref_family((1.0,), lambda w: (
+        lambda t: log_heronian_sum(t * w),
+        lambda t: w * heronian_weight(t * w))),
+}
+
+PUBLIC = {"stolarsky": stolarsky, "gini": gini,
+          "identric2": two_param_identric, "heronian2": two_param_heronian}
+
+
+def _ref_four_param(p, q, r, s, a, b):
+    if a == b:
+        return a, "diagonal_ab", 0.0
+    w = log_ratio(a, b)
+    _ref_check_saturation((p, q), (r, s), w)
+    if abs(r - s) <= 1e-6 * (1.0 + abs(r) + abs(s)) and \
+            not abs(p - q) <= 1e-6 * (1.0 + abs(p) + abs(q)):
+        value, _, est = _ref_four_param(r, s, p, q, a, b)
+        return value, "swapped", est
+    E, E1 = _four_param_generator(w, r, s)
+    return _ref_finish(*_ref_quotient_eval(E, E1, p, q, math.log(b)))
+
+
+def _outcome(fn, *args):
+    """Bitwise-comparable (value, branch, est), or the saturation exponent."""
+    try:
+        res = fn(*args)
+    except SaturationError as exc:
+        return ("saturated", float(exc.exponent).hex())
+    value, branch, est = res if isinstance(res, tuple) else \
+        (res.value, res.branch, res.est_rel_error)
+    return (float(value).hex(), branch, float(est).hex())
+
+
+# -- the seeded grid -----------------------------------------------------------
+
+def _pq_pairs(rng):
+    pairs = []
+    for _ in range(40):
+        pairs.append((rng.uniform(-6, 6), rng.uniform(-6, 6)))           # generic
+        m = rng.uniform(-4, 4)
+        pairs.append((m, m))                                               # p_eq_q
+        pairs.append((m + 1e-9, m - 1e-9))                                 # limit branch
+        d = rng.choice((-1, 1)) * 10 ** rng.uniform(-5.5, -3)
+        pairs.append((m + d / 2, m - d / 2))                               # midpoint band
+        v = rng.uniform(-4, 4)
+        pairs.append((v, 0.0))                                             # q_zero
+        pairs.append((0.0, v))                                             # p_zero
+        pairs.append((v, 1e-15))                                           # q_zero, tagged
+        pairs.append((rng.choice((-1, 1)) * rng.uniform(50, 400), v))      # saturating
+    pairs += [(0.0, 0.0), (1e-15, -1e-15), (0.0, -0.0)]                    # both_zero
+    return pairs
+
+
+def _ab_points(rng):
+    points = []
+    for _ in range(12):
+        points.append((10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-4, 4)))
+        a = 10 ** rng.uniform(-4, 4)
+        points.append((a, a * (1 + 10 ** rng.uniform(-12, -3))))
+        points.append((a, a))                                              # diagonal
+        points.append((10 ** rng.uniform(250, 300), 10 ** -rng.uniform(250, 300)))
+    return points
+
+
+def _grid(seed):
+    rng = random.Random(seed)
+    pq, ab = _pq_pairs(rng), _ab_points(rng)
+    return [(p, q, a, b) for p, q in pq for a, b in rng.sample(ab, 6)]
+
+
+@pytest.mark.parametrize("family", sorted(PUBLIC))
+def test_family_bit_identical_to_reference(family):
+    branches = set()
+    for p, q, a, b in _grid(11):
+        got = _outcome(PUBLIC[family], ParamPair(p, q), MeanPoint(a, b))
+        assert got == _outcome(REFERENCE[family], p, q, a, b), (family, p, q, a, b)
+        branches.add(got[1] if got[0] != "saturated" else "saturated")
+    assert branches >= {"generic", "p_eq_q", "both_zero", "p_zero", "q_zero",
+                        "diagonal_ab", "saturated"}
+
+
+def test_four_param_bit_identical_to_reference():
+    rng = random.Random(12)
+    rs_pairs = [(1.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.5, 0.5), (-2.5, 0.7),
+                (0.8, 0.8 + 1e-9), (0.8, 0.8 + 3e-4)]
+    for p, q, a, b in _grid(12)[::3]:
+        r, s = rng.choice(rs_pairs)
+        got = _outcome(four_param_F, ParamPair(p, q), GeneratorPair(r, s), MeanPoint(a, b))
+        assert got == _outcome(_ref_four_param, p, q, r, s, a, b), (p, q, r, s, a, b)
+
+
+def _saturation(check, *args):
+    """The exponent a SaturationError reports, or None when the check passes."""
+    try:
+        check(*args)
+    except SaturationError as exc:
+        return float(exc.exponent).hex()
+    return None
+
+
+def test_check_saturation_matches_pairwise_loop():
+    rng = random.Random(13)
+    raised = 0
+    for _ in range(4000):
+        p, q = rng.uniform(-50, 50), rng.uniform(-50, 50)
+        r, s = rng.uniform(-5, 5), rng.uniform(-5, 5)
+        if rng.random() < 0.3:
+            w = rng.uniform(-40, 40)
+        else:  # within a few ulps of the 700 limit, from either side
+            worst = max(abs(p), abs(q)) * max(abs(r), abs(s))
+            w = rng.choice((-1, 1)) * 700.0 / worst * (1 + rng.randint(-4, 4) * _EPS)
+        got = _saturation(_check_saturation, p, q, max(abs(r), abs(s)), w)
+        assert got == _saturation(_ref_check_saturation, (p, q), (r, s), w), (p, q, r, s, w)
+        raised += got is not None
+    assert 0 < raised < 4000
+
+
+# -- check_case against a slow path through the public evaluators --------------
+
+def _slow(evaluator):
+    def ln(r, s_, sample):
+        return math.log(evaluator(ParamPair(r, s_), MeanPoint(sample["a"], sample["b"])).value)
+    return ln
+
+
+@pytest.mark.parametrize("plan", [
+    SamplingPlan(grid_b_count=6, random_count=150, seed=5),
+    SamplingPlan(grid_b_count=6, random_count=150, seed=6, b_high=1e300),  # saturates
+])
+def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
+    fast = {case.case_id: check_case(case, plan) for case in catalog()}
+    monkeypatch.setattr(inequalities, "_ln_S", _slow(stolarsky))
+    monkeypatch.setattr(inequalities, "_ln_G", _slow(gini))
+    monkeypatch.setattr(inequalities, "_ln_I2", _slow(two_param_identric))
+    monkeypatch.setattr(inequalities, "_ln_He2", _slow(two_param_heronian))
+    monkeypatch.setattr(inequalities, "_ln_A",
+                        lambda t, s: math.log(power_mean(t, MeanPoint(s["a"], s["b"]))))
+    inconclusive = 0
+    for case in catalog():
+        (rep, rec), (slow_rep, slow_rec) = fast[case.case_id], check_case(case, plan)
+        assert (rep.total, rep.passed, rep.failed, rep.inconclusive, rep.notes) == \
+            (slow_rep.total, slow_rep.passed, slow_rep.failed, slow_rep.inconclusive,
+             slow_rep.notes), case.case_id
+        assert rep.worst_margin == pytest.approx(slow_rep.worst_margin, rel=0, abs=1e-14)
+        assert rec.samples == slow_rec.samples
+        inconclusive += rep.inconclusive
+    if plan.b_high > 1e6:
+        assert inconclusive > 0

@@ -127,6 +127,34 @@ def test_power_mean():
         assert power_mean(t, MeanPoint(3, 7)) == pytest.approx(g, rel=1e-10)
 
 
+def _within_log_rounding(value, ref):
+    """exp turns an absolute error of a few ulps of |ln ref| into the relative error."""
+    import mpmath as mp
+
+    return abs(value - ref) / ref <= 4 * 2.0 ** -52 * (1 + abs(mp.log(ref)))
+
+
+@pytest.mark.parametrize("t, a, b", [
+    (0.0635, 4.3e192, 1.3e-218),   # b * exp(ln PM - ln b) overflowed
+    (-0.105, 2.3e-297, 1.26e82),   # b * exp(ln PM - ln b) underflowed to 0
+])
+def test_power_mean_extreme_arguments_mpmath(t, a, b):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        T, A, B = mp.mpf(t), mp.mpf(a), mp.mpf(b)
+        ref = ((A ** T + B ** T) / 2) ** (1 / T)
+        assert _within_log_rounding(power_mean(t, MeanPoint(a, b)), ref)
+
+
+def test_power_exponential_Z_extreme_arguments_mpmath():
+    mp = pytest.importorskip("mpmath")
+    a, b = 3.2e-5, 3.4e305  # a ln a + b ln b overflows
+    with mp.workdps(50):
+        A, B = mp.mpf(a), mp.mpf(b)
+        ref = mp.exp((A * mp.log(A) + B * mp.log(B)) / (A + B))
+        assert _within_log_rounding(power_exponential_Z(MeanPoint(a, b)), ref)
+
+
 def test_stolarsky_examples():
     assert stolarsky(ParamPair(2, 1), MeanPoint(4, 2)).value == pytest.approx(3, rel=1e-14)
     assert stolarsky(ParamPair(1, -1), MeanPoint(4, 1)).value == pytest.approx(2, rel=1e-14)
