@@ -235,7 +235,8 @@ def _grid(text: str) -> list[float]:
     return [parse_parameter(tok) for tok in text.split(",") if tok.strip()]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(check_defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; check_defaults replace the check command's defaults."""
     parser = argparse.ArgumentParser(
         prog="parmeans",
         description="Parametric bivariate means: evaluation, convexity scans, "
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--region", default=None)
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--config", default=None)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, **(check_defaults or {}))
 
     p_scan = sub.add_parser("scan", help="CSV Hessian scan over a parameter grid")
     p_scan.add_argument("--family", required=True)
@@ -303,23 +304,26 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
+        defaults = {}
         for key, raw in overrides.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr in ("func", "command") or not hasattr(args, attr):
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return EXIT_BAD_ARGS
             current = getattr(args, attr)
             try:
                 if isinstance(current, int) and not isinstance(current, bool):
-                    setattr(args, attr, int(raw))
+                    defaults[attr] = int(raw)
                 elif isinstance(current, float):
-                    setattr(args, attr, float(raw))
+                    defaults[attr] = float(raw)
                 else:
-                    setattr(args, attr, raw)
+                    defaults[attr] = raw
             except ValueError:
                 print(f"error: config key {key!r} has a non-numeric value {raw!r}",
                       file=sys.stderr)
                 return EXIT_BAD_ARGS
+        # the file supplies defaults: flags given on the command line win
+        args = build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
     except ParMeansError as exc:

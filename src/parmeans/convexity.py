@@ -8,10 +8,15 @@ Three routes are provided and cross-checked against each other:
     defect margin alpha ln M1 + beta ln M2 - ln M(blend), so margins
     <= 0 are consistent with log-concavity and >= 0 with log-convexity;
   * integral_hessian: quadrature of the t^2/(1-t)^2/t(1-t) weighted
-    T''' integrals behind the second-derivative criterion.
+    T''' integrals behind the second-derivative criterion; the three
+    weights share the rule's nodes, so T''' is evaluated once per node.
 
 scan_convexity drives the Hessian route over parameter grids with the
-expected verdict derived once from the r + s sign rule.
+expected verdict derived once from the r + s sign rule.  One stencil
+serves every family: for the kernel-pair families (stolarsky, gini,
+identric2, heronian2) it reads ln M from the core log path with the
+point's logs taken once, for hd and four_param it goes through
+hessian_logF and the public evaluator.
 """
 
 from __future__ import annotations
@@ -26,13 +31,16 @@ from .core import (
     GeneratorPair,
     MeanPoint,
     ParamPair,
+    _FAMILY_KERNELS,
+    _family_ln,
     family_evaluator,
     family_generator_pair,
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import t_derivatives
+from .hgf import _t1_t3, t_derivatives
 from .quadrature import integrate_fixed
+from .stable import log_ratio
 
 _EPS = 2.0 ** -52
 
@@ -151,8 +159,13 @@ def hessian_logF(
     The caller keeps (p, q) away from the singular loci by more than the
     step so the differences never straddle a branch switch.
     """
-    p, q = pp.p, pp.q
-    phi = lambda P, Q: math.log(evaluator(ParamPair(P, Q), pt).value)
+    return _hessian(lambda P, Q: math.log(evaluator(ParamPair(P, Q), pt).value),
+                    pp.p, pp.q, cfg)
+
+
+def _hessian(phi: Callable[[float, float], float], p: float, q: float,
+             cfg: HessianConfig) -> HessianReport:
+    """The Hessian stencil of hessian_logF over any (P, Q) -> ln M."""
     hp = cfg.step_scale * (1.0 + abs(p))
     hq = cfg.step_scale * (1.0 + abs(q))
     f0 = phi(p, q)
@@ -241,12 +254,28 @@ def expected_verdict(spec: ScanSpec) -> Optional[str]:
     return RS_SIGN_VERDICTS[(1 if rs > 0.0 else -1, spec.region)]
 
 
+def _kernel_ln(kernels: tuple, pt: MeanPoint) -> Callable[[float, float], float]:
+    """(P, Q) -> ln M at pt from the core kernel path, logs taken once.
+
+    Raises SaturationError exactly where the public evaluator does.
+    """
+    w, lnb = log_ratio(pt.a, pt.b), math.log(pt.b)
+    return lambda P, Q: _family_ln(kernels, P, Q, w, lnb)[0]
+
+
 def scan_convexity(spec: ScanSpec) -> CheckReport:
-    """Hessian scan over the grid; deterministic given the spec."""
+    """Hessian scan over the grid; deterministic given the spec.
+
+    The kernel-pair families read the stencil's ln M straight from the
+    core log path; hd and four_param go through hessian_logF and the
+    public evaluator.  Every grid point is still evaluated once through
+    the public evaluator, which sets the margin scale.
+    """
     sign = 1.0 if spec.region == "positive_quadrant" else -1.0
     expect = expected_verdict(spec)
     cfg = HessianConfig(step_scale=spec.step_scale, sign_tol=spec.sign_tol)
     ev = family_evaluator(spec.family, spec.gen)
+    kernels = _FAMILY_KERNELS.get(spec.family)
 
     total = passed = inconclusive = failed = 0
     worst_margin = math.inf
@@ -254,6 +283,8 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
     observed: dict[str, int] = {}
     skipped = 0
     for pt in spec.mean_points:
+        # the public diagonal shortcut M = a has no kernel-path twin
+        phi = _kernel_ln(kernels, pt) if kernels is not None and pt.a != pt.b else None
         for p in spec.p_grid:
             for q in spec.q_grid:
                 if abs(p - q) <= spec.exclusion_band:
@@ -262,7 +293,10 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                 total += 1
                 pq = ParamPair(sign * abs(p), sign * abs(q))
                 try:
-                    rep = hessian_logF(ev, pq, pt, cfg)
+                    if phi is None:
+                        rep = hessian_logF(ev, pq, pt, cfg)
+                    else:
+                        rep = _hessian(phi, pq.p, pq.q, cfg)
                 except ParMeansError as exc:
                     failed += 1
                     worst_margin = -1e300
@@ -387,7 +421,13 @@ def integral_hessian(
     structural cross-check of the difference Hessian.
     """
     p, q = pp.p, pp.q
-    t3 = lambda u: t_derivatives(f, u, pt).T3
+    # the three weights share the fixed rule's nodes: T''' once per node
+    t3_at: dict[float, float] = {}
+
+    def t3(u: float) -> float:
+        if u not in t3_at:
+            t3_at[u] = _t1_t3(f, u, pt)[1]
+        return t3_at[u]
 
     def seg(weight: Callable[[float], float]) -> float:
         return integrate_fixed(

@@ -30,11 +30,12 @@ based quotient stays exact arbitrarily close to zero.  Evaluators whose
 E is not a function of t w alone (four_param_F here, hf_eval in hgf)
 pass their own E(t), E'(t) with w = 1, which the engine applies exactly.
 
-Fast path.  _family_ln(kernels, p, q, a, b) is the float-only log path
-of the named families: no dataclass, no closure and no exp/log round
-trip.  The public evaluators are thin wrappers that validate at the
-dataclass boundary, call it and exponentiate; the inequality checker
-reads ln M from it directly.
+Fast path.  _family_ln(kernels, p, q, w, lnb) is the float-only log
+path of the named families, fed with the point's logs w = ln(a/b) and
+ln b: no dataclass, no closure and no exp/log round trip.  The public
+evaluators are thin wrappers that validate at the dataclass boundary,
+call it and exponentiate; the inequality checker and the convexity scans
+read ln M from it directly.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ class ParamPair:
     q: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise DomainError(f"ParamPair must be finite, got ({self.p!r}, {self.q!r})")
+        # the try costs nothing on valid input; a non-number is a DomainError
+        try:
+            if math.isfinite(self.p) and math.isfinite(self.q):
+                return
+        except TypeError:
+            pass
+        raise DomainError(f"ParamPair must be finite reals, got ({self.p!r}, {self.q!r})")
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,12 @@ class GeneratorPair:
     s: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.s)):
-            raise DomainError(f"GeneratorPair must be finite, got ({self.r!r}, {self.s!r})")
+        try:
+            if math.isfinite(self.r) and math.isfinite(self.s):
+                return
+        except TypeError:
+            pass
+        raise DomainError(f"GeneratorPair must be finite reals, got ({self.r!r}, {self.s!r})")
 
 
 @dataclass(frozen=True)
@@ -220,17 +230,18 @@ _IDENTRIC2 = (_identric_e, _identric_e1, 1.0)
 _HERONIAN2 = (log_heronian_sum, heronian_weight, 1.0)
 
 
-def _family_ln(kernels: tuple, p: float, q: float, a: float, b: float
+def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
                ) -> tuple[float, str, float]:
-    """(ln M, branch, est ln error) of a named family at valid inputs.
+    """(ln M, branch, est ln error) of a named family from the point's logs.
 
-    Raises SaturationError where the public evaluator does: |p*r*w| > 700
-    or |ln M| > 709.  At a = b, w = 0 and every branch gives ln b exactly.
+    w = log_ratio(a, b) and lnb = ln b of a valid point, so a caller that
+    evaluates many (p, q) at one point takes the logs once.  Raises
+    SaturationError where the public evaluator does: |p*r*w| > 700 or
+    |ln M| > 709.  At a = b, w = 0 and every branch gives ln b exactly.
     """
     e, e1, gen_max = kernels
-    w = log_ratio(a, b)
     _check_saturation(p, q, gen_max, w)
-    ln, branch, est = _ln_eval(e, e1, w, p, q, math.log(b))
+    ln, branch, est = _ln_eval(e, e1, w, p, q, lnb)
     _check_range(ln)
     return ln, branch, est
 
@@ -238,7 +249,7 @@ def _family_ln(kernels: tuple, p: float, q: float, a: float, b: float
 def _family_eval(kernels: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    ln, branch, est = _family_ln(kernels, pp.p, pp.q, pt.a, pt.b)
+    ln, branch, est = _family_ln(kernels, pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
     return EvalResult(math.exp(ln), branch, est)
 
 
@@ -454,6 +465,14 @@ _FAMILY_GENERATORS = {
     "gini": GeneratorPair(2.0, 1.0),
     "identric2": GeneratorPair(1.0, 1.0),
     "heronian2": GeneratorPair(1.5, 0.5),
+}
+
+# the named families whose E depends on t only through t w
+_FAMILY_KERNELS: dict[str, tuple] = {
+    "stolarsky": _STOLARSKY,
+    "gini": _GINI,
+    "identric2": _IDENTRIC2,
+    "heronian2": _HERONIAN2,
 }
 
 _DIRECT_FAMILIES: dict[str, FamilyEvaluator] = {

@@ -153,19 +153,16 @@ def hf_integral_oracle(
     return math.exp(result.value)
 
 
-def t_derivatives(
+def _t1_t3(
     f: GeneratorFunction,
     t: float,
     pt: MeanPoint,
     cfg: FDConfig = FDConfig(),
-) -> TDerivatives:
-    """T', T'', T''' plus I, J and C at the probe point t.
+) -> tuple[float, float]:
+    """(T'(t), T'''(t)) under the checks of t_derivatives.
 
-    T' comes from the closed form; T'' and T''' are central differences
-    of T' with one Richardson halving.  I is a central cross-difference
-    of ln f and J = (x - y) d/dx(x I) a nested difference, both computed
-    at max-normalized coordinates (their signs are scale-invariant) and
-    rescaled by homogeneity afterwards.
+    T''' is the central second difference of T' with one Richardson
+    halving; T'(t) is evaluated once and shared by both stencils.
     """
     if pt.a == pt.b:
         raise DomainError("t_derivatives requires a != b")
@@ -182,20 +179,41 @@ def t_derivatives(
     if t + h2 == t or t + h1 == t:
         raise StepSizeError("finite-difference step underflow", _EPS ** 0.25 * abs(t))
 
-    T1 = lambda u: t_prime(f, u, pt)
-
-    def central(h: float) -> float:
-        return (T1(t + h) - T1(t - h)) / (2.0 * h)
+    T1t = t_prime(f, t, pt)
 
     def second(h: float) -> float:
-        return (T1(t + h) - 2.0 * T1(t) + T1(t - h)) / (h * h)
+        return (t_prime(f, t + h, pt) - 2.0 * T1t + t_prime(f, t - h, pt)) / (h * h)
+
+    if cfg.richardson:
+        return T1t, (4.0 * second(0.5 * h2) - second(h2)) / 3.0
+    return T1t, second(h2)
+
+
+def t_derivatives(
+    f: GeneratorFunction,
+    t: float,
+    pt: MeanPoint,
+    cfg: FDConfig = FDConfig(),
+) -> TDerivatives:
+    """T', T'', T''' plus I, J and C at the probe point t.
+
+    T' comes from the closed form; T'' and T''' are central differences
+    of T' with one Richardson halving.  I is a central cross-difference
+    of ln f and J = (x - y) d/dx(x I) a nested difference, both computed
+    at max-normalized coordinates (their signs are scale-invariant) and
+    rescaled by homogeneity afterwards.
+    """
+    T1t, T3 = _t1_t3(f, t, pt, cfg)
+    la, lb = math.log(pt.a), math.log(pt.b)
+    h1 = cfg.first_step_scale * (1.0 + abs(t))
+
+    def central(h: float) -> float:
+        return (t_prime(f, t + h, pt) - t_prime(f, t - h, pt)) / (2.0 * h)
 
     if cfg.richardson:
         T2 = (4.0 * central(0.5 * h1) - central(h1)) / 3.0
-        T3 = (4.0 * second(0.5 * h2) - second(h2)) / 3.0
     else:
         T2 = central(h1)
-        T3 = second(h2)
 
     # normalized coordinates for the (x, y) differences
     xn, yn = _normalized_args(t, la, lb)
@@ -226,7 +244,7 @@ def t_derivatives(
     I_val = I_n / (scale * scale)
     J_val = J_n / scale
     C_val = xn * yn * log_ratio(xn, yn) ** 3 / (xn - yn) * scale
-    return TDerivatives(t=t, x=x, y=y, T1=T1(t), T2=T2, T3=T3,
+    return TDerivatives(t=t, x=x, y=y, T1=T1t, T2=T2, T3=T3,
                         I_val=I_val, J_val=J_val, C_val=C_val)
 
 
@@ -265,11 +283,12 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
         if abs(ln) > 709.0:
             raise SaturationError("H_D value outside floating range", ln)
         return EvalResult(math.exp(ln), branch, est)
-    # straddling or well-separated parameters: the direct quotient is stable
-    ln = math.log(pt.b) + (
-        (log_exprel(p * w) + math.log(abs(p)))
-        - (log_exprel(q * w) + math.log(abs(q)))
-    ) / d
+    # straddling or well-separated parameters: the direct quotient of
+    # E(t) = log_exprel(t w) + ln|t|, with the engine's error estimate
+    ep = log_exprel(p * w) + math.log(abs(p))
+    eq = log_exprel(q * w) + math.log(abs(q))
+    ln = math.log(pt.b) + (ep - eq) / d
     if abs(ln) > 709.0:
         raise SaturationError("H_D value outside floating range", ln)
-    return EvalResult(math.exp(ln), BRANCH_GENERIC, 4.0 * _EPS * (1.0 + abs(ln)))
+    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln))
+    return EvalResult(math.exp(ln), BRANCH_GENERIC, est)

@@ -34,6 +34,7 @@ from .core import (
     log_mean,
 )
 from .errors import DomainError, ParMeansError
+from .stable import log_ratio
 
 Sample = dict
 
@@ -104,19 +105,19 @@ def _pt(s: Sample) -> MeanPoint:
 # straight from the core fast path; check_case validates (a, b) once.
 
 def _ln_S(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_STOLARSKY, r, s_, s["a"], s["b"])[0]
+    return _family_ln(_STOLARSKY, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
 
 
 def _ln_G(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_GINI, r, s_, s["a"], s["b"])[0]
+    return _family_ln(_GINI, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
 
 
 def _ln_I2(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_IDENTRIC2, r, s_, s["a"], s["b"])[0]
+    return _family_ln(_IDENTRIC2, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
 
 
 def _ln_He2(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_HERONIAN2, r, s_, s["a"], s["b"])[0]
+    return _family_ln(_HERONIAN2, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
 
 
 def _ln_A(t: float, s: Sample) -> float:

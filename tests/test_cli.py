@@ -200,6 +200,28 @@ def test_config_file(tmp_path, capsys):
     assert payload["config_echo"]["random_count"] == 80
 
 
+def test_config_supplies_defaults_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed = 0\nrandom-count = 80\n")
+    out_file = tmp_path / "r.json"
+    code, _, _ = run(capsys, "check", "--suite", "identities", "--seed", "5",
+                     "--config", str(cfg), "--out", str(out_file))
+    assert code == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["seed"] == 5
+    assert payload["config_echo"]["seed"] == 5
+    assert payload["config_echo"]["random_count"] == 80
+
+
+@pytest.mark.parametrize("line", ["format = json", "func = x", "command = eval"])
+def test_config_unknown_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, "check", "--suite", "identities", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key" in err and "Traceback" not in err
+
+
 def test_check_exit_code_thresholds():
     from parmeans.cli import check_exit_code
     assert check_exit_code(0, 0, 100) == 0

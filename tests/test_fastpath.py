@@ -3,9 +3,12 @@
 The reference engine below is the branch rule as it stood before the
 family kernels became module-level (e, e1) pairs: per-call closures
 E(t), E'(t) and a pairwise saturation loop.  The public evaluators must
-reproduce it bit for bit, and the inequality checker, which now reads
-ln M from the fast path, must reach the same verdicts as a slow path
-through the public evaluators.
+reproduce it bit for bit, and the inequality checker and the convexity
+scans, which read ln M from the fast path, must reach the same verdicts
+as a slow path through the public evaluators.  t_derivatives and
+integral_hessian, which now evaluate T' at the probe point and T'''
+at each quadrature node once, must reproduce copies of their former
+per-stencil and per-weight forms bit for bit.
 """
 
 import math
@@ -14,22 +17,31 @@ import random
 import pytest
 
 from parmeans import (
+    FDConfig,
     GeneratorPair,
     MeanPoint,
     ParamPair,
     SamplingPlan,
     SaturationError,
+    ScanSpec,
+    builtin_generators,
     catalog,
     check_case,
     four_param_F,
     gini,
+    integral_hessian,
     power_mean,
+    scan_convexity,
     stolarsky,
+    stolarsky_generator,
+    t_derivatives,
     two_param_heronian,
     two_param_identric,
 )
-from parmeans import inequalities
+from parmeans import convexity, inequalities
 from parmeans.core import _check_saturation, _four_param_generator
+from parmeans.hgf import t_prime
+from parmeans.quadrature import integrate_fixed
 from parmeans.stable import (
     exprel_logd,
     exprel_logd2,
@@ -256,3 +268,94 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
         inconclusive += rep.inconclusive
     if plan.b_high > 1e6:
         assert inconclusive > 0
+
+
+# -- convexity scans and T''' probes against the public-evaluator path ----------
+
+@pytest.mark.parametrize("family", sorted(PUBLIC))
+def test_scan_convexity_matches_public_evaluator_path(family, monkeypatch):
+    grid = (0.2, 0.5, 1.0, 2.0, 3.5)
+    points = (MeanPoint(1.0, 4.0), MeanPoint(2.5, 0.01),
+              MeanPoint(1e-150, 1e150))  # the last one saturates at |p| > 1
+    specs = [ScanSpec(family=family, region=region, p_grid=tuple(sign * v for v in grid),
+                      q_grid=tuple(sign * v for v in grid), mean_points=(pt,))
+             for region, sign in (("positive_quadrant", 1.0), ("negative_quadrant", -1.0))
+             for pt in points]
+    fast = [scan_convexity(spec) for spec in specs]
+    # with no kernel pair every stencil value comes from hessian_logF and
+    # the public evaluator, as for hd and four_param
+    monkeypatch.setattr(convexity, "_FAMILY_KERNELS", {})
+    errors = 0
+    for spec, rep in zip(specs, fast):
+        slow = scan_convexity(spec)
+        assert (rep.total, rep.passed, rep.failed, rep.inconclusive, rep.notes) == \
+            (slow.total, slow.passed, slow.failed, slow.inconclusive, slow.notes), spec
+        witness = {k: v for k, v in rep.worst_witness.items() if k in "abpq"}
+        assert witness == {k: v for k, v in slow.worst_witness.items() if k in "abpq"}
+        assert rep.worst_witness.get("verdict") == slow.worst_witness.get("verdict")
+        assert rep.worst_witness.get("error") == slow.worst_witness.get("error")
+        assert rep.worst_margin == pytest.approx(slow.worst_margin, rel=1e-2)
+        errors += "error" in rep.worst_witness
+    assert errors > 0
+
+
+def _probe_generators():
+    return builtin_generators() + [stolarsky_generator(2.0, 1.0),
+                                   stolarsky_generator(-2.5, -2.0),
+                                   stolarsky_generator(0.5, 0.5)]
+
+
+def _ref_t_derivatives_T(f, t, pt, cfg=FDConfig()):
+    """T', T'' and T''' as t_derivatives computed them with T'(t) per stencil."""
+    T1 = lambda u: t_prime(f, u, pt)
+    h1 = cfg.first_step_scale * (1.0 + abs(t))
+    h2 = cfg.second_step_scale * (1.0 + abs(t))
+
+    def central(h):
+        return (T1(t + h) - T1(t - h)) / (2.0 * h)
+
+    def second(h):
+        return (T1(t + h) - 2.0 * T1(t) + T1(t - h)) / (h * h)
+
+    if cfg.richardson:
+        return (T1(t), (4.0 * central(0.5 * h1) - central(h1)) / 3.0,
+                (4.0 * second(0.5 * h2) - second(h2)) / 3.0)
+    return T1(t), central(h1), second(h2)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_t_derivatives_bit_identical_to_reference(richardson):
+    rng = random.Random(14)
+    cfg = FDConfig(richardson=richardson)
+    for f in _probe_generators():
+        for _ in range(12):
+            t = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 5.0)
+            pt = MeanPoint(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-2, 2.5))
+            der = t_derivatives(f, t, pt, cfg)
+            assert (der.T1, der.T2, der.T3) == _ref_t_derivatives_T(f, t, pt, cfg), \
+                (f.label, t, pt)
+
+
+def _ref_integral_hessian(f, pp, pt, panels=4):
+    p, q = pp.p, pp.q
+
+    def seg(weight):
+        return integrate_fixed(
+            lambda t: weight(t) * t_derivatives(f, t * p + (1.0 - t) * q, pt).T3,
+            0.0, 1.0, panels).value
+
+    d2_pp = seg(lambda t: t * t)
+    d2_qq = seg(lambda t: (1.0 - t) * (1.0 - t))
+    d2_pq = seg(lambda t: t * (1.0 - t))
+    return d2_pp, d2_qq, d2_pq, d2_pp * d2_qq - d2_pq * d2_pq
+
+
+def test_integral_hessian_bit_identical_to_reference():
+    rng = random.Random(15)
+    for f in _probe_generators():
+        for _ in range(2):
+            sign = rng.choice((-1.0, 1.0))
+            pp = ParamPair(sign * rng.uniform(0.1, 4.0), sign * rng.uniform(0.1, 4.0))
+            pt = MeanPoint(1.0, 10 ** rng.uniform(0.05, 2.0))
+            assert integral_hessian(f, pp, pt) == _ref_integral_hessian(f, pp, pt), \
+                (f.label, pp, pt)

@@ -340,3 +340,19 @@ def test_hf_eval_stolarsky_generator_matches_four_param():
             pt = MeanPoint(1.0, math.exp(rng.uniform(0.2, 3.0)))
             assert hf_eval(gen, pp, pt).value == pytest.approx(
                 four_param_F(pp, GeneratorPair(r, s), pt).value, rel=1e-11)
+
+
+@pytest.mark.parametrize("p, q, a, b", [
+    (3.379648090750162, 3.3908933936079495, 1.0, 16.452937104989235),
+    (-3.0, -4.0006103515625, 1.0, 100.0),
+])
+def test_hd_generic_error_within_estimate_mpmath(p, q, a, b):
+    # the generic quotient's cancellation, 1/|p - q| times the rounding of
+    # E(p) and E(q), must be inside est_rel_error
+    mp = pytest.importorskip("mpmath")
+    res = hd_eval(ParamPair(p, q), MeanPoint(a, b))
+    assert res.branch == "generic"
+    with mp.workdps(50):
+        P, Q, A, B = (mp.mpf(v) for v in (p, q, a, b))
+        ref = mp.exp(mp.log(abs((A ** P - B ** P) / (A ** Q - B ** Q))) / (P - Q))
+        assert abs(res.value / ref - 1) <= res.est_rel_error

@@ -46,6 +46,13 @@ def test_mean_point_validation():
         MeanPoint(1.0, math.inf)
     with pytest.raises(DomainError):
         ParamPair(math.nan, 1.0)
+    # non-numbers are a DomainError, not a TypeError from math.isfinite
+    with pytest.raises(DomainError):
+        ParamPair("x", 1.0)
+    with pytest.raises(DomainError):
+        GeneratorPair(None, 1.0)
+    with pytest.raises(DomainError):
+        GeneratorPair(1.0, math.inf)
 
 
 def test_arithmetic_geometric_heronian():
