@@ -263,6 +263,11 @@ def _kernel_ln(kernels: tuple, pt: MeanPoint) -> Callable[[float, float], float]
     return lambda P, Q: _family_ln(kernels, P, Q, w, lnb)[0]
 
 
+def _error_text(exc: Exception) -> str:
+    """The witness text of a failed sample: a ParMeansError's message, else type and message."""
+    return str(exc) if isinstance(exc, ParMeansError) else f"{type(exc).__name__}: {exc}"
+
+
 def scan_convexity(spec: ScanSpec) -> CheckReport:
     """Hessian scan over the grid; deterministic given the spec.
 
@@ -297,17 +302,18 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                         rep = hessian_logF(ev, pq, pt, cfg)
                     else:
                         rep = _hessian(phi, pq.p, pq.q, cfg)
-                except ParMeansError as exc:
+                    ln_m = math.log(ev(pq, pt).value) if expect is not None else 0.0
+                except Exception as exc:  # any exception fails this sample, not the scan
                     failed += 1
                     worst_margin = -1e300
                     worst_witness = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q,
-                                     "error": str(exc)}
+                                     "error": _error_text(exc)}
                     continue
                 observed[rep.verdict] = observed.get(rep.verdict, 0) + 1
                 if expect is None:
                     passed += 1
                     continue
-                tol = spec.sign_tol * (1.0 + abs(math.log(ev(pq, pt).value)))
+                tol = spec.sign_tol * (1.0 + abs(ln_m))
                 directional = rep.d2_pp if expect == VERDICT_CONVEX else -rep.d2_pp
                 margin = min(directional, rep.delta) / tol
                 if margin < worst_margin:

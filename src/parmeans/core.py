@@ -6,7 +6,7 @@ E(t) = ln f(a^t, b^t) - t ln(b), the mean is
 
     ln M(p, q) = ln(b) + (E(p) - E(q)) / (p - q)
 
-with the removable singularity at p = q filled by E'((p+q)/2).
+with the removable singularity at p = q filled by the band rule below.
 
 Kernel pairs.  For the four named families E depends on t only through
 z = t w, so each family is a module-level pair (e, e1) of cancellation-
@@ -18,11 +18,11 @@ free kernels from stable.py, with E(t) = e(t w) and E'(t) = w e1(t w):
     heronian2   e = log_heronian_sum(z)   e1 = heronian_weight(z)
 
 Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, branch, estimated
-error of ln M), creates no closure, and owns the branch policy:
-
-  * |p - q| <= 1e-6 * (1 + |p| + |q|): limit branch, value E'((p+q)/2);
-  * |p - q| <= 1e-3: midpoint rule E'((p+q)/2), error O((p-q)^2 E''');
-  * otherwise: the difference quotient.
+error of ln M) and creates no closure.  On the band (_in_band) the
+quotient is the 3-point Gauss-Legendre mean of E' over [q, p]
+(_band_mean), E'(p) at p = q, with the size of its correction to
+E'((p+q)/2) as the estimate; the same two helpers fill r = s in
+F(p,q;r,s) and S_{r,s}.  p_eq_q tags |p - q| <= 1e-6 * (1 + |p| + |q|).
 
 Zero-parameter loci need no special formula (E is smooth at 0), only a
 branch tag; their tagging threshold is 1e-13 * scale because the expm1
@@ -73,6 +73,7 @@ BRANCH_SWAPPED = "swapped"
 
 _EPS = 2.0 ** -52
 _INF = math.inf
+_GL_NODE, _GL_WEIGHT = math.sqrt(0.6), 5.0 / 18.0  # 3-point Gauss-Legendre outer node, weight
 
 
 def _check_point(a: float, b: float) -> None:
@@ -167,6 +168,22 @@ def _check_saturation(p: float, q: float, gen_max: float, w: float) -> None:
         raise SaturationError("exponent product a^(p*r) not representable", worst, OVERFLOW_LIMIT)
 
 
+def _in_band(x: float, y: float) -> bool:
+    """|x - y| <= 1e-3, or <= 1e-6 (1 + |x| + |y|): the divided difference takes the band rule."""
+    d = abs(x - y)
+    return d <= MIDPOINT_BAND or d <= SINGULAR_DELTA * (1.0 + abs(x) + abs(y))
+
+
+def _band_mean(f, x: float, y: float, scale: float) -> tuple[float, float]:
+    """(mean, mean - f(m)) of f over [y*scale, x*scale] by 3-point Gauss-Legendre,
+    (5 f(m-h) + 8 f(m) + 5 f(m+h))/18 summed so that x = y gives f(m) bit for bit."""
+    zx, zy = x * scale, y * scale
+    m, h = 0.5 * (zx + zy), 0.5 * (zx - zy) * _GL_NODE
+    c = f(m)
+    corr = _GL_WEIGHT * ((f(m + h) - c) + (f(m - h) - c))
+    return c + corr, corr
+
+
 def _ln_eval(
     e: Callable[[float], float],
     e1: Callable[[float], float],
@@ -181,18 +198,16 @@ def _ln_eval(
     """
     scale = 1.0 + abs(p) + abs(q)
     d = p - q
-    if abs(d) <= SINGULAR_DELTA * scale:
-        m = 0.5 * (p + q)
-        ln = lnb + w * e1(m * w)
-        branch = BRANCH_BOTH_ZERO if max(abs(p), abs(q)) <= ZERO_TOL * scale else BRANCH_P_EQ_Q
-        return ln, branch, 4.0 * _EPS * (1.0 + abs(ln))
-    if abs(d) <= MIDPOINT_BAND:
-        m = 0.5 * (p + q)
-        e1m = w * e1(m * w)
-        # midpoint-rule error (p-q)^2 E'''(m)/24, E''' from a cheap stencil
-        e3 = (w * e1(p * w) - 2.0 * e1m + w * e1(q * w)) / (0.25 * d * d) if d != 0.0 else 0.0
-        est = abs(e3) * d * d / 24.0 + 4.0 * _EPS * (1.0 + abs(lnb + e1m))
-        return lnb + e1m, BRANCH_GENERIC, est
+    if _in_band(p, q):
+        mean, corr = _band_mean(e1, p, q, w)
+        ln = lnb + w * mean
+        if abs(d) > SINGULAR_DELTA * scale:
+            branch = BRANCH_GENERIC
+        elif max(abs(p), abs(q)) <= ZERO_TOL * scale:
+            branch = BRANCH_BOTH_ZERO
+        else:
+            branch = BRANCH_P_EQ_Q
+        return ln, branch, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln))
     ep, eq = e(p * w), e(q * w)
     ln = lnb + (ep - eq) / d
     if abs(q) <= ZERO_TOL * scale:
@@ -382,20 +397,19 @@ def two_param_heronian(pp: ParamPair, pt: MeanPoint) -> EvalResult:
 
 
 def _four_param_generator(w: float, r: float, s: float):
-    """E and E' for ln F(.,.;r,s) including the removable r = s locus."""
-    rs_scale = 1.0 + abs(r) + abs(s)
-    d = r - s
-    if abs(d) <= SINGULAR_DELTA * rs_scale or abs(d) <= MIDPOINT_BAND:
-        m = 0.5 * (r + s)
-
+    """E, E' for ln F(.,.;r,s), the divided difference in (r, s) of log_exprel(t u w), and
+    (g, c): their rounding is about 2 eps g in E' and 2 eps (g |t| + c) in E, from band
+    means in (0, 1), or from kernel values (eps (1 + |z|) for log_exprel) over r - s."""
+    if _in_band(r, s):
         def E(t: float) -> float:
-            return t * w * exprel_logd(t * m * w)
+            return t * w * _band_mean(exprel_logd, r, s, t * w)[0]
 
         def E1(t: float) -> float:
-            z = t * m * w
-            return w * exprel_logd(z) + t * m * w * w * exprel_logd2(z)
+            return w * _band_mean(_identric_e1, r, s, t * w)[0]
 
-        return E, E1
+        return E, E1, abs(w), 0.0
+
+    d = r - s
 
     def E(t: float) -> float:
         return (log_exprel(t * r * w) - log_exprel(t * s * w)) / d
@@ -403,7 +417,7 @@ def _four_param_generator(w: float, r: float, s: float):
     def E1(t: float) -> float:
         return (r * w * exprel_logd(t * r * w) - s * w * exprel_logd(t * s * w)) / d
 
-    return E, E1
+    return E, E1, abs(w) * (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
 
 
 def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
@@ -411,21 +425,24 @@ def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
 
     When (r, s) sits on the r = s singular locus while (p, q) does not,
     the exchange symmetry F(p,q;r,s) = F(r,s;p,q) is applied and the
-    result is tagged 'swapped'.
+    result is tagged 'swapped'.  est_rel_error includes the rounding of
+    the inner (r, s) rule.
     """
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
+    p, q, r, s = pp.p, pp.q, gp.r, gp.s
     w = log_ratio(pt.a, pt.b)
-    _check_saturation(pp.p, pp.q, max(abs(gp.r), abs(gp.s)), w)
+    _check_saturation(p, q, max(abs(r), abs(s)), w)
 
-    pq_singular = abs(pp.p - pp.q) <= SINGULAR_DELTA * (1.0 + abs(pp.p) + abs(pp.q))
-    rs_singular = abs(gp.r - gp.s) <= SINGULAR_DELTA * (1.0 + abs(gp.r) + abs(gp.s))
-    if rs_singular and not pq_singular:
-        inner = four_param_F(ParamPair(gp.r, gp.s), GeneratorPair(pp.p, pp.q), pt)
-        return EvalResult(inner.value, BRANCH_SWAPPED, inner.est_rel_error)
-
-    E, E1 = _four_param_generator(w, gp.r, gp.s)
-    return _finish(*_ln_eval(E, E1, 1.0, pp.p, pp.q, math.log(pt.b)))
+    swapped = abs(r - s) <= SINGULAR_DELTA * (1.0 + abs(r) + abs(s)) and \
+        not abs(p - q) <= SINGULAR_DELTA * (1.0 + abs(p) + abs(q))
+    if swapped:
+        p, q, r, s = r, s, p, q
+    E, E1, g, c = _four_param_generator(w, r, s)
+    ln, branch, est = _ln_eval(E, E1, 1.0, p, q, math.log(pt.b))
+    # the (p, q) band reads E' directly, the quotient divides E's rounding by p - q
+    est += 2.0 * _EPS * (g if _in_band(p, q) else (c + g * (abs(p) + abs(q))) / abs(p - q))
+    return _finish(ln, BRANCH_SWAPPED if swapped else branch, est)
 
 
 def reduction_table(pp: ParamPair, gp: GeneratorPair) -> Optional[ReductionTag]:

@@ -17,12 +17,11 @@ from .errors import DomainError
 from .stable import (
     expm1_minus_z_over_z2,
     exprel_logd,
-    exprel_logd2,
     identric_weight,
     log_exprel,
     log_ratio,
 )
-from .core import MIDPOINT_BAND, SINGULAR_DELTA
+from .core import _band_mean, _identric_e1, _in_band
 
 
 @dataclass(frozen=True)
@@ -139,37 +138,32 @@ def heronian_generator() -> GeneratorFunction:
 
 
 def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
-    """S_{r,s}(x, y) as a generator, r = s handled by the midpoint rule."""
-    rs_scale = 1.0 + abs(r) + abs(s)
-    d = r - s
-    degenerate = abs(d) <= SINGULAR_DELTA * rs_scale or abs(d) <= MIDPOINT_BAND
-    m = 0.5 * (r + s)
+    """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with G the divided difference in
+    (r, s) of log_exprel(u v) and x (ln S)_x = G'(v); core's band rule near r = s."""
+    if _in_band(r, s):
+        def G(v: float) -> float:
+            return v * _band_mean(exprel_logd, r, s, v)[0]
 
-    def ln_value(x: float, y: float) -> float:
-        if x == y:
-            return math.log(x)
-        v = log_ratio(x, y)
-        if degenerate:
-            return math.log(y) + v * exprel_logd(m * v)
-        return math.log(y) + (log_exprel(r * v) - log_exprel(s * v)) / d
+        def G1(v: float) -> float:
+            return _band_mean(_identric_e1, r, s, v)[0]
+    else:
+        d = r - s
 
-    def dln_dx(x: float, y: float) -> float:
-        # (r chi'(r) - s chi'(s)) / ((r - s) x v) with chi'(u) = v R(u v)
-        v = log_ratio(x, y)
-        if degenerate:
-            z = m * v
-            return (exprel_logd(z) + z * exprel_logd2(z)) / x
-        return (r * exprel_logd(r * v) - s * exprel_logd(s * v)) / (d * x)
+        def G(v: float) -> float:
+            return (log_exprel(r * v) - log_exprel(s * v)) / d
+
+        def G1(v: float) -> float:
+            return (r * exprel_logd(r * v) - s * exprel_logd(s * v)) / d
 
     def value(x: float, y: float) -> float:
-        return math.exp(ln_value(x, y))
+        return x if x == y else math.exp(math.log(y) + G(log_ratio(x, y)))
 
     def partial_x(x: float, y: float) -> float:
-        return value(x, y) * dln_dx(x, y)
+        return value(x, y) * G1(log_ratio(x, y)) / x
 
     def partial_y(x: float, y: float) -> float:
         # Euler relation for the 1-homogeneous S: y (ln S)_y = 1 - x (ln S)_x
-        return value(x, y) * (1.0 - x * dln_dx(x, y)) / y
+        return value(x, y) * (1.0 - G1(log_ratio(x, y))) / y
 
     return GeneratorFunction(
         label=f"S[{r:g},{s:g}]",

@@ -18,15 +18,12 @@ from dataclasses import dataclass
 
 from .core import (
     BRANCH_DIAGONAL,
-    BRANCH_GENERIC,
-    BRANCH_P_EQ_Q,
     EvalResult,
     MeanPoint,
-    MIDPOINT_BAND,
     OVERFLOW_LIMIT,
     ParamPair,
-    SINGULAR_DELTA,
     ZERO_TOL,
+    _check_saturation,
     _finish,
     _ln_eval,
 )
@@ -262,33 +259,11 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     if abs(p) <= ZERO_TOL * scale or abs(q) <= ZERO_TOL * scale:
         raise DomainError("H_D rejects zero parameters (no positive diagonal limit)")
     w = log_ratio(pt.a, pt.b)
-    if abs(p * w) > OVERFLOW_LIMIT or abs(q * w) > OVERFLOW_LIMIT:
-        raise SaturationError("exponent product a^p not representable",
-                              max(abs(p * w), abs(q * w)))
+    _check_saturation(p, q, 1.0, w)
+    # E(t) = log_exprel(t w) + ln|t|: the Stolarsky quotient through the
+    # engine plus the exact pole part 1/L(p, q) of ln|t|
+    ln_s, branch, est = _ln_eval(log_exprel, exprel_logd, w, p, q, math.log(pt.b))
     d = p - q
-    scale_pq = 1.0 + abs(p) + abs(q)
-    near_diagonal = abs(d) <= SINGULAR_DELTA * scale_pq
-    if (p > 0.0) == (q > 0.0) and (near_diagonal or abs(d) <= MIDPOINT_BAND):
-        # ln H_D = ln b + (E_L(p) - E_L(q))/(p - q) + 1/L(p, q): the pole
-        # part 1/L is exact, the midpoint rule applies only to the smooth
-        # E_L(t) = log_exprel(t w) factor.
-        m = 0.5 * (p + q)
-        recip_L = 1.0 / p if d == 0.0 else log_ratio(abs(p), abs(q)) / d
-        e1m = w * exprel_logd(m * w)
-        ln = math.log(pt.b) + e1m + recip_L
-        e3 = (w * exprel_logd(p * w) - 2.0 * e1m + w * exprel_logd(q * w)) \
-            / (0.25 * d * d) if d != 0.0 else 0.0
-        est = abs(e3) * d * d / 24.0 + 4.0 * _EPS * (1.0 + abs(ln))
-        branch = BRANCH_P_EQ_Q if near_diagonal else BRANCH_GENERIC
-        if abs(ln) > 709.0:
-            raise SaturationError("H_D value outside floating range", ln)
-        return EvalResult(math.exp(ln), branch, est)
-    # straddling or well-separated parameters: the direct quotient of
-    # E(t) = log_exprel(t w) + ln|t|, with the engine's error estimate
-    ep = log_exprel(p * w) + math.log(abs(p))
-    eq = log_exprel(q * w) + math.log(abs(q))
-    ln = math.log(pt.b) + (ep - eq) / d
-    if abs(ln) > 709.0:
-        raise SaturationError("H_D value outside floating range", ln)
-    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln))
-    return EvalResult(math.exp(ln), BRANCH_GENERIC, est)
+    pole = 1.0 / p if d == 0.0 else log_ratio(abs(p), abs(q)) / d
+    ln = ln_s + pole
+    return _finish(ln, branch, est + 4.0 * _EPS * (abs(pole) + abs(ln)))

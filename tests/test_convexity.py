@@ -232,3 +232,40 @@ def test_report_merge_is_associative():
     swapped = r2.merge(r1)
     assert swapped.total == merged.total
     assert swapped.worst_margin == merged.worst_margin
+
+
+def test_scan_counts_foreign_exception_as_failed(monkeypatch):
+    # an exception other than ParMeansError fails its sample, not the scan
+    from parmeans import hgf
+    real = hgf.hd_eval
+
+    def flaky(pp, pt):
+        if abs(pp.p - 2.0) < 0.5:
+            raise ZeroDivisionError("injected")
+        return real(pp, pt)
+
+    monkeypatch.setattr(hgf, "hd_eval", flaky)
+    grid = (0.5, 1.0, 2.0)
+    report = scan_convexity(ScanSpec(family="hd", region="positive_quadrant",
+                                     p_grid=grid, q_grid=grid, mean_points=(MeanPoint(1, 4),)))
+    assert report.total == 6
+    assert report.failed == 2  # p = 2 with q = 0.5 and q = 1
+    assert report.passed + report.inconclusive == 4
+    assert report.worst_witness["error"] == "ZeroDivisionError: injected"
+    assert report.worst_witness["p"] == 2.0
+
+
+def test_identity_suite_counts_foreign_exception_as_failed(monkeypatch):
+    from parmeans import suites
+
+    def broken(pp, pt):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(suites, "hd_eval", broken)
+    reports = {r.case_id: r for r in suites.identity_suite(count=40, seed=3)}
+    for case_id in ("identity[hd=e^(1/L)*S]", "identity[hd*gini=hd(2p,2q)^2]"):
+        rep = reports[case_id]
+        assert rep.failed == rep.total == 40
+        assert rep.worst_witness["error"] == "ZeroDivisionError: injected"
+        assert {"p", "q", "a", "b"} <= set(rep.worst_witness)
+    assert reports["identity[I(a^2,b^2)/I=Z]"].failed == 0

@@ -1,10 +1,13 @@
 """The float-only log path against a copy of the closure-based formulas it replaced.
 
-The reference engine below is the branch rule as it stood before the
-family kernels became module-level (e, e1) pairs: per-call closures
-E(t), E'(t) and a pairwise saturation loop.  The public evaluators must
-reproduce it bit for bit, and the inequality checker and the convexity
-scans, which read ln M from the fast path, must reach the same verdicts
+The reference engine below is the branch rule with per-call closures
+E(t) and a pairwise saturation loop, as it stood before the family
+kernels became module-level (e, e1) pairs, with the band rule written
+out: the 3-point Gauss-Legendre mean of E' over [q, p] for
+|p - q| <= 1e-3, and the inner (r, s) rounding in four_param_F's error
+estimate.  The public evaluators must reproduce it bit for bit, and the
+inequality checker and the convexity scans, which read ln M from the
+fast path, must reach the same verdicts
 as a slow path through the public evaluators.  t_derivatives and
 integral_hessian, which now evaluate T' at the probe point and T'''
 at each quadrature node once, must reproduce copies of their former
@@ -67,20 +70,29 @@ def _ref_check_saturation(params, gens, w):
         raise SaturationError("exponent product a^(p*r) not representable", worst, 700.0)
 
 
-def _ref_quotient_eval(E, E1, p, q, lnb):
+def _ref_in_band(x, y):
+    return abs(x - y) <= 1e-3 or abs(x - y) <= 1e-6 * (1.0 + abs(x) + abs(y))
+
+
+def _ref_quotient_eval(E, e1, w, p, q, lnb):
+    """The branch rule for E(t) and E'(t) = w e1(t w); the band takes the
+    3-point Gauss-Legendre mean of e1 over [q w, p w]."""
     scale = 1.0 + abs(p) + abs(q)
     d = p - q
-    if abs(d) <= 1e-6 * scale:
-        m = 0.5 * (p + q)
-        ln = lnb + E1(m)
-        branch = "both_zero" if max(abs(p), abs(q)) <= 1e-13 * scale else "p_eq_q"
-        return ln, branch, 4.0 * _EPS * (1.0 + abs(ln))
-    if abs(d) <= 1e-3:
-        m = 0.5 * (p + q)
-        e1m = E1(m)
-        e3 = (E1(p) - 2.0 * e1m + E1(q)) / (0.25 * d * d) if d != 0.0 else 0.0
-        est = abs(e3) * d * d / 24.0 + 4.0 * _EPS * (1.0 + abs(lnb + e1m))
-        return lnb + e1m, "generic", est
+    if _ref_in_band(p, q):
+        x, y = p * w, q * w
+        m = 0.5 * (x + y)
+        h = 0.5 * (x - y) * math.sqrt(0.6)
+        c = e1(m)
+        corr = 5.0 / 18.0 * ((e1(m + h) - c) + (e1(m - h) - c))
+        ln = lnb + w * (c + corr)
+        if abs(d) > 1e-6 * scale:
+            branch = "generic"
+        elif max(abs(p), abs(q)) <= 1e-13 * scale:
+            branch = "both_zero"
+        else:
+            branch = "p_eq_q"
+        return ln, branch, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln))
     ep, eq = E(p), E(q)
     ln = lnb + (ep - eq) / d
     if abs(q) <= 1e-13 * scale:
@@ -105,24 +117,21 @@ def _ref_family(gens, make_E):
             return a, "diagonal_ab", 0.0
         w = log_ratio(a, b)
         _ref_check_saturation((p, q), gens, w)
-        E, E1 = make_E(w)
-        return _ref_finish(*_ref_quotient_eval(E, E1, p, q, math.log(b)))
+        E, e1 = make_E(w)
+        return _ref_finish(*_ref_quotient_eval(E, e1, w, p, q, math.log(b)))
     return evaluate
 
 
 REFERENCE = {
     "stolarsky": _ref_family((1.0,), lambda w: (
-        lambda t: log_exprel(t * w),
-        lambda t: w * exprel_logd(t * w))),
+        lambda t: log_exprel(t * w), exprel_logd)),
     "gini": _ref_family((2.0, 1.0), lambda w: (
-        lambda t: softplus(t * w),
-        lambda t: w * sigmoid(t * w))),
+        lambda t: softplus(t * w), sigmoid)),
     "identric2": _ref_family((1.0,), lambda w: (
         lambda t: t * w * exprel_logd(t * w),
-        lambda t: w * (exprel_logd(t * w) + t * w * exprel_logd2(t * w)))),
+        lambda z: exprel_logd(z) + z * exprel_logd2(z))),
     "heronian2": _ref_family((1.0,), lambda w: (
-        lambda t: log_heronian_sum(t * w),
-        lambda t: w * heronian_weight(t * w))),
+        lambda t: log_heronian_sum(t * w), heronian_weight)),
 }
 
 PUBLIC = {"stolarsky": stolarsky, "gini": gini,
@@ -138,8 +147,15 @@ def _ref_four_param(p, q, r, s, a, b):
             not abs(p - q) <= 1e-6 * (1.0 + abs(p) + abs(q)):
         value, _, est = _ref_four_param(r, s, p, q, a, b)
         return value, "swapped", est
-    E, E1 = _four_param_generator(w, r, s)
-    return _ref_finish(*_ref_quotient_eval(E, E1, p, q, math.log(b)))
+    E, E1 = _four_param_generator(w, r, s)[:2]
+    ln, branch, est = _ref_quotient_eval(E, E1, 1.0, p, q, math.log(b))
+    # rounding of the inner (r, s) rule
+    if _ref_in_band(r, s):
+        g, c = abs(w), 0.0
+    else:
+        g, c = abs(w) * (abs(r) + abs(s)) / abs(r - s), 4.0 / abs(r - s)
+    est += 2.0 * _EPS * (g if _ref_in_band(p, q) else (c + g * (abs(p) + abs(q))) / abs(p - q))
+    return _ref_finish(ln, branch, est)
 
 
 def _outcome(fn, *args):
@@ -161,9 +177,9 @@ def _pq_pairs(rng):
         pairs.append((rng.uniform(-6, 6), rng.uniform(-6, 6)))           # generic
         m = rng.uniform(-4, 4)
         pairs.append((m, m))                                               # p_eq_q
-        pairs.append((m + 1e-9, m - 1e-9))                                 # limit branch
+        pairs.append((m + 1e-9, m - 1e-9))                                 # p_eq_q tag
         d = rng.choice((-1, 1)) * 10 ** rng.uniform(-5.5, -3)
-        pairs.append((m + d / 2, m - d / 2))                               # midpoint band
+        pairs.append((m + d / 2, m - d / 2))                               # band, generic
         v = rng.uniform(-4, 4)
         pairs.append((v, 0.0))                                             # q_zero
         pairs.append((0.0, v))                                             # p_zero

@@ -303,9 +303,9 @@ def test_hd_opposite_signs():
 
 
 def test_hd_near_diagonal_against_high_precision_oracle():
-    # 60-digit decimal evaluation of the defining quotient; the limit
-    # branch splits off the exact 1/L(p,q) pole so only the smooth factor
-    # carries the midpoint-rule error
+    # 60-digit decimal evaluation of the defining quotient; H_D splits off
+    # the exact 1/L(p,q) pole so only the smooth Stolarsky factor takes
+    # the band rule
     from decimal import Decimal, getcontext
     getcontext().prec = 60
 

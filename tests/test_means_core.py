@@ -240,6 +240,32 @@ def test_four_param_swapped_branch():
     assert res.value == pytest.approx(direct.value, rel=1e-14)
 
 
+@pytest.mark.parametrize("p, q, r, s, a, b", [
+    (5.281874655980905, 5.262361541009781, -1.993075594529507, -1.993075594529507,
+     1.4776770934949999, 416.3240131220413),
+    (1.7182384601305198, 1.7393456875384263, 0.24657651084278598, 0.24657651084278598,
+     1137.0297790178845, 0.00236350031169276),
+    (1.9583467745562952, -2.758455243669158, 2.8071293185819064, 2.7861623474033834,
+     0.43588513277790814, 2389.9918884447443),
+])
+def test_four_param_inner_quotient_within_estimate_mpmath(p, q, r, s, a, b):
+    # the inner (r, s) quotient cancels; its rounding, also on the swapped
+    # branch (the first two), must be inside est_rel_error
+    mp = pytest.importorskip("mpmath")
+    res = four_param_F(ParamPair(p, q), GeneratorPair(r, s), MeanPoint(a, b))
+    with mp.workdps(50):
+        P, Q, R, S, A, B = (mp.mpf(v) for v in (p, q, r, s, a, b))
+
+        def S_rs(x, y):  # S_{r,s}(x, y); I(x^r, y^r)^(1/r) at r = s
+            if r == s:
+                X, Y = x ** R, y ** R
+                return mp.exp((-1 + (X * mp.log(X) - Y * mp.log(Y)) / (X - Y)) / R)
+            return ((S * (x ** R - y ** R)) / (R * (x ** S - y ** S))) ** (1 / (R - S))
+
+        ref = (S_rs(A ** P, B ** P) / S_rs(A ** Q, B ** Q)) ** (1 / (P - Q))
+        assert abs(res.value - ref) <= ref * res.est_rel_error
+
+
 def test_four_param_mean_bounds():
     rng = random.Random(5)
     for _ in range(300):
@@ -269,7 +295,7 @@ def test_saturation_error():
 
 def test_branch_continuity_p_eq_q():
     # values at parameter distance 10x threshold on either side of the
-    # switch agree to 1e-8 relative (both reduce to the same midpoint rule)
+    # p_eq_q tag switch agree to 1e-8 relative (both take the band rule)
     pt = MeanPoint(1.0, 7.0)
     for fam in (stolarsky, gini, two_param_identric, two_param_heronian):
         for m in (0.7, 2.0, -1.3):
