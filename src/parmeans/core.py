@@ -17,12 +17,14 @@ free kernels from stable.py, with E(t) = e(t w) and E'(t) = w e1(t w):
     identric2   e = z exprel_logd(z)      e1 = exprel_logd(z) + z exprel_logd2(z)
     heronian2   e = log_heronian_sum(z)   e1 = heronian_weight(z)
 
-Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, branch, estimated
-error of ln M) and creates no closure.  On the band (_in_band) the
-quotient is the 3-point Gauss-Legendre mean of E' over [q, p]
-(_band_mean), E'(p) at p = q, with the size of its correction to
-E'((p+q)/2) as the estimate; the same two helpers fill r = s in
-F(p,q;r,s) and S_{r,s}.  p_eq_q tags |p - q| <= 1e-6 * (1 + |p| + |q|).
+Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, estimated error
+of ln M) and creates no closure.  On the band (_in_band) the quotient is
+the 3-point Gauss-Legendre mean of E' over [q, p] (_band_mean), E'(p) at
+p = q, with the size of its correction to E'((p+q)/2) as the estimate;
+the same two helpers fill r = s in F(p,q;r,s) and S_{r,s}.  Every
+estimate also covers the rounding of ln b against the quotient.  The
+branch tag is a function of (p, q) alone (_branch), taken only where an
+EvalResult is built; p_eq_q tags |p - q| <= 1e-6 * (1 + |p| + |q|).
 
 Zero-parameter loci need no special formula (E is smooth at 0), only a
 branch tag; their tagging threshold is 1e-13 * scale because the expm1
@@ -34,8 +36,9 @@ Fast path.  _family_ln(kernels, p, q, w, lnb) is the float-only log
 path of the named families, fed with the point's logs w = ln(a/b) and
 ln b: no dataclass, no closure and no exp/log round trip.  The public
 evaluators are thin wrappers that validate at the dataclass boundary,
-call it and exponentiate; the inequality checker and the convexity scans
-read ln M from it directly.
+call it, tag the branch and exponentiate; the inequality checker and the
+convexity scans read ln M from it directly, with the logs taken once per
+sample or mean point.
 """
 
 from __future__ import annotations
@@ -176,12 +179,28 @@ def _in_band(x: float, y: float) -> bool:
 
 def _band_mean(f, x: float, y: float, scale: float) -> tuple[float, float]:
     """(mean, mean - f(m)) of f over [y*scale, x*scale] by 3-point Gauss-Legendre,
-    (5 f(m-h) + 8 f(m) + 5 f(m+h))/18 summed so that x = y gives f(m) bit for bit."""
+    (5 f(m-h) + 8 f(m) + 5 f(m+h))/18 summed so that x = y gives f(m) bit for bit;
+    a zero-width interval takes the one evaluation f(m)."""
     zx, zy = x * scale, y * scale
     m, h = 0.5 * (zx + zy), 0.5 * (zx - zy) * _GL_NODE
     c = f(m)
+    if h == 0.0:
+        return c, 0.0
     corr = _GL_WEIGHT * ((f(m + h) - c) + (f(m - h) - c))
     return c + corr, corr
+
+
+def _branch(p: float, q: float) -> str:
+    """Branch tag of the divided difference at (p, q); see the module docstring."""
+    scale = 1.0 + abs(p) + abs(q)
+    if abs(p - q) <= SINGULAR_DELTA * scale:
+        return BRANCH_BOTH_ZERO if max(abs(p), abs(q)) <= ZERO_TOL * scale else BRANCH_P_EQ_Q
+    # a zero parameter inside the band is read by the band rule, so tagged generic
+    if abs(q) <= ZERO_TOL * scale:
+        return BRANCH_GENERIC if _in_band(p, q) else BRANCH_Q_ZERO
+    if abs(p) <= ZERO_TOL * scale:
+        return BRANCH_GENERIC if _in_band(p, q) else BRANCH_P_ZERO
+    return BRANCH_GENERIC
 
 
 def _ln_eval(
@@ -191,33 +210,20 @@ def _ln_eval(
     p: float,
     q: float,
     lnb: float,
-) -> tuple[float, str, float]:
-    """Shared branch engine, returns (ln value, branch tag, est ln error).
+) -> tuple[float, float]:
+    """Shared engine, returns (ln value, est ln error).
 
-    E(t) = e(t*w) and E'(t) = w*e1(t*w); see the module docstring.
+    E(t) = e(t*w) and E'(t) = w*e1(t*w); see the module docstring.  The
+    estimate's last term covers the rounding of ln b and of the sum.
     """
-    scale = 1.0 + abs(p) + abs(q)
-    d = p - q
     if _in_band(p, q):
         mean, corr = _band_mean(e1, p, q, w)
         ln = lnb + w * mean
-        if abs(d) > SINGULAR_DELTA * scale:
-            branch = BRANCH_GENERIC
-        elif max(abs(p), abs(q)) <= ZERO_TOL * scale:
-            branch = BRANCH_BOTH_ZERO
-        else:
-            branch = BRANCH_P_EQ_Q
-        return ln, branch, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln))
+        return ln, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
     ep, eq = e(p * w), e(q * w)
+    d = p - q
     ln = lnb + (ep - eq) / d
-    if abs(q) <= ZERO_TOL * scale:
-        branch = BRANCH_Q_ZERO
-    elif abs(p) <= ZERO_TOL * scale:
-        branch = BRANCH_P_ZERO
-    else:
-        branch = BRANCH_GENERIC
-    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln))
-    return ln, branch, est
+    return ln, 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
 
 
 def _check_range(ln: float) -> None:
@@ -246,8 +252,8 @@ _HERONIAN2 = (log_heronian_sum, heronian_weight, 1.0)
 
 
 def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
-               ) -> tuple[float, str, float]:
-    """(ln M, branch, est ln error) of a named family from the point's logs.
+               ) -> tuple[float, float]:
+    """(ln M, est ln error) of a named family from the point's logs.
 
     w = log_ratio(a, b) and lnb = ln b of a valid point, so a caller that
     evaluates many (p, q) at one point takes the logs once.  Raises
@@ -256,36 +262,37 @@ def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
     """
     e, e1, gen_max = kernels
     _check_saturation(p, q, gen_max, w)
-    ln, branch, est = _ln_eval(e, e1, w, p, q, lnb)
+    ln, est = _ln_eval(e, e1, w, p, q, lnb)
     _check_range(ln)
-    return ln, branch, est
+    return ln, est
 
 
 def _family_eval(kernels: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    ln, branch, est = _family_ln(kernels, pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
-    return EvalResult(math.exp(ln), branch, est)
+    ln, est = _family_ln(kernels, pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
+    return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
 
 
 # ---------------------------------------------------------------------------
 # classical one-shot means
 # ---------------------------------------------------------------------------
 
-def arithmetic_mean(pt: MeanPoint) -> float:
-    return 0.5 * pt.a + 0.5 * pt.b
+# Float helpers over (a, b), or the point's logs (w, ln b), hold the
+# formulas; the public means wrap them at the MeanPoint boundary.
+
+def _arithmetic(a: float, b: float) -> float:
+    return 0.5 * a + 0.5 * b
 
 
-def geometric_mean(pt: MeanPoint) -> float:
-    ab = pt.a * pt.b
+def _geometric(a: float, b: float) -> float:
+    ab = a * b
     if math.isfinite(ab) and ab > 0.0:
         return math.sqrt(ab)
-    return math.sqrt(pt.a) * math.sqrt(pt.b)  # a*b over- or underflowed
+    return math.sqrt(a) * math.sqrt(b)  # a*b over- or underflowed
 
 
-def log_mean(pt: MeanPoint) -> float:
-    """Logarithmic mean (a-b)/(ln a - ln b), series for near-equal arguments."""
-    a, b = pt.a, pt.b
+def _log_mean(a: float, b: float) -> float:
     if a == b:
         return a
     u = (a - b) / (a + b)
@@ -296,12 +303,33 @@ def log_mean(pt: MeanPoint) -> float:
     return (a - b) / log_ratio(a, b)
 
 
+def _heronian(a: float, b: float) -> float:
+    return (a + _geometric(a, b) + b) / 3.0
+
+
+def _ln_identric(w: float, lnb: float) -> float:
+    """ln I from w = ln(a/b) and ln b; w = 0 gives ln b exactly."""
+    return lnb + w * exprel_logd(w)
+
+
+def arithmetic_mean(pt: MeanPoint) -> float:
+    return _arithmetic(pt.a, pt.b)
+
+
+def geometric_mean(pt: MeanPoint) -> float:
+    return _geometric(pt.a, pt.b)
+
+
+def log_mean(pt: MeanPoint) -> float:
+    """Logarithmic mean (a-b)/(ln a - ln b), series for near-equal arguments."""
+    return _log_mean(pt.a, pt.b)
+
+
 def ln_identric(a: float, b: float) -> float:
     """ln I(a, b) with I the identric mean, stable on the near diagonal."""
     if a == b:
         return math.log(a)
-    w = log_ratio(a, b)
-    return math.log(b) + w * exprel_logd(w)
+    return _ln_identric(log_ratio(a, b), math.log(b))
 
 
 def identric_mean(pt: MeanPoint) -> float:
@@ -322,7 +350,7 @@ def power_exponential_Z(pt: MeanPoint) -> float:
 
 
 def heronian_mean(pt: MeanPoint) -> float:
-    return (pt.a + geometric_mean(pt) + pt.b) / 3.0
+    return _heronian(pt.a, pt.b)
 
 
 def Y_mean(pt: MeanPoint) -> float:
@@ -334,9 +362,9 @@ def Y_mean(pt: MeanPoint) -> float:
     return identric_mean(pt) * math.exp(1.0 - (g / ell) ** 2)
 
 
-def _power_mean_exponent(t: float, a: float, b: float) -> float:
-    """ln PM - ln b = log1p(expm1(t w)/2)/t, cancellation-free across t = 0."""
-    z = t * log_ratio(a, b)
+def _power_mean_exponent(t: float, w: float) -> float:
+    """ln PM - ln b = log1p(expm1(t w)/2)/t with w = ln(a/b), cancellation-free across t = 0."""
+    z = t * w
     if abs(z) > OVERFLOW_LIMIT:
         raise SaturationError("power-mean exponent not representable", z)
     if z > 30.0:
@@ -344,11 +372,6 @@ def _power_mean_exponent(t: float, a: float, b: float) -> float:
     else:
         body = math.log1p(0.5 * math.expm1(z))
     return body / t
-
-
-def _ln_power_mean(t: float, a: float, b: float) -> float:
-    """ln of the power mean for t != 0, without leaving log space."""
-    return math.log(b) + _power_mean_exponent(t, a, b)
 
 
 def power_mean(t: float, pt: MeanPoint) -> float:
@@ -362,7 +385,7 @@ def power_mean(t: float, pt: MeanPoint) -> float:
     a, b = pt.a, pt.b
     if a == b:
         return a
-    x = _power_mean_exponent(t, a, b)
+    x = _power_mean_exponent(t, log_ratio(a, b))
     try:
         value = b * math.exp(x)
     except OverflowError:
@@ -439,10 +462,10 @@ def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
     if swapped:
         p, q, r, s = r, s, p, q
     E, E1, g, c = _four_param_generator(w, r, s)
-    ln, branch, est = _ln_eval(E, E1, 1.0, p, q, math.log(pt.b))
+    ln, est = _ln_eval(E, E1, 1.0, p, q, math.log(pt.b))
     # the (p, q) band reads E' directly, the quotient divides E's rounding by p - q
     est += 2.0 * _EPS * (g if _in_band(p, q) else (c + g * (abs(p) + abs(q))) / abs(p - q))
-    return _finish(ln, BRANCH_SWAPPED if swapped else branch, est)
+    return _finish(ln, BRANCH_SWAPPED if swapped else _branch(p, q), est)
 
 
 def reduction_table(pp: ParamPair, gp: GeneratorPair) -> Optional[ReductionTag]:

@@ -23,6 +23,7 @@ from .core import (
     OVERFLOW_LIMIT,
     ParamPair,
     ZERO_TOL,
+    _branch,
     _check_saturation,
     _finish,
     _ln_eval,
@@ -114,7 +115,8 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
         )
     E = lambda t: ln_f_power(f, t, pt)
     E1 = lambda t: t_prime(f, t, pt)
-    return _finish(*_ln_eval(E, E1, 1.0, p, q, 0.0))
+    ln, est = _ln_eval(E, E1, 1.0, p, q, 0.0)
+    return _finish(ln, _branch(p, q), est)
 
 
 def hf_integral_oracle(
@@ -262,8 +264,8 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     _check_saturation(p, q, 1.0, w)
     # E(t) = log_exprel(t w) + ln|t|: the Stolarsky quotient through the
     # engine plus the exact pole part 1/L(p, q) of ln|t|
-    ln_s, branch, est = _ln_eval(log_exprel, exprel_logd, w, p, q, math.log(pt.b))
+    ln_s, est = _ln_eval(log_exprel, exprel_logd, w, p, q, math.log(pt.b))
     d = p - q
     pole = 1.0 / p if d == 0.0 else log_ratio(abs(p), abs(q)) / d
     ln = ln_s + pole
-    return _finish(ln, branch, est + 4.0 * _EPS * (abs(pole) + abs(ln)))
+    return _finish(ln, _branch(p, q), est + 4.0 * _EPS * (abs(pole) + abs(ln)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .convexity import CheckReport
@@ -24,14 +25,15 @@ from .core import (
     _HERONIAN2,
     _IDENTRIC2,
     _STOLARSKY,
+    _arithmetic,
     _check_point,
     _family_ln,
-    _ln_power_mean,
-    arithmetic_mean,
-    geometric_mean,
-    heronian_mean,
+    _geometric,
+    _heronian,
+    _ln_identric,
+    _log_mean,
+    _power_mean_exponent,
     ln_identric,
-    log_mean,
 )
 from .errors import DomainError, ParMeansError
 from .stable import log_ratio
@@ -71,6 +73,10 @@ class SamplingPlan:
         if self.random_count < 0:
             raise DomainError(f"SamplingPlan.random_count must be >= 0, got {self.random_count}")
 
+    @cached_property
+    def _log_b_range(self) -> tuple[float, float]:
+        return math.log(self.b_low), math.log(self.b_high)
+
 
 @dataclass(frozen=True)
 class InequalityCase:
@@ -97,35 +103,38 @@ class InequalityCase:
 
 # -- scalar helpers over a sample dict --------------------------------------
 
-def _pt(s: Sample) -> MeanPoint:
-    return MeanPoint(s["a"], s["b"])
+def _logs(s: Sample) -> tuple[float, float]:
+    """(w, ln b) = (ln(a/b), ln b) of a sample; check_case validates (a, b) once."""
+    return log_ratio(s["a"], s["b"]), math.log(s["b"])
+
+
+def _with_logs(fn: Callable[[Sample, float, float], float]) -> Callable[[Sample], float]:
+    """A one-argument log expression fn(s, w, ln b) that takes the sample's logs once."""
+    return lambda s: fn(s, *_logs(s))
 
 
 # The two-parameter families and the power mean are read in log space
-# straight from the core fast path; check_case validates (a, b) once.
+# straight from the core fast path, fed with the sample's logs.
 
-def _ln_S(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_STOLARSKY, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
-
-
-def _ln_G(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_GINI, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
+def _ln_S(r: float, s_: float, w: float, lnb: float) -> float:
+    return _family_ln(_STOLARSKY, r, s_, w, lnb)[0]
 
 
-def _ln_I2(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_IDENTRIC2, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
+def _ln_G(r: float, s_: float, w: float, lnb: float) -> float:
+    return _family_ln(_GINI, r, s_, w, lnb)[0]
 
 
-def _ln_He2(r: float, s_: float, s: Sample) -> float:
-    return _family_ln(_HERONIAN2, r, s_, log_ratio(s["a"], s["b"]), math.log(s["b"]))[0]
+def _ln_I2(r: float, s_: float, w: float, lnb: float) -> float:
+    return _family_ln(_IDENTRIC2, r, s_, w, lnb)[0]
 
 
-def _ln_A(t: float, s: Sample) -> float:
-    return _ln_power_mean(t, s["a"], s["b"])
+def _ln_He2(r: float, s_: float, w: float, lnb: float) -> float:
+    return _family_ln(_HERONIAN2, r, s_, w, lnb)[0]
 
 
-def _param_L(p: float, q: float) -> float:
-    return log_mean(MeanPoint(p, q)) if p != q else p
+def _ln_A(t: float, w: float, lnb: float) -> float:
+    """ln of the power mean for t != 0."""
+    return lnb + _power_mean_exponent(t, w)
 
 
 # -- free-variable plans -----------------------------------------------------
@@ -137,7 +146,7 @@ def _b_grid(plan: SamplingPlan) -> list[float]:
 
 
 def _draw_b(rng: random.Random, plan: SamplingPlan) -> float:
-    return math.exp(rng.uniform(math.log(plan.b_low), math.log(plan.b_high)))
+    return math.exp(rng.uniform(*plan._log_b_range))
 
 
 def _ab_only_grid(plan: SamplingPlan) -> list[Sample]:
@@ -199,10 +208,13 @@ def _double_grid(plan: SamplingPlan) -> list[Sample]:
     return out
 
 
+_DOUBLE_LOG_B = (math.log(1.01), math.log(1e3))
+
+
 def _double_draw(rng: random.Random, plan: SamplingPlan) -> Sample:
     return {
         "a": 1.0,
-        "b": math.exp(rng.uniform(math.log(1.01), math.log(1e3))),
+        "b": math.exp(rng.uniform(*_DOUBLE_LOG_B)),
         "p1": rng.uniform(1e-3, 4.0),
         "q1": rng.uniform(1e-3, 4.0),
         "p2": rng.uniform(1e-3, 4.0),
@@ -221,16 +233,17 @@ def _blend(s: Sample) -> tuple[float, float, float, float]:
 
 def _double_upper(s: Sample) -> float:
     alpha, beta, pb, qb = _blend(s)
-    return (alpha / _param_L(s["p1"], s["q1"])
-            + beta / _param_L(s["p2"], s["q2"])
-            - 1.0 / _param_L(pb, qb))
+    return (alpha / _log_mean(s["p1"], s["q1"])
+            + beta / _log_mean(s["p2"], s["q2"])
+            - 1.0 / _log_mean(pb, qb))
 
 
 def _double_value(family_ln, s: Sample) -> float:
     alpha, beta, pb, qb = _blend(s)
-    return (family_ln(pb, qb, s)
-            - alpha * family_ln(s["p1"], s["q1"], s)
-            - beta * family_ln(s["p2"], s["q2"], s))
+    w, lnb = _logs(s)
+    return (family_ln(pb, qb, w, lnb)
+            - alpha * family_ln(s["p1"], s["q1"], w, lnb)
+            - beta * family_ln(s["p2"], s["q2"], w, lnb))
 
 
 # -- the catalog -------------------------------------------------------------
@@ -249,7 +262,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gen_lin",
             formula="S_{r,s} <= G_{r/3,s/3}",
-            log_value=lambda s: _ln_S(s["r"], s["s"], s) - _ln_G(s["r"] / 3, s["s"] / 3, s),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_S(s["r"], s["s"], w, lnb)
+                                                    - _ln_G(s["r"] / 3, s["s"] / 3, w, lnb))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -259,7 +273,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gen_jia_cao",
             formula="S_{r,s} <= He_{r/2,s/2}",
-            log_value=lambda s: _ln_S(s["r"], s["s"], s) - _ln_He2(s["r"] / 2, s["s"] / 2, s),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_S(s["r"], s["s"], w, lnb)
+                                                    - _ln_He2(s["r"] / 2, s["s"] / 2, w, lnb))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -269,7 +284,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gen_sandor",
             formula="I_{r,s} >= S_{2r,2s}",
-            log_value=lambda s: _ln_I2(s["r"], s["s"], s) - _ln_S(2 * s["r"], 2 * s["s"], s),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_I2(s["r"], s["s"], w, lnb)
+                                                    - _ln_S(2 * s["r"], 2 * s["s"], w, lnb))),
             log_lower=zero,
             log_upper=None,
             draw=_rs_draw,
@@ -279,9 +295,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_ineq_1",
             formula="S_{r,s} <= He_{r/2,s/2}^4 * G_{r/3,s/3}^-3",
-            log_value=lambda s: (_ln_S(s["r"], s["s"], s)
-                                 - 4.0 * _ln_He2(s["r"] / 2, s["s"] / 2, s)
-                                 + 3.0 * _ln_G(s["r"] / 3, s["s"] / 3, s)),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_S(s["r"], s["s"], w, lnb)
+                                                    - 4.0 * _ln_He2(s["r"] / 2, s["s"] / 2, w, lnb)
+                                                    + 3.0 * _ln_G(s["r"] / 3, s["s"] / 3, w, lnb))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -291,9 +307,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_ineq_2",
             formula="I_{r,s} <= G_{2r/5,2s/5}^5 * He_{r/2,s/2}^-4",
-            log_value=lambda s: (_ln_I2(s["r"], s["s"], s)
-                                 - 5.0 * _ln_G(2 * s["r"] / 5, 2 * s["s"] / 5, s)
-                                 + 4.0 * _ln_He2(s["r"] / 2, s["s"] / 2, s)),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_I2(s["r"], s["s"], w, lnb)
+                                                    - 5.0 * _ln_G(2 * s["r"] / 5, 2 * s["s"] / 5, w, lnb)
+                                                    + 4.0 * _ln_He2(s["r"] / 2, s["s"] / 2, w, lnb))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -303,7 +319,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="stolarsky_double",
             formula="1 <= S_blend/(S1^a S2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
-            log_value=lambda s: _double_value(lambda p, q, ss: _ln_S(p, q, ss), s),
+            log_value=lambda s: _double_value(_ln_S, s),
             log_lower=zero,
             log_upper=_double_upper,
             draw=_double_draw,
@@ -312,7 +328,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gini_double",
             formula="1 <= G_blend/(G1^a G2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
-            log_value=lambda s: _double_value(lambda p, q, ss: _ln_G(p, q, ss), s),
+            log_value=lambda s: _double_value(_ln_G, s),
             log_lower=zero,
             log_upper=_double_upper,
             draw=_double_draw,
@@ -321,7 +337,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="stolarsky_yang",
             formula="1 <= I/A_{2/3} <= sqrt(8)/e",
-            log_value=lambda s: ln_identric(s["a"], s["b"]) - _ln_A(2.0 / 3.0, s),
+            log_value=_with_logs(lambda s, w, lnb: _ln_identric(w, lnb) - _ln_A(2.0 / 3.0, w, lnb)),
             log_lower=zero,
             log_upper=lambda s: math.log(SQRT8_OVER_E),
             draw=_ab_only_draw,
@@ -334,7 +350,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="sandor_yang",
             formula="1 <= A_{2/3}/He <= 3/sqrt(8)",
-            log_value=lambda s: _ln_A(2.0 / 3.0, s) - math.log(heronian_mean(_pt(s))),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_A(2.0 / 3.0, w, lnb)
+                                                    - math.log(_heronian(s["a"], s["b"])))),
             log_lower=zero,
             log_upper=lambda s: math.log(THREE_OVER_SQRT8),
             draw=_ab_only_draw,
@@ -347,9 +364,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_est_1",
             formula="16*sqrt(2)/(9e) <= I*He^2/A_{2/3}^3 <= 1",
-            log_value=lambda s: (ln_identric(s["a"], s["b"])
-                                 + 2.0 * math.log(heronian_mean(_pt(s)))
-                                 - 3.0 * _ln_A(2.0 / 3.0, s)),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_identric(w, lnb)
+                                                    + 2.0 * math.log(_heronian(s["a"], s["b"]))
+                                                    - 3.0 * _ln_A(2.0 / 3.0, w, lnb))),
             log_lower=lambda s: math.log(LIN_JIA_CONST),
             log_upper=zero,
             draw=_ab_only_draw,
@@ -363,8 +380,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_est_2_i",
             formula="1 <= I/sqrt(I_{6/5} I_{4/5}) <= e^(1/24)",
-            log_value=lambda s: (ln_identric(s["a"], s["b"])
-                                 - 0.5 * (_ln_S(1.2, 1.2, s) + _ln_S(0.8, 0.8, s))),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_identric(w, lnb)
+                                                    - 0.5 * (_ln_S(1.2, 1.2, w, lnb)
+                                                             + _ln_S(0.8, 0.8, w, lnb)))),
             log_lower=zero,
             log_upper=lambda s: 1.0 / 24.0,
             draw=_ab_only_draw,
@@ -377,8 +395,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_est_2_z",
             formula="1 <= Z/sqrt(Z_{6/5} Z_{4/5}) <= e^(1/24)",
-            log_value=lambda s: (_ln_G(1.0, 1.0, s)
-                                 - 0.5 * (_ln_G(1.2, 1.2, s) + _ln_G(0.8, 0.8, s))),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_G(1.0, 1.0, w, lnb)
+                                                    - 0.5 * (_ln_G(1.2, 1.2, w, lnb)
+                                                             + _ln_G(0.8, 0.8, w, lnb)))),
             log_lower=zero,
             log_upper=lambda s: 1.0 / 24.0,
             draw=_ab_only_draw,
@@ -391,9 +410,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_est_3",
             formula="1 <= Z/(2A - G) <= 3/e",
-            log_value=lambda s: (_ln_G(1.0, 1.0, s)
-                                 - math.log(2.0 * arithmetic_mean(_pt(s))
-                                            - geometric_mean(_pt(s)))),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_G(1.0, 1.0, w, lnb)
+                                                    - math.log(2.0 * _arithmetic(s["a"], s["b"])
+                                                               - _geometric(s["a"], s["b"])))),
             log_lower=zero,
             log_upper=lambda s: math.log(THREE_OVER_E),
             draw=_ab_only_draw,
@@ -495,41 +514,46 @@ def check_case(case: InequalityCase, plan: SamplingPlan = SamplingPlan()
 
 # -- named specializations ---------------------------------------------------
 
-def _ln_L(s: Sample) -> float:
-    return math.log(log_mean(_pt(s)))
+# Each side maps (sample, w, ln b) to a log mean; the check takes the logs once per sample.
+Side = Callable[[Sample, float, float], float]
 
 
-def _ln_plain_I(s: Sample) -> float:
+def _ln_L(s: Sample, w: float, lnb: float) -> float:
+    return math.log(_log_mean(s["a"], s["b"]))
+
+
+def _ln_plain_I(s: Sample, w: float, lnb: float) -> float:
     return ln_identric(s["a"], s["b"])
 
 
-_REDUCTIONS: list[tuple[str, Callable[[Sample], float], Callable[[Sample], float], str,
-                        Callable[[Sample], float], Callable[[Sample], float]]] = [
+_REDUCTIONS: list[tuple[str, Side, Side, str, Side, Side]] = [
     # (name, lhs, rhs, direction, general-case lhs, general-case rhs)
-    ("L<=A_1/3", _ln_L, lambda s: _ln_A(1.0 / 3.0, s), "le",
-     lambda s: _ln_S(1.0, 0.0, s), lambda s: _ln_G(1.0 / 3.0, 0.0, s)),
-    ("I<=Z_1/3", _ln_plain_I, lambda s: _ln_G(1.0 / 3.0, 1.0 / 3.0, s), "le",
-     lambda s: _ln_S(1.0, 1.0, s), lambda s: _ln_G(1.0 / 3.0, 1.0 / 3.0, s)),
-    ("L<=He_1/2", _ln_L, lambda s: _ln_He2(0.5, 0.0, s), "le",
-     lambda s: _ln_S(1.0, 0.0, s), lambda s: _ln_He2(0.5, 0.0, s)),
-    ("I>=L_2", _ln_plain_I, lambda s: _ln_S(2.0, 0.0, s), "ge",
-     lambda s: _ln_I2(1.0, 0.0, s), lambda s: _ln_S(2.0, 0.0, s)),
-    ("Y>=I_2", lambda s: math.log(Y_mean(_pt(s))), lambda s: _ln_S(2.0, 2.0, s), "ge",
-     lambda s: _ln_I2(1.0, 1.0, s), lambda s: _ln_S(2.0, 2.0, s)),
-    ("Z>=A_2", lambda s: _ln_G(1.0, 1.0, s), lambda s: _ln_A(2.0, s), "ge",
-     lambda s: _ln_I2(2.0, 1.0, s), lambda s: _ln_S(4.0, 2.0, s)),
+    ("L<=A_1/3", _ln_L, lambda s, w, lnb: _ln_A(1.0 / 3.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_S(1.0, 0.0, w, lnb), lambda s, w, lnb: _ln_G(1.0 / 3.0, 0.0, w, lnb)),
+    ("I<=Z_1/3", _ln_plain_I, lambda s, w, lnb: _ln_G(1.0 / 3.0, 1.0 / 3.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_S(1.0, 1.0, w, lnb),
+     lambda s, w, lnb: _ln_G(1.0 / 3.0, 1.0 / 3.0, w, lnb)),
+    ("L<=He_1/2", _ln_L, lambda s, w, lnb: _ln_He2(0.5, 0.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_S(1.0, 0.0, w, lnb), lambda s, w, lnb: _ln_He2(0.5, 0.0, w, lnb)),
+    ("I>=L_2", _ln_plain_I, lambda s, w, lnb: _ln_S(2.0, 0.0, w, lnb), "ge",
+     lambda s, w, lnb: _ln_I2(1.0, 0.0, w, lnb), lambda s, w, lnb: _ln_S(2.0, 0.0, w, lnb)),
+    ("Y>=I_2", lambda s, w, lnb: math.log(Y_mean(MeanPoint(s["a"], s["b"]))),
+     lambda s, w, lnb: _ln_S(2.0, 2.0, w, lnb), "ge",
+     lambda s, w, lnb: _ln_I2(1.0, 1.0, w, lnb), lambda s, w, lnb: _ln_S(2.0, 2.0, w, lnb)),
+    ("Z>=A_2", lambda s, w, lnb: _ln_G(1.0, 1.0, w, lnb), lambda s, w, lnb: _ln_A(2.0, w, lnb),
+     "ge", lambda s, w, lnb: _ln_I2(2.0, 1.0, w, lnb), lambda s, w, lnb: _ln_S(4.0, 2.0, w, lnb)),
     ("L<=He_1/2^4*A_1/3^-3", _ln_L,
-     lambda s: 4.0 * _ln_He2(0.5, 0.0, s) - 3.0 * _ln_A(1.0 / 3.0, s), "le",
-     lambda s: _ln_S(1.0, 0.0, s),
-     lambda s: 4.0 * _ln_He2(0.5, 0.0, s) - 3.0 * _ln_G(1.0 / 3.0, 0.0, s)),
+     lambda s, w, lnb: 4.0 * _ln_He2(0.5, 0.0, w, lnb) - 3.0 * _ln_A(1.0 / 3.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_S(1.0, 0.0, w, lnb),
+     lambda s, w, lnb: 4.0 * _ln_He2(0.5, 0.0, w, lnb) - 3.0 * _ln_G(1.0 / 3.0, 0.0, w, lnb)),
     ("I<=A_2/5^5*He_1/2^-4", _ln_plain_I,
-     lambda s: 5.0 * _ln_A(0.4, s) - 4.0 * _ln_He2(0.5, 0.0, s), "le",
-     lambda s: _ln_I2(1.0, 0.0, s),
-     lambda s: 5.0 * _ln_G(0.4, 0.0, s) - 4.0 * _ln_He2(0.5, 0.0, s)),
-    ("Z<=G_4/5,2/5^5*He_1,1/2^-4", lambda s: _ln_G(1.0, 1.0, s),
-     lambda s: 5.0 * _ln_G(0.8, 0.4, s) - 4.0 * _ln_He2(1.0, 0.5, s), "le",
-     lambda s: _ln_I2(2.0, 1.0, s),
-     lambda s: 5.0 * _ln_G(0.8, 0.4, s) - 4.0 * _ln_He2(1.0, 0.5, s)),
+     lambda s, w, lnb: 5.0 * _ln_A(0.4, w, lnb) - 4.0 * _ln_He2(0.5, 0.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_I2(1.0, 0.0, w, lnb),
+     lambda s, w, lnb: 5.0 * _ln_G(0.4, 0.0, w, lnb) - 4.0 * _ln_He2(0.5, 0.0, w, lnb)),
+    ("Z<=G_4/5,2/5^5*He_1,1/2^-4", lambda s, w, lnb: _ln_G(1.0, 1.0, w, lnb),
+     lambda s, w, lnb: 5.0 * _ln_G(0.8, 0.4, w, lnb) - 4.0 * _ln_He2(1.0, 0.5, w, lnb), "le",
+     lambda s, w, lnb: _ln_I2(2.0, 1.0, w, lnb),
+     lambda s, w, lnb: 5.0 * _ln_G(0.8, 0.4, w, lnb) - 4.0 * _ln_He2(1.0, 0.5, w, lnb)),
 ]
 
 
@@ -547,11 +571,12 @@ def special_reductions_check(plan: SamplingPlan = SamplingPlan(grid_b_count=25)
     for name, lhs, rhs, direction, gen_lhs, gen_rhs in _REDUCTIONS:
         for sample in _ab_only_grid(plan):
             total += 1
-            lv, rv = lhs(sample), rhs(sample)
+            w, lnb = _logs(sample)
+            lv, rv = lhs(sample, w, lnb), rhs(sample, w, lnb)
             margin = (rv - lv) if direction == "le" else (lv - rv)
             slack = SLACK_COEFF * (1.0 + abs(lv) + abs(rv))
-            agree = (abs(lv - gen_lhs(sample)) <= 1e-12 * (1.0 + abs(lv))
-                     and abs(rv - gen_rhs(sample)) <= 1e-12 * (1.0 + abs(rv)))
+            agree = (abs(lv - gen_lhs(sample, w, lnb)) <= 1e-12 * (1.0 + abs(lv))
+                     and abs(rv - gen_rhs(sample, w, lnb)) <= 1e-12 * (1.0 + abs(rv)))
             if margin < worst_margin:
                 worst_margin = margin
                 worst_witness = {"case": name, **sample}

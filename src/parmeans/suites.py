@@ -150,9 +150,13 @@ def identity_suite(count: int = 1000, seed: int = 0) -> list[CheckReport]:
 
 
 def reduction_consistency_check(count: int = 400, seed: int = 1) -> CheckReport:
-    """four_param_F against the direct family evaluator wherever the table fires."""
+    """four_param_F against the direct family evaluator wherever the table fires.
+
+    A ParMeansError makes the sample inconclusive; any other exception
+    fails it, with the error in the witness.
+    """
     rng = random.Random(seed)
-    total = passed = failed = 0
+    total = passed = failed = inconclusive = 0
     worst = math.inf
     witness: dict = {}
     patterns = ("p_2p", "p_0", "0_q", "p_p", "p_3p", "3q_q")
@@ -180,20 +184,29 @@ def reduction_consistency_check(count: int = 400, seed: int = 1) -> CheckReport:
             witness = {"pattern": pattern, "p": pp.p, "q": pp.q, "r": r, "s": s,
                        "error": "reduction table did not fire"}
             continue
-        direct = family_evaluator(tag.family)(ParamPair(tag.p, tag.q), pt).value
-        f_val = four_param_F(pp, gp, pt).value
-        dev = abs(f_val / direct - 1.0)
+        sample = {"pattern": pattern, "p": pp.p, "q": pp.q, "r": r, "s": s,
+                  "b": pt.b, "tag": tag.family}
+        try:
+            direct = family_evaluator(tag.family)(ParamPair(tag.p, tag.q), pt).value
+            f_val = four_param_F(pp, gp, pt).value
+            dev = abs(f_val / direct - 1.0)
+        except ParMeansError:
+            inconclusive += 1
+            continue
+        except Exception as exc:  # a foreign exception fails this sample, not the suite
+            failed += 1
+            worst, witness = -1e300, {**sample, "error": _error_text(exc)}
+            continue
         margin = 1e-10 - dev
         if margin < worst:
             worst = margin
-            witness = {"pattern": pattern, "p": pp.p, "q": pp.q, "r": r, "s": s,
-                       "b": pt.b, "tag": tag.family, "dev": dev}
+            witness = {**sample, "dev": dev}
         if dev <= 1e-10:
             passed += 1
         else:
             failed += 1
     return CheckReport(case_id="identity[reduction_table]", total=total, passed=passed,
-                       inconclusive=0, failed=failed, worst_margin=worst,
+                       inconclusive=inconclusive, failed=failed, worst_margin=worst,
                        worst_witness=witness, notes="tolerance 1e-10")
 
 

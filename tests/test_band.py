@@ -95,9 +95,9 @@ def _band_pair(rng, centre):
 def _point(rng, w_min, w_max):
     """(a, 1) with w_min <= |ln(a/b)| <= w_max.
 
-    b = 1 makes ln b = 0: the error estimates do not carry the rounding
-    of ln b, which cancels against the quotient where M is far from b,
-    and this file tests the band rule, not that.
+    b = 1 makes ln b = 0, so the estimates hold only the band rule's
+    terms; the rounding of ln b, which cancels against the quotient where
+    M is far from b, has its own test below.
     """
     return math.exp(rng.choice((-1.0, 1.0)) * rng.uniform(w_min, w_max)), 1.0
 
@@ -187,3 +187,34 @@ def test_band_switch_continuity(kind):
             outside = _evaluate(_eval_kind(kind), x, y_out, a, b, r, s)
         jump = abs(inside.value / outside.value - 1.0)
         assert jump <= outside.est_rel_error + 1e-12, (kind, x, y_in, a, b, jump)
+
+
+@pytest.mark.parametrize("family, p, q, a, b", [
+    ("stolarsky", -1.1238838688941064, -1.1238838709275834,
+     0.44402947272432336, 4145.066895026807),
+    ("gini", -1.1238838688941064, -1.1238838709275834,
+     0.44402947272432336, 4145.066895026807),
+    ("stolarsky", 0.5849670125731672, 0.5849670125731672,
+     7.7400659617998615, 0.008134504155961942),
+])
+def test_estimate_covers_ln_b_rounding(family, p, q, a, b):
+    # M far from b: ln b and the quotient cancel in ln M, so the rounding
+    # of ln b exceeds the band rule's own terms (err/est was up to 2.16 without it)
+    res = FAMILIES[family](ParamPair(p, q), MeanPoint(a, b))
+    ref = _reference(family, p, q, a, b)
+    err = float(abs(res.value - ref) / ref)
+    assert err <= res.est_rel_error, (family, err, res.est_rel_error)
+
+
+def test_band_mean_of_a_zero_width_interval_is_one_evaluation():
+    from parmeans.core import _band_mean
+
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return math.exp(z)
+
+    x, w = 0.7310585786300049, -3.25
+    assert _band_mean(f, x, x, w) == (math.exp(x * w), 0.0)
+    assert calls == [x * w]

@@ -269,3 +269,25 @@ def test_identity_suite_counts_foreign_exception_as_failed(monkeypatch):
         assert rep.worst_witness["error"] == "ZeroDivisionError: injected"
         assert {"p", "q", "a", "b"} <= set(rep.worst_witness)
     assert reports["identity[I(a^2,b^2)/I=Z]"].failed == 0
+
+
+def test_reduction_consistency_counts_foreign_exception_as_failed(monkeypatch):
+    from parmeans import suites
+    from parmeans.errors import SaturationError
+
+    def broken(pp, gp, pt):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(suites, "four_param_F", broken)
+    rep = suites.reduction_consistency_check(count=12, seed=3)
+    assert rep.failed == rep.total == 12
+    assert rep.worst_witness["error"] == "ZeroDivisionError: injected"
+    assert {"pattern", "p", "q", "r", "s", "b", "tag"} <= set(rep.worst_witness)
+
+    def refused(pp, gp, pt):
+        raise SaturationError("injected", 800.0, 700.0)
+
+    monkeypatch.setattr(suites, "four_param_F", refused)
+    rep = suites.reduction_consistency_check(count=12, seed=3)
+    assert rep.inconclusive == rep.total == 12
+    assert rep.failed == rep.passed == 0

@@ -5,7 +5,8 @@ E(t) and a pairwise saturation loop, as it stood before the family
 kernels became module-level (e, e1) pairs, with the band rule written
 out: the 3-point Gauss-Legendre mean of E' over [q, p] for
 |p - q| <= 1e-3, and the inner (r, s) rounding in four_param_F's error
-estimate.  The public evaluators must reproduce it bit for bit, and the
+estimate, with the rounding of ln b in every estimate.  The public
+evaluators must reproduce it bit for bit, and the
 inequality checker and the convexity scans, which read ln M from the
 fast path, must reach the same verdicts
 as a slow path through the public evaluators.  t_derivatives and
@@ -92,7 +93,7 @@ def _ref_quotient_eval(E, e1, w, p, q, lnb):
             branch = "both_zero"
         else:
             branch = "p_eq_q"
-        return ln, branch, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln))
+        return ln, branch, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
     ep, eq = E(p), E(q)
     ln = lnb + (ep - eq) / d
     if abs(q) <= 1e-13 * scale:
@@ -101,7 +102,7 @@ def _ref_quotient_eval(E, e1, w, p, q, lnb):
         branch = "p_zero"
     else:
         branch = "generic"
-    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln))
+    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
     return ln, branch, est
 
 
@@ -255,9 +256,9 @@ def test_check_saturation_matches_pairwise_loop():
 
 # -- check_case against a slow path through the public evaluators --------------
 
-def _slow(evaluator):
-    def ln(r, s_, sample):
-        return math.log(evaluator(ParamPair(r, s_), MeanPoint(sample["a"], sample["b"])).value)
+def _slow(evaluator, point):
+    def ln(r, s_, w, lnb):
+        return math.log(evaluator(ParamPair(r, s_), point()).value)
     return ln
 
 
@@ -267,12 +268,25 @@ def _slow(evaluator):
 ])
 def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
     fast = {case.case_id: check_case(case, plan) for case in catalog()}
-    monkeypatch.setattr(inequalities, "_ln_S", _slow(stolarsky))
-    monkeypatch.setattr(inequalities, "_ln_G", _slow(gini))
-    monkeypatch.setattr(inequalities, "_ln_I2", _slow(two_param_identric))
-    monkeypatch.setattr(inequalities, "_ln_He2", _slow(two_param_heronian))
+    # the helpers get the sample's logs, not the sample: the stand-ins
+    # evaluate at the (a, b) of the sample whose logs were taken last
+    current = {}
+    take_logs = inequalities._logs
+
+    def recording_logs(s):
+        current.update(a=s["a"], b=s["b"])
+        return take_logs(s)
+
+    def point():
+        return MeanPoint(current["a"], current["b"])
+
+    monkeypatch.setattr(inequalities, "_logs", recording_logs)
+    monkeypatch.setattr(inequalities, "_ln_S", _slow(stolarsky, point))
+    monkeypatch.setattr(inequalities, "_ln_G", _slow(gini, point))
+    monkeypatch.setattr(inequalities, "_ln_I2", _slow(two_param_identric, point))
+    monkeypatch.setattr(inequalities, "_ln_He2", _slow(two_param_heronian, point))
     monkeypatch.setattr(inequalities, "_ln_A",
-                        lambda t, s: math.log(power_mean(t, MeanPoint(s["a"], s["b"]))))
+                        lambda t, w, lnb: math.log(power_mean(t, point())))
     inconclusive = 0
     for case in catalog():
         (rep, rec), (slow_rep, slow_rec) = fast[case.case_id], check_case(case, plan)

@@ -213,3 +213,20 @@ def test_check_case_counts_saturation_as_inconclusive():
     assert report.failed == 0
     assert report.total == report.passed + report.inconclusive
     assert record.samples == report.total - report.inconclusive
+
+
+@pytest.mark.parametrize("case_id", ["gen_lin", "new_ineq_1"])
+def test_check_case_takes_the_logs_once_per_sample(case_id, monkeypatch):
+    from parmeans import core, inequalities
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return math.log(a / b)
+
+    monkeypatch.setattr(inequalities, "log_ratio", counting)
+    monkeypatch.setattr(core, "log_ratio", counting)
+    report, _ = check_case(get_case(case_id), SamplingPlan(grid_b_count=4, random_count=60, seed=2))
+    assert report.total > 60
+    assert len(calls) <= report.total
