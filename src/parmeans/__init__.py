@@ -14,7 +14,6 @@ from .core import (
     BRANCH_P_EQ_Q,
     BRANCH_P_ZERO,
     BRANCH_Q_ZERO,
-    BRANCH_SWAPPED,
     EvalResult,
     GeneratorPair,
     MeanPoint,

@@ -75,7 +75,7 @@ def cmd_eval(args) -> int:
 def cmd_hessian(args) -> int:
     name, gen = _resolve_family(args)
     ev = family_evaluator(name, gen)
-    cfg = HessianConfig(sign_tol=args.sign_tol) if args.sign_tol else HessianConfig()
+    cfg = HessianConfig() if args.sign_tol is None else HessianConfig(sign_tol=args.sign_tol)
     rep = hessian_logF(ev, ParamPair(args.p, args.q), MeanPoint(args.a, args.b), cfg)
     print(json.dumps({
         "family": name, "p": args.p, "q": args.q, "a": args.a, "b": args.b,
@@ -152,7 +152,7 @@ def cmd_scan(args) -> int:
     name, gen = _resolve_family(args)
     ev = family_evaluator(name, gen)
     pt = MeanPoint(args.a, args.b)
-    cfg = HessianConfig(sign_tol=args.sign_tol) if args.sign_tol else HessianConfig()
+    cfg = HessianConfig() if args.sign_tol is None else HessianConfig(sign_tol=args.sign_tol)
     rows = []
     for p in args.p_grid:
         for q in args.q_grid:

@@ -12,11 +12,10 @@ Three routes are provided and cross-checked against each other:
     weights share the rule's nodes, so T''' is evaluated once per node.
 
 scan_convexity drives the Hessian route over parameter grids with the
-expected verdict derived once from the r + s sign rule.  One stencil
-serves every family: for the kernel-pair families (stolarsky, gini,
-identric2, heronian2) it reads ln M from the core log path with the
-point's logs taken once, for hd and four_param it goes through
-hessian_logF and the public evaluator.
+expected verdict derived once from the r + s sign rule.  It shares
+hessian_logF's stencil, but reads ln M of every family from the core
+log path (family_log_path) with the point's logs taken once; the step
+scale and the sign tolerance must be finite and positive.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from .core import (
     GeneratorPair,
     MeanPoint,
     ParamPair,
-    _FAMILY_KERNELS,
-    _family_ln,
     family_evaluator,
     family_generator_pair,
+    family_log_path,
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
@@ -55,6 +53,12 @@ class HessianConfig:
     step_scale: float = _EPS ** 0.25
     sign_tol: float = 1e-7
     richardson: bool = True
+
+    def __post_init__(self):
+        for name in ("step_scale", "sign_tol"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and 0.0 < v < math.inf):
+                raise DomainError(f"{name} must be a positive finite real, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,7 @@ class ScanSpec:
     step_scale: float = _EPS ** 0.25
 
     def __post_init__(self):
+        HessianConfig(step_scale=self.step_scale, sign_tol=self.sign_tol)  # rejects bad values
         if self.region not in ("positive_quadrant", "negative_quadrant"):
             raise DomainError(f"unknown region {self.region!r}")
         sign = 1.0 if self.region == "positive_quadrant" else -1.0
@@ -254,15 +259,6 @@ def expected_verdict(spec: ScanSpec) -> Optional[str]:
     return RS_SIGN_VERDICTS[(1 if rs > 0.0 else -1, spec.region)]
 
 
-def _kernel_ln(kernels: tuple, pt: MeanPoint) -> Callable[[float, float], float]:
-    """(P, Q) -> ln M at pt from the core kernel path, logs taken once.
-
-    Raises SaturationError exactly where the public evaluator does.
-    """
-    w, lnb = log_ratio(pt.a, pt.b), math.log(pt.b)
-    return lambda P, Q: _family_ln(kernels, P, Q, w, lnb)[0]
-
-
 def _error_text(exc: Exception) -> str:
     """The witness text of a failed sample: a ParMeansError's message, else type and message."""
     return str(exc) if isinstance(exc, ParMeansError) else f"{type(exc).__name__}: {exc}"
@@ -271,16 +267,16 @@ def _error_text(exc: Exception) -> str:
 def scan_convexity(spec: ScanSpec) -> CheckReport:
     """Hessian scan over the grid; deterministic given the spec.
 
-    The kernel-pair families read the stencil's ln M straight from the
-    core log path; hd and four_param go through hessian_logF and the
-    public evaluator.  Every grid point is still evaluated once through
-    the public evaluator, which sets the margin scale.
+    Every family reads the stencil's ln M straight from its core log
+    path (family_log_path), with the point's logs taken once per mean
+    point.  Every grid point is still evaluated once through the public
+    evaluator, which sets the margin scale.
     """
     sign = 1.0 if spec.region == "positive_quadrant" else -1.0
     expect = expected_verdict(spec)
     cfg = HessianConfig(step_scale=spec.step_scale, sign_tol=spec.sign_tol)
     ev = family_evaluator(spec.family, spec.gen)
-    kernels = _FAMILY_KERNELS.get(spec.family)
+    path = family_log_path(spec.family, spec.gen)
 
     total = passed = inconclusive = failed = 0
     worst_margin = math.inf
@@ -288,8 +284,8 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
     observed: dict[str, int] = {}
     skipped = 0
     for pt in spec.mean_points:
-        # the public diagonal shortcut M = a has no kernel-path twin
-        phi = _kernel_ln(kernels, pt) if kernels is not None and pt.a != pt.b else None
+        w, lnb = log_ratio(pt.a, pt.b), math.log(pt.b)
+        phi = lambda P, Q: path(P, Q, w, lnb)[0]
         for p in spec.p_grid:
             for q in spec.q_grid:
                 if abs(p - q) <= spec.exclusion_band:
@@ -298,10 +294,7 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                 total += 1
                 pq = ParamPair(sign * abs(p), sign * abs(q))
                 try:
-                    if phi is None:
-                        rep = hessian_logF(ev, pq, pt, cfg)
-                    else:
-                        rep = _hessian(phi, pq.p, pq.q, cfg)
+                    rep = _hessian(phi, pq.p, pq.q, cfg)
                     ln_m = math.log(ev(pq, pt).value) if expect is not None else 0.0
                 except Exception as exc:  # any exception fails this sample, not the scan
                     failed += 1

@@ -8,37 +8,36 @@ E(t) = ln f(a^t, b^t) - t ln(b), the mean is
 
 with the removable singularity at p = q filled by the band rule below.
 
-Kernel pairs.  For the four named families E depends on t only through
-z = t w, so each family is a module-level pair (e, e1) of cancellation-
-free kernels from stable.py, with E(t) = e(t w) and E'(t) = w e1(t w):
+Kernel pairs.  In every family E depends on t only through z = t w,
+so each is a pair (e, e1) of cancellation-free kernels from stable.py,
+with E(t) = e(t w) and E'(t) = w e1(t w):
 
     stolarsky   e = log_exprel(z)         e1 = exprel_logd(z)
     gini        e = softplus(z)           e1 = sigmoid(z)
     identric2   e = z exprel_logd(z)      e1 = exprel_logd(z) + z exprel_logd2(z)
     heronian2   e = log_heronian_sum(z)   e1 = heronian_weight(z)
+    F(.,.;r,s)  _rs_kernels(r, s), the divided difference in (r, s) of log_exprel(u z)
+    H_D         the Stolarsky pair plus an exact pole term (hgf)
 
 Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, estimated error
-of ln M) and creates no closure.  On the band (_in_band) the quotient is
-the 3-point Gauss-Legendre mean of E' over [q, p] (_band_mean), E'(p) at
-p = q, with the size of its correction to E'((p+q)/2) as the estimate;
-the same two helpers fill r = s in F(p,q;r,s) and S_{r,s}.  Every
-estimate also covers the rounding of ln b against the quotient.  The
-branch tag is a function of (p, q) alone (_branch), taken only where an
-EvalResult is built; p_eq_q tags |p - q| <= 1e-6 * (1 + |p| + |q|).
+of ln M).  On the band (_in_band) the quotient is the 3-point
+Gauss-Legendre mean of E' over [q, p] (_band_mean), E'(p) at p = q,
+with the size of its correction to E'((p+q)/2) as the estimate; the
+same two helpers fill r = s in _rs_kernels.  Off the band the kernel
+values' rounding has an absolute floor (log_exprel near 0 is the log of
+a number near 1).  Every estimate also covers the rounding of ln b
+against the quotient.  The branch tag is a function of (p, q) alone
+(_branch); p_eq_q tags |p - q| <= 1e-6 * (1 + |p| + |q|), zero
+parameters 1e-13 * scale, as E is smooth at 0 and needs no formula
+there.  hf_eval (hgf), whose E is not a function of t w, passes its own
+E(t), E'(t) with w = 1, which the engine applies exactly.
 
-Zero-parameter loci need no special formula (E is smooth at 0), only a
-branch tag; their tagging threshold is 1e-13 * scale because the expm1
-based quotient stays exact arbitrarily close to zero.  Evaluators whose
-E is not a function of t w alone (four_param_F here, hf_eval in hgf)
-pass their own E(t), E'(t) with w = 1, which the engine applies exactly.
-
-Fast path.  _family_ln(kernels, p, q, w, lnb) is the float-only log
-path of the named families, fed with the point's logs w = ln(a/b) and
-ln b: no dataclass, no closure and no exp/log round trip.  The public
-evaluators are thin wrappers that validate at the dataclass boundary,
-call it, tag the branch and exponentiate; the inequality checker and the
-convexity scans read ln M from it directly, with the logs taken once per
-sample or mean point.
+Log paths.  family_log_path(name, gen) returns a family's float-only
+path (p, q, w, ln b) -> (ln M, est) from the point's logs: no dataclass,
+no exp/log round trip; at w = 0 the means give ln b exactly and H_D
+raises DomainError.  The public evaluators validate at the dataclass
+boundary, call the path, tag the branch and exponentiate; the inequality
+checker and the convexity scans read ln M from it directly.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import DomainError, SaturationError
@@ -72,7 +72,6 @@ BRANCH_P_ZERO = "p_zero"
 BRANCH_Q_ZERO = "q_zero"
 BRANCH_BOTH_ZERO = "both_zero"
 BRANCH_DIAGONAL = "diagonal_ab"
-BRANCH_SWAPPED = "swapped"
 
 _EPS = 2.0 ** -52
 _INF = math.inf
@@ -223,17 +222,13 @@ def _ln_eval(
     ep, eq = e(p * w), e(q * w)
     d = p - q
     ln = lnb + (ep - eq) / d
-    return ln, 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+    # the 1 is the absolute rounding floor of kernels such as log_exprel near z = 0
+    return ln, 2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
 
 
 def _check_range(ln: float) -> None:
     if abs(ln) > 709.0:
         raise SaturationError("result magnitude outside floating range", ln)
-
-
-def _finish(ln: float, branch: str, est: float) -> EvalResult:
-    _check_range(ln)
-    return EvalResult(math.exp(ln), branch, est)
 
 
 def _identric_e(z: float) -> float:
@@ -249,11 +244,13 @@ _STOLARSKY = (log_exprel, exprel_logd, 1.0)
 _GINI = (softplus, sigmoid, 2.0)
 _IDENTRIC2 = (_identric_e, _identric_e1, 1.0)
 _HERONIAN2 = (log_heronian_sum, heronian_weight, 1.0)
+_KERNELS = {"stolarsky": _STOLARSKY, "gini": _GINI,
+            "identric2": _IDENTRIC2, "heronian2": _HERONIAN2}
 
 
 def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
                ) -> tuple[float, float]:
-    """(ln M, est ln error) of a named family from the point's logs.
+    """(ln M, est ln error) of a kernel tuple (e, e1, gen_max) from the point's logs.
 
     w = log_ratio(a, b) and lnb = ln b of a valid point, so a caller that
     evaluates many (p, q) at one point takes the logs once.  Raises
@@ -272,6 +269,43 @@ def _family_eval(kernels: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
     ln, est = _family_ln(kernels, pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
     return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
+
+
+def _rs_kernels(r: float, s: float) -> tuple:
+    """(e, e1, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided difference in
+    (r, s) of log_exprel(u z), by the band rule inside _in_band(r, s), and e1 = e'.
+    Their rounding is about 2 eps g in e1 and 2 eps (g |z| + c) in e, from band
+    means in (0, 1), or from kernel values (eps (1 + |z|) for log_exprel) over r - s.
+    """
+    if _in_band(r, s):
+        def e(z: float) -> float:
+            return z * _band_mean(exprel_logd, r, s, z)[0]
+
+        def e1(z: float) -> float:
+            return _band_mean(_identric_e1, r, s, z)[0]
+
+        return e, e1, max(abs(r), abs(s)), 1.0, 0.0
+
+    d = r - s
+
+    def e(z: float) -> float:
+        return (log_exprel(r * z) - log_exprel(s * z)) / d
+
+    def e1(z: float) -> float:
+        return (r * exprel_logd(r * z) - s * exprel_logd(s * z)) / d
+
+    return e, e1, max(abs(r), abs(s)), (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
+
+
+def _four_param_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
+                   ) -> tuple[float, float]:
+    """(ln F, est ln error) from _rs_kernels(r, s) and the point's logs, as _family_ln,
+    with the inner (r, s) rounding added: the (p, q) band reads E' = w e1 directly,
+    the quotient divides E's rounding by p - q."""
+    e, e1, gen_max, g, c = kernels
+    ln, est = _family_ln((e, e1, gen_max), p, q, w, lnb)
+    gw = g * abs(w)
+    return ln, est + 2.0 * _EPS * (gw if _in_band(p, q) else (c + gw * (abs(p) + abs(q))) / abs(p - q))
 
 
 # ---------------------------------------------------------------------------
@@ -419,53 +453,18 @@ def two_param_heronian(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     return _family_eval(_HERONIAN2, pp, pt)
 
 
-def _four_param_generator(w: float, r: float, s: float):
-    """E, E' for ln F(.,.;r,s), the divided difference in (r, s) of log_exprel(t u w), and
-    (g, c): their rounding is about 2 eps g in E' and 2 eps (g |t| + c) in E, from band
-    means in (0, 1), or from kernel values (eps (1 + |z|) for log_exprel) over r - s."""
-    if _in_band(r, s):
-        def E(t: float) -> float:
-            return t * w * _band_mean(exprel_logd, r, s, t * w)[0]
-
-        def E1(t: float) -> float:
-            return w * _band_mean(_identric_e1, r, s, t * w)[0]
-
-        return E, E1, abs(w), 0.0
-
-    d = r - s
-
-    def E(t: float) -> float:
-        return (log_exprel(t * r * w) - log_exprel(t * s * w)) / d
-
-    def E1(t: float) -> float:
-        return (r * w * exprel_logd(t * r * w) - s * w * exprel_logd(t * s * w)) / d
-
-    return E, E1, abs(w) * (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
-
-
 def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
     """Four-parameter mean F(p, q; r, s; a, b).
 
-    When (r, s) sits on the r = s singular locus while (p, q) does not,
-    the exchange symmetry F(p,q;r,s) = F(r,s;p,q) is applied and the
-    result is tagged 'swapped'.  est_rel_error includes the rounding of
-    the inner (r, s) rule.
+    The (r, s) kernels of _rs_kernels go through the shared engine, so
+    r = s takes the same band rule as p = q.  est_rel_error includes the
+    rounding of that inner (r, s) rule.
     """
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    p, q, r, s = pp.p, pp.q, gp.r, gp.s
-    w = log_ratio(pt.a, pt.b)
-    _check_saturation(p, q, max(abs(r), abs(s)), w)
-
-    swapped = abs(r - s) <= SINGULAR_DELTA * (1.0 + abs(r) + abs(s)) and \
-        not abs(p - q) <= SINGULAR_DELTA * (1.0 + abs(p) + abs(q))
-    if swapped:
-        p, q, r, s = r, s, p, q
-    E, E1, g, c = _four_param_generator(w, r, s)
-    ln, est = _ln_eval(E, E1, 1.0, p, q, math.log(pt.b))
-    # the (p, q) band reads E' directly, the quotient divides E's rounding by p - q
-    est += 2.0 * _EPS * (g if _in_band(p, q) else (c + g * (abs(p) + abs(q))) / abs(p - q))
-    return _finish(ln, BRANCH_SWAPPED if swapped else _branch(p, q), est)
+    ln, est = _four_param_ln(_rs_kernels(gp.r, gp.s), pp.p, pp.q,
+                             log_ratio(pt.a, pt.b), math.log(pt.b))
+    return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
 
 
 def reduction_table(pp: ParamPair, gp: GeneratorPair) -> Optional[ReductionTag]:
@@ -507,14 +506,6 @@ _FAMILY_GENERATORS = {
     "heronian2": GeneratorPair(1.5, 0.5),
 }
 
-# the named families whose E depends on t only through t w
-_FAMILY_KERNELS: dict[str, tuple] = {
-    "stolarsky": _STOLARSKY,
-    "gini": _GINI,
-    "identric2": _IDENTRIC2,
-    "heronian2": _HERONIAN2,
-}
-
 _DIRECT_FAMILIES: dict[str, FamilyEvaluator] = {
     "stolarsky": stolarsky,
     "gini": gini,
@@ -540,6 +531,24 @@ def family_evaluator(name: str, gen: GeneratorPair | None = None) -> FamilyEvalu
 
         return hd_eval
     raise DomainError(f"unknown family {name!r}")
+
+
+def family_log_path(name: str, gen: GeneratorPair | None = None
+                    ) -> Callable[[float, float, float, float], tuple[float, float]]:
+    """The float log path (p, q, w, ln b) -> (ln M, est ln error) of a family named
+    as in family_evaluator, at a point with w = ln(a/b) and ln b.
+
+    It raises the errors of the public evaluator, whose value is exp(ln M); at
+    w = 0 the means give ln b exactly and hd raises DomainError.
+    """
+    family_evaluator(name, gen)  # rejects an unknown name or a missing gen
+    if name in _KERNELS:
+        return partial(_family_ln, _KERNELS[name])
+    if name == "four_param":
+        return partial(_four_param_ln, _rs_kernels(gen.r, gen.s))
+    from .hgf import _hd_ln
+
+    return _hd_ln
 
 
 def family_generator_pair(name: str) -> GeneratorPair:

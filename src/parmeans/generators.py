@@ -18,10 +18,9 @@ from .stable import (
     expm1_minus_z_over_z2,
     exprel_logd,
     identric_weight,
-    log_exprel,
     log_ratio,
 )
-from .core import _band_mean, _identric_e1, _in_band
+from .core import _rs_kernels
 
 
 @dataclass(frozen=True)
@@ -138,22 +137,9 @@ def heronian_generator() -> GeneratorFunction:
 
 
 def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
-    """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with G the divided difference in
-    (r, s) of log_exprel(u v) and x (ln S)_x = G'(v); core's band rule near r = s."""
-    if _in_band(r, s):
-        def G(v: float) -> float:
-            return v * _band_mean(exprel_logd, r, s, v)[0]
-
-        def G1(v: float) -> float:
-            return _band_mean(_identric_e1, r, s, v)[0]
-    else:
-        d = r - s
-
-        def G(v: float) -> float:
-            return (log_exprel(r * v) - log_exprel(s * v)) / d
-
-        def G1(v: float) -> float:
-            return (r * exprel_logd(r * v) - s * exprel_logd(s * v)) / d
+    """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with G, G1 = G' the (r, s) kernels of
+    core's four-parameter family (band rule near r = s) and x (ln S)_x = G1(v)."""
+    G, G1 = _rs_kernels(r, s)[:2]
 
     def value(x: float, y: float) -> float:
         return x if x == y else math.exp(math.log(y) + G(log_ratio(x, y)))

@@ -24,8 +24,8 @@ from .core import (
     ParamPair,
     ZERO_TOL,
     _branch,
+    _check_range,
     _check_saturation,
-    _finish,
     _ln_eval,
 )
 from .errors import DomainError, SaturationError, StepSizeError
@@ -116,7 +116,8 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
     E = lambda t: ln_f_power(f, t, pt)
     E1 = lambda t: t_prime(f, t, pt)
     ln, est = _ln_eval(E, E1, 1.0, p, q, 0.0)
-    return _finish(ln, _branch(p, q), est)
+    _check_range(ln)
+    return EvalResult(math.exp(ln), _branch(p, q), est)
 
 
 def hf_integral_oracle(
@@ -254,18 +255,26 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     a = b and zero parameters are outside the definition (D has no
     positive diagonal limit) and are rejected.
     """
-    if pt.a == pt.b:
+    ln, est = _hd_ln(pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
+    return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
+
+
+def _hd_ln(p: float, q: float, w: float, lnb: float) -> tuple[float, float]:
+    """(ln H_D, est ln error) from the point's logs w = ln(a/b) and ln b.
+
+    E(t) = log_exprel(t w) + ln|t|: the Stolarsky quotient through the
+    engine plus the exact pole part 1/L(p, q) of ln|t|.  The range check
+    is on the sum, so a Stolarsky part beyond it may still evaluate.
+    """
+    if w == 0.0:
         raise DomainError("H_D is undefined on the diagonal a = b")
-    p, q = pp.p, pp.q
     scale = 1.0 + abs(p) + abs(q)
     if abs(p) <= ZERO_TOL * scale or abs(q) <= ZERO_TOL * scale:
         raise DomainError("H_D rejects zero parameters (no positive diagonal limit)")
-    w = log_ratio(pt.a, pt.b)
     _check_saturation(p, q, 1.0, w)
-    # E(t) = log_exprel(t w) + ln|t|: the Stolarsky quotient through the
-    # engine plus the exact pole part 1/L(p, q) of ln|t|
-    ln_s, est = _ln_eval(log_exprel, exprel_logd, w, p, q, math.log(pt.b))
+    ln_s, est = _ln_eval(log_exprel, exprel_logd, w, p, q, lnb)
     d = p - q
     pole = 1.0 / p if d == 0.0 else log_ratio(abs(p), abs(q)) / d
     ln = ln_s + pole
-    return _finish(ln, _branch(p, q), est + 4.0 * _EPS * (abs(pole) + abs(ln)))
+    _check_range(ln)
+    return ln, est + 4.0 * _EPS * (abs(pole) + abs(ln))

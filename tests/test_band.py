@@ -206,6 +206,35 @@ def test_estimate_covers_ln_b_rounding(family, p, q, a, b):
     assert err <= res.est_rel_error, (family, err, res.est_rel_error)
 
 
+def test_estimate_covers_log_exprel_absolute_rounding():
+    # log_exprel(z) near z = 0 is the log of a number near 1: accurate to
+    # about eps absolute, not relative, which the estimate's floor covers
+    # (err/est was 1.56 without it)
+    p, q, a, b = -0.04792756033801475, -0.030022157964689985, 1.0, 5.012910696197319
+    res = stolarsky(ParamPair(p, q), MeanPoint(a, b))
+    ref = _reference("stolarsky", p, q, a, b)
+    err = float(abs(res.value - ref) / ref)
+    assert err <= res.est_rel_error, (err, res.est_rel_error)
+
+
+@pytest.mark.parametrize("family", ["stolarsky", "hd"])
+def test_estimate_covers_small_z_quotient(family):
+    # |p - q| just outside the band and |p w|, |q w| small: the kernel
+    # values are near their absolute rounding floor (err/est reached 47)
+    evaluate = stolarsky if family == "stolarsky" else hd_eval
+    rng = random.Random(1)
+    for _ in range(60):
+        m = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 6.0)
+        d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.9, -1.0)
+        p, q = m + 0.5 * d, m - 0.5 * d
+        b = 10.0 ** rng.uniform(-1.0, 1.0)
+        a = b * math.exp(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.0, -1.0))
+        res = evaluate(ParamPair(p, q), MeanPoint(a, b))
+        ref = _reference(family, p, q, a, b)
+        err = float(abs(res.value - ref) / ref)
+        assert err <= res.est_rel_error, (family, p, q, a, b, err, res.est_rel_error)
+
+
 def test_band_mean_of_a_zero_width_interval_is_one_evaluation():
     from parmeans.core import _band_mean
 

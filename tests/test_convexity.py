@@ -171,6 +171,18 @@ def test_scan_spec_validation():
                  p_grid=(0.5,), q_grid=(1.5,), mean_points=(MeanPoint(1, 2),))
 
 
+@pytest.mark.parametrize("field", ["sign_tol", "step_scale"])
+@pytest.mark.parametrize("value", [0.0, -1e-7, math.inf, math.nan])
+def test_hessian_tolerance_and_step_must_be_positive_finite(field, value):
+    # sign_tol = 0 made scan_convexity divide by zero; a negative one
+    # classified every Hessian as decided
+    with pytest.raises(DomainError):
+        ScanSpec(family="stolarsky", region="positive_quadrant", p_grid=(0.5,),
+                 q_grid=(1.5,), mean_points=(MeanPoint(1, 2),), **{field: value})
+    with pytest.raises(DomainError):
+        HessianConfig(**{field: value})
+
+
 def test_j_criterion_probes():
     rng = random.Random(23)
 

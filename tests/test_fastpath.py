@@ -5,7 +5,10 @@ E(t) and a pairwise saturation loop, as it stood before the family
 kernels became module-level (e, e1) pairs, with the band rule written
 out: the 3-point Gauss-Legendre mean of E' over [q, p] for
 |p - q| <= 1e-3, and the inner (r, s) rounding in four_param_F's error
-estimate, with the rounding of ln b in every estimate.  The public
+estimate, with the rounding of ln b and the kernels' absolute rounding
+floor in every estimate.  F(p,q;r,s) is written out as the divided
+difference in (p, q) of its (r, s) divided difference, with no exchange
+of the two pairs.  The public
 evaluators must reproduce it bit for bit, and the
 inequality checker and the convexity scans, which read ln M from the
 fast path, must reach the same verdicts
@@ -23,16 +26,20 @@ import pytest
 from parmeans import (
     FDConfig,
     GeneratorPair,
+    HessianConfig,
     MeanPoint,
     ParamPair,
+    ParMeansError,
     SamplingPlan,
     SaturationError,
     ScanSpec,
     builtin_generators,
     catalog,
     check_case,
+    family_evaluator,
     four_param_F,
     gini,
+    hessian_logF,
     integral_hessian,
     power_mean,
     scan_convexity,
@@ -43,7 +50,7 @@ from parmeans import (
     two_param_identric,
 )
 from parmeans import convexity, inequalities
-from parmeans.core import _check_saturation, _four_param_generator
+from parmeans.core import _check_saturation
 from parmeans.hgf import t_prime
 from parmeans.quadrature import integrate_fixed
 from parmeans.stable import (
@@ -102,7 +109,7 @@ def _ref_quotient_eval(E, e1, w, p, q, lnb):
         branch = "p_zero"
     else:
         branch = "generic"
-    est = 2.0 * _EPS * (abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+    est = 2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
     return ln, branch, est
 
 
@@ -139,23 +146,42 @@ PUBLIC = {"stolarsky": stolarsky, "gini": gini,
           "identric2": two_param_identric, "heronian2": two_param_heronian}
 
 
+def _ref_gl_mean(f, r, s, z):
+    """3-point Gauss-Legendre mean of f over [s z, r z]."""
+    x, y = r * z, s * z
+    m = 0.5 * (x + y)
+    h = 0.5 * (x - y) * math.sqrt(0.6)
+    c = f(m)
+    return c + 5.0 / 18.0 * ((f(m + h) - c) + (f(m - h) - c))
+
+
 def _ref_four_param(p, q, r, s, a, b):
+    """F(p, q; r, s) as the divided difference in (p, q) of the divided
+    difference in (r, s) of log_exprel(t u w), each by the band rule."""
     if a == b:
         return a, "diagonal_ab", 0.0
     w = log_ratio(a, b)
     _ref_check_saturation((p, q), (r, s), w)
-    if abs(r - s) <= 1e-6 * (1.0 + abs(r) + abs(s)) and \
-            not abs(p - q) <= 1e-6 * (1.0 + abs(p) + abs(q)):
-        value, _, est = _ref_four_param(r, s, p, q, a, b)
-        return value, "swapped", est
-    E, E1 = _four_param_generator(w, r, s)[:2]
-    ln, branch, est = _ref_quotient_eval(E, E1, 1.0, p, q, math.log(b))
-    # rounding of the inner (r, s) rule
     if _ref_in_band(r, s):
-        g, c = abs(w), 0.0
+        def e(z):
+            return z * _ref_gl_mean(exprel_logd, r, s, z)
+
+        def e1(z):
+            return _ref_gl_mean(lambda u: exprel_logd(u) + u * exprel_logd2(u), r, s, z)
+
+        g, c = 1.0, 0.0
     else:
-        g, c = abs(w) * (abs(r) + abs(s)) / abs(r - s), 4.0 / abs(r - s)
-    est += 2.0 * _EPS * (g if _ref_in_band(p, q) else (c + g * (abs(p) + abs(q))) / abs(p - q))
+        def e(z):
+            return (log_exprel(r * z) - log_exprel(s * z)) / (r - s)
+
+        def e1(z):
+            return (r * exprel_logd(r * z) - s * exprel_logd(s * z)) / (r - s)
+
+        g, c = (abs(r) + abs(s)) / abs(r - s), 4.0 / abs(r - s)
+    ln, branch, est = _ref_quotient_eval(lambda t: e(t * w), e1, w, p, q, math.log(b))
+    # rounding of the inner (r, s) rule
+    gw = g * abs(w)
+    est += 2.0 * _EPS * (gw if _ref_in_band(p, q) else (c + gw * (abs(p) + abs(q))) / abs(p - q))
     return _ref_finish(ln, branch, est)
 
 
@@ -302,30 +328,76 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
 
 # -- convexity scans and T''' probes against the public-evaluator path ----------
 
-@pytest.mark.parametrize("family", sorted(PUBLIC))
-def test_scan_convexity_matches_public_evaluator_path(family, monkeypatch):
+def _slow_scan(spec):
+    """scan_convexity's tally, with every stencil value from hessian_logF over the
+    public evaluator: (counts, observed verdicts, worst margin, worst witness)."""
+    sign = 1.0 if spec.region == "positive_quadrant" else -1.0
+    expect = convexity.expected_verdict(spec)
+    cfg = HessianConfig(step_scale=spec.step_scale, sign_tol=spec.sign_tol)
+    ev = family_evaluator(spec.family, spec.gen)
+    counts = {"total": 0, "passed": 0, "failed": 0, "inconclusive": 0}
+    observed = {}
+    worst, witness = math.inf, {}
+    for pt in spec.mean_points:
+        for p in spec.p_grid:
+            for q in spec.q_grid:
+                if abs(p - q) <= spec.exclusion_band:
+                    continue
+                counts["total"] += 1
+                pq = ParamPair(sign * abs(p), sign * abs(q))
+                where = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q}
+                try:
+                    rep = hessian_logF(ev, pq, pt, cfg)
+                    ln_m = math.log(ev(pq, pt).value)
+                except ParMeansError as exc:
+                    counts["failed"] += 1
+                    worst, witness = -1e300, {**where, "error": str(exc)}
+                    continue
+                observed[rep.verdict] = observed.get(rep.verdict, 0) + 1
+                if expect is None:
+                    counts["passed"] += 1
+                    continue
+                directional = rep.d2_pp if expect == convexity.VERDICT_CONVEX else -rep.d2_pp
+                margin = min(directional, rep.delta) / (spec.sign_tol * (1.0 + abs(ln_m)))
+                if margin < worst:
+                    worst, witness = margin, {**where, "verdict": rep.verdict}
+                key = "passed" if rep.verdict == expect else \
+                    "inconclusive" if rep.verdict == convexity.VERDICT_INCONCLUSIVE else "failed"
+                counts[key] += 1
+    return counts, observed, worst if math.isfinite(worst) else 1e300, witness
+
+
+SCAN_FAMILIES = {
+    **{name: (name, None) for name in PUBLIC},
+    "hd": ("hd", None),
+    "four_param_rs_pos": ("four_param", GeneratorPair(2.5, -1.0)),
+    "four_param_rs_neg": ("four_param", GeneratorPair(-2.0, 0.5)),
+    "four_param_r_eq_s": ("four_param", GeneratorPair(0.7, 0.7)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+def test_scan_convexity_matches_public_evaluator_path(family):
+    name, gen = SCAN_FAMILIES[family]
     grid = (0.2, 0.5, 1.0, 2.0, 3.5)
-    points = (MeanPoint(1.0, 4.0), MeanPoint(2.5, 0.01),
+    points = (MeanPoint(1.0, 4.0), MeanPoint(2.5, 0.01), MeanPoint(3.0, 3.0),
               MeanPoint(1e-150, 1e150))  # the last one saturates at |p| > 1
-    specs = [ScanSpec(family=family, region=region, p_grid=tuple(sign * v for v in grid),
-                      q_grid=tuple(sign * v for v in grid), mean_points=(pt,))
-             for region, sign in (("positive_quadrant", 1.0), ("negative_quadrant", -1.0))
-             for pt in points]
-    fast = [scan_convexity(spec) for spec in specs]
-    # with no kernel pair every stencil value comes from hessian_logF and
-    # the public evaluator, as for hd and four_param
-    monkeypatch.setattr(convexity, "_FAMILY_KERNELS", {})
     errors = 0
-    for spec, rep in zip(specs, fast):
-        slow = scan_convexity(spec)
-        assert (rep.total, rep.passed, rep.failed, rep.inconclusive, rep.notes) == \
-            (slow.total, slow.passed, slow.failed, slow.inconclusive, slow.notes), spec
-        witness = {k: v for k, v in rep.worst_witness.items() if k in "abpq"}
-        assert witness == {k: v for k, v in slow.worst_witness.items() if k in "abpq"}
-        assert rep.worst_witness.get("verdict") == slow.worst_witness.get("verdict")
-        assert rep.worst_witness.get("error") == slow.worst_witness.get("error")
-        assert rep.worst_margin == pytest.approx(slow.worst_margin, rel=1e-2)
-        errors += "error" in rep.worst_witness
+    for region, sign in (("positive_quadrant", 1.0), ("negative_quadrant", -1.0)):
+        for pt in points:
+            spec = ScanSpec(family=name, region=region, p_grid=tuple(sign * v for v in grid),
+                            q_grid=tuple(sign * v for v in grid), mean_points=(pt,), gen=gen)
+            rep = scan_convexity(spec)
+            counts, observed, worst, witness = _slow_scan(spec)
+            assert (rep.total, rep.passed, rep.failed, rep.inconclusive) == \
+                (counts["total"], counts["passed"], counts["failed"], counts["inconclusive"]), spec
+            assert rep.notes.startswith(f"observed={observed};"), spec
+            assert {k: v for k, v in rep.worst_witness.items() if k in "abpq"} == \
+                {k: v for k, v in witness.items() if k in "abpq"}, spec
+            assert rep.worst_witness.get("verdict") == witness.get("verdict")
+            assert rep.worst_witness.get("error") == witness.get("error")
+            assert rep.worst_margin == pytest.approx(worst, rel=1e-2)
+            errors += "error" in rep.worst_witness
     assert errors > 0
 
 

@@ -11,7 +11,6 @@ from parmeans import (
     BRANCH_DIAGONAL,
     BRANCH_P_EQ_Q,
     BRANCH_Q_ZERO,
-    BRANCH_SWAPPED,
     DomainError,
     GeneratorPair,
     MeanPoint,
@@ -233,9 +232,8 @@ def test_four_param_full_symmetry():
 
 def test_four_param_swapped_branch():
     res = four_param_F(ParamPair(1.5, 0.5), GeneratorPair(2.0, 2.0), MeanPoint(5, 2))
-    assert res.branch == BRANCH_SWAPPED
-    # value must match the direct identric-family reduction I_{2p, 2q}... via
-    # the table: F(p,q;r,r) = H_{S_rr}; cross-check against the swap source
+    # r = s with (p, q) off the locus: the value must match the exchanged
+    # pairs, F(p,q;r,s) = F(r,s;p,q), which put the band on (p, q) instead
     direct = four_param_F(ParamPair(2.0, 2.0), GeneratorPair(1.5, 0.5), MeanPoint(5, 2))
     assert res.value == pytest.approx(direct.value, rel=1e-14)
 
@@ -249,11 +247,17 @@ def test_four_param_swapped_branch():
      0.43588513277790814, 2389.9918884447443),
 ])
 def test_four_param_inner_quotient_within_estimate_mpmath(p, q, r, s, a, b):
-    # the inner (r, s) quotient cancels; its rounding, also on the swapped
-    # branch (the first two), must be inside est_rel_error
-    mp = pytest.importorskip("mpmath")
+    # the inner (r, s) quotient cancels; its rounding, also at r = s with
+    # (p, q) off the band (the first two), must be inside est_rel_error
     res = four_param_F(ParamPair(p, q), GeneratorPair(r, s), MeanPoint(a, b))
-    with mp.workdps(50):
+    ref = _mp_four_param(p, q, r, s, a, b)
+    assert abs(res.value - ref) <= ref * res.est_rel_error
+
+
+def _mp_four_param(p, q, r, s, a, b):
+    """F(p, q; r, s; a, b) from its defining ratio, with the digits r - s cancels added."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50 + (int(-math.log10(abs(r - s))) if r != s else 0)):
         P, Q, R, S, A, B = (mp.mpf(v) for v in (p, q, r, s, a, b))
 
         def S_rs(x, y):  # S_{r,s}(x, y); I(x^r, y^r)^(1/r) at r = s
@@ -262,8 +266,26 @@ def test_four_param_inner_quotient_within_estimate_mpmath(p, q, r, s, a, b):
                 return mp.exp((-1 + (X * mp.log(X) - Y * mp.log(Y)) / (X - Y)) / R)
             return ((S * (x ** R - y ** R)) / (R * (x ** S - y ** S))) ** (1 / (R - S))
 
-        ref = (S_rs(A ** P, B ** P) / S_rs(A ** Q, B ** Q)) ** (1 / (P - Q))
-        assert abs(res.value - ref) <= ref * res.est_rel_error
+        return (S_rs(A ** P, B ** P) / S_rs(A ** Q, B ** Q)) ** (1 / (P - Q))
+
+
+def test_four_param_on_the_r_eq_s_locus_within_estimate_mpmath():
+    # (r, s) within 1e-6 (1 + |r| + |s|) of r = s and (p, q) off the band:
+    # F is read through the inner (r, s) band rule, not by exchanging the pairs
+    rng = random.Random(21)
+    for _ in range(120):
+        r = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+        s = r if rng.random() < 0.3 else \
+            r + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -6.5) * (1.0 + 2.0 * abs(r))
+        p, q = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        if abs(p - q) <= 1e-2:
+            continue
+        b = 10.0 ** rng.uniform(-2.0, 2.0)
+        a = b * math.exp(rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 5.0))
+        res = four_param_F(ParamPair(p, q), GeneratorPair(r, s), MeanPoint(a, b))
+        ref = _mp_four_param(p, q, r, s, a, b)
+        err = float(abs(res.value - ref) / ref)
+        assert err <= res.est_rel_error, (p, q, r, s, a, b, err, res.est_rel_error)
 
 
 def test_four_param_mean_bounds():
