@@ -71,6 +71,7 @@ from .inequalities import (
     SupremumRecord,
     catalog,
     check_case,
+    check_cases,
     special_reductions_check,
 )
 from .quadrature import QuadratureResult, integrate, integrate_fixed

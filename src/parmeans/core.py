@@ -65,6 +65,7 @@ SINGULAR_DELTA = 1e-6
 MIDPOINT_BAND = 1e-3
 ZERO_TOL = 1e-13
 OVERFLOW_LIMIT = 700.0
+RANGE_LIMIT = 709.0  # |ln M| beyond this leaves the float range
 
 BRANCH_GENERIC = "generic"
 BRANCH_P_EQ_Q = "p_eq_q"
@@ -227,8 +228,8 @@ def _ln_eval(
 
 
 def _check_range(ln: float) -> None:
-    if abs(ln) > 709.0:
-        raise SaturationError("result magnitude outside floating range", ln)
+    if abs(ln) > RANGE_LIMIT:
+        raise SaturationError("result magnitude outside floating range", ln, RANGE_LIMIT)
 
 
 def _identric_e(z: float) -> float:

@@ -7,15 +7,18 @@ Generalized (r, s) cases are asserted only on the log-concavity region
 r, s >= 0 with r + s > 0; samples outside it are scanned in report-only
 mode.  The double-estimation case between 16 sqrt(2)/(9e) and 1 is
 report-only as well: its bracket is recorded rather than enforced.
+check_cases runs the cases that share a sampling plan on one sample
+stream; check_case is its one-case call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .convexity import CheckReport
 from .core import (
@@ -104,17 +107,55 @@ class InequalityCase:
 # -- scalar helpers over a sample dict --------------------------------------
 
 def _logs(s: Sample) -> tuple[float, float]:
-    """(w, ln b) = (ln(a/b), ln b) of a sample; check_case validates (a, b) once."""
+    """(w, ln b) = (ln(a/b), ln b) of a sample; the checker validates (a, b) once."""
     return log_ratio(s["a"], s["b"]), math.log(s["b"])
 
 
-def _with_logs(fn: Callable[[Sample, float, float], float]) -> Callable[[Sample], float]:
-    """A one-argument log expression fn(s, w, ln b) that takes the sample's logs once."""
-    return lambda s: fn(s, *_logs(s))
+class _Point(dict):
+    """A sample, its logs (w, ln b) taken once, and the family means read at it.
+
+    ln(helper, p, q) returns helper(p, q, w, ln b), evaluated at most once
+    per (helper, p, q) while the point lives, which is one sample.  A
+    raised error is not kept, so asking again raises again.  Callers name
+    the module-level helper at call time, so a patched helper takes effect.
+    Parameters are keyed by ==; no catalog term takes a zero parameter,
+    where 0.0 and -0.0 would share an entry.
+    """
+
+    __slots__ = ("w", "lnb", "_terms")
+
+    def __init__(self, sample: Sample):
+        super().__init__(sample)
+        self.w, self.lnb = _logs(sample)
+        self._terms = {}
+
+    def ln(self, helper: Callable[[float, float, float, float], float],
+           p: float, q: float) -> float:
+        key = (helper, p, q)
+        terms = self._terms
+        value = terms.get(key)
+        if value is None:
+            value = terms[key] = helper(p, q, self.w, self.lnb)
+        return value
+
+
+def _with_logs(fn: Callable[[_Point, float, float], float]) -> Callable[[Sample], float]:
+    """A one-argument log expression fn(point, w, ln b).
+
+    The checker passes the _Point it made for the sample, so every case
+    shares its logs and terms; a plain sample gets a point of its own.
+    """
+    def value(s: Sample) -> float:
+        point = s if type(s) is _Point else _Point(s)
+        return fn(point, point.w, point.lnb)
+    return value
 
 
 # The two-parameter families and the power mean are read in log space
-# straight from the core fast path, fed with the sample's logs.
+# straight from the core fast path, fed with the sample's logs.  A family
+# mean that more than one case reads goes through the point's ln memo.
+# The closed forms (ln I, A_t, He, the double bound) are evaluated where
+# read: a memo lookup costs about as much as any of them.
 
 def _ln_S(r: float, s_: float, w: float, lnb: float) -> float:
     return _family_ln(_STOLARSKY, r, s_, w, lnb)[0]
@@ -238,9 +279,8 @@ def _double_upper(s: Sample) -> float:
             - 1.0 / _log_mean(pb, qb))
 
 
-def _double_value(family_ln, s: Sample) -> float:
+def _double_value(family_ln, s: Sample, w: float, lnb: float) -> float:
     alpha, beta, pb, qb = _blend(s)
-    w, lnb = _logs(s)
     return (family_ln(pb, qb, w, lnb)
             - alpha * family_ln(s["p1"], s["q1"], w, lnb)
             - beta * family_ln(s["p2"], s["q2"], w, lnb))
@@ -262,8 +302,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gen_lin",
             formula="S_{r,s} <= G_{r/3,s/3}",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_S(s["r"], s["s"], w, lnb)
-                                                    - _ln_G(s["r"] / 3, s["s"] / 3, w, lnb))),
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_S, s["r"], s["s"])
+                                                    - s.ln(_ln_G, s["r"] / 3, s["s"] / 3))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -273,8 +313,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gen_jia_cao",
             formula="S_{r,s} <= He_{r/2,s/2}",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_S(s["r"], s["s"], w, lnb)
-                                                    - _ln_He2(s["r"] / 2, s["s"] / 2, w, lnb))),
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_S, s["r"], s["s"])
+                                                    - s.ln(_ln_He2, s["r"] / 2, s["s"] / 2))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -284,7 +324,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gen_sandor",
             formula="I_{r,s} >= S_{2r,2s}",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_I2(s["r"], s["s"], w, lnb)
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_I2, s["r"], s["s"])
                                                     - _ln_S(2 * s["r"], 2 * s["s"], w, lnb))),
             log_lower=zero,
             log_upper=None,
@@ -295,9 +335,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_ineq_1",
             formula="S_{r,s} <= He_{r/2,s/2}^4 * G_{r/3,s/3}^-3",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_S(s["r"], s["s"], w, lnb)
-                                                    - 4.0 * _ln_He2(s["r"] / 2, s["s"] / 2, w, lnb)
-                                                    + 3.0 * _ln_G(s["r"] / 3, s["s"] / 3, w, lnb))),
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_S, s["r"], s["s"])
+                                                    - 4.0 * s.ln(_ln_He2, s["r"] / 2, s["s"] / 2)
+                                                    + 3.0 * s.ln(_ln_G, s["r"] / 3, s["s"] / 3))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -307,9 +347,9 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_ineq_2",
             formula="I_{r,s} <= G_{2r/5,2s/5}^5 * He_{r/2,s/2}^-4",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_I2(s["r"], s["s"], w, lnb)
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_I2, s["r"], s["s"])
                                                     - 5.0 * _ln_G(2 * s["r"] / 5, 2 * s["s"] / 5, w, lnb)
-                                                    + 4.0 * _ln_He2(s["r"] / 2, s["s"] / 2, w, lnb))),
+                                                    + 4.0 * s.ln(_ln_He2, s["r"] / 2, s["s"] / 2))),
             log_lower=None,
             log_upper=zero,
             draw=_rs_draw,
@@ -319,7 +359,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="stolarsky_double",
             formula="1 <= S_blend/(S1^a S2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
-            log_value=lambda s: _double_value(_ln_S, s),
+            log_value=_with_logs(lambda s, w, lnb: _double_value(_ln_S, s, w, lnb)),
             log_lower=zero,
             log_upper=_double_upper,
             draw=_double_draw,
@@ -328,7 +368,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="gini_double",
             formula="1 <= G_blend/(G1^a G2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
-            log_value=lambda s: _double_value(_ln_G, s),
+            log_value=_with_logs(lambda s, w, lnb: _double_value(_ln_G, s, w, lnb)),
             log_lower=zero,
             log_upper=_double_upper,
             draw=_double_draw,
@@ -337,7 +377,8 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="stolarsky_yang",
             formula="1 <= I/A_{2/3} <= sqrt(8)/e",
-            log_value=_with_logs(lambda s, w, lnb: _ln_identric(w, lnb) - _ln_A(2.0 / 3.0, w, lnb)),
+            log_value=_with_logs(lambda s, w, lnb: (_ln_identric(w, lnb)
+                                                    - _ln_A(2.0 / 3.0, w, lnb))),
             log_lower=zero,
             log_upper=lambda s: math.log(SQRT8_OVER_E),
             draw=_ab_only_draw,
@@ -395,7 +436,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_est_2_z",
             formula="1 <= Z/sqrt(Z_{6/5} Z_{4/5}) <= e^(1/24)",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_G(1.0, 1.0, w, lnb)
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_G, 1.0, 1.0)
                                                     - 0.5 * (_ln_G(1.2, 1.2, w, lnb)
                                                              + _ln_G(0.8, 0.8, w, lnb)))),
             log_lower=zero,
@@ -410,7 +451,7 @@ def catalog() -> list[InequalityCase]:
         InequalityCase(
             case_id="new_est_3",
             formula="1 <= Z/(2A - G) <= 3/e",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_G(1.0, 1.0, w, lnb)
+            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_G, 1.0, 1.0)
                                                     - math.log(2.0 * _arithmetic(s["a"], s["b"])
                                                                - _geometric(s["a"], s["b"])))),
             log_lower=zero,
@@ -428,88 +469,136 @@ def catalog() -> list[InequalityCase]:
 SLACK_COEFF = 1e-11
 
 
+class _Tally:
+    """One case's verdict counts, worst margins and observed extremes."""
+
+    __slots__ = ("case", "value", "lower", "upper", "assert_in", "total",
+                 "passed", "inconclusive", "failed", "worst_margin", "worst_witness",
+                 "report_margin", "report_witness", "sup", "inf", "arg_sup",
+                 "out_of_region_violations")
+
+    def __init__(self, case: InequalityCase):
+        self.case = case
+        self.value, self.lower, self.upper = case.log_value, case.log_lower, case.log_upper
+        # report-only cases assert nowhere
+        self.assert_in = (lambda s: False) if case.report_only else case.assert_in
+        self.total = self.passed = self.inconclusive = self.failed = 0
+        self.worst_margin = self.report_margin = math.inf
+        self.worst_witness: Sample = {}
+        self.report_witness: Sample = {}
+        self.sup, self.inf = -math.inf, math.inf
+        self.arg_sup: Sample = {}
+        self.out_of_region_violations = 0
+
+    def add(self, s: Sample) -> None:
+        """Evaluate the case at one valid sample and count the outcome."""
+        try:
+            val = self.value(s)
+            lo = self.lower(s) if self.lower is not None else None
+            hi = self.upper(s) if self.upper is not None else None
+        except ParMeansError:
+            self.inconclusive += 1
+            return
+        ratio = math.exp(val)
+        if ratio > self.sup:
+            self.sup, self.arg_sup = ratio, dict(s)
+        if ratio < self.inf:
+            self.inf = ratio
+        margin = math.inf
+        violated = False
+        if lo is not None:
+            margin = val - lo
+            violated = margin < -SLACK_COEFF * (1.0 + abs(val) + abs(lo))
+        if hi is not None:
+            gap = hi - val
+            if gap < margin:
+                margin = gap
+            violated |= gap < -SLACK_COEFF * (1.0 + abs(val) + abs(hi))
+        if self.assert_in(s):
+            if margin < self.worst_margin:
+                self.worst_margin = margin
+                self.worst_witness = dict(s)
+            if violated:
+                self.failed += 1
+            else:
+                self.passed += 1
+        else:
+            self.passed += 1
+            if violated:
+                self.out_of_region_violations += 1
+            if margin < self.report_margin:
+                self.report_margin = margin
+                self.report_witness = dict(s)
+
+    def result(self) -> tuple[CheckReport, SupremumRecord]:
+        worst_margin, worst_witness = self.worst_margin, self.worst_witness
+        if not math.isfinite(worst_margin):
+            worst_margin, worst_witness = self.report_margin, self.report_witness
+        notes = ""
+        if self.out_of_region_violations:
+            notes = f"report-only violations: {self.out_of_region_violations}"
+        report = CheckReport(
+            case_id=self.case.case_id,
+            total=self.total,
+            passed=self.passed,
+            inconclusive=self.inconclusive,
+            failed=self.failed,
+            worst_margin=worst_margin if math.isfinite(worst_margin) else 1e300,
+            worst_witness=worst_witness,
+            notes=notes,
+        )
+        record = SupremumRecord(
+            observed_sup=self.sup,
+            observed_inf=self.inf,
+            arg_sup=self.arg_sup,
+            samples=self.total - self.inconclusive,
+        )
+        return report, record
+
+
+def check_cases(cases: Sequence[InequalityCase], plan: SamplingPlan = SamplingPlan()
+                ) -> list[tuple[CheckReport, SupremumRecord]]:
+    """Evaluate cases on their structured grids plus random samples.
+
+    Cases that share a sampling plan (the same grid and draw functions)
+    run on one stream: the grid, then plan.random_count draws from
+    Random(plan.seed), each sample validated and its logs taken once,
+    each mean term that several cases read evaluated once.  A sample
+    fails a case when either bracket side is violated by more than
+    SLACK_COEFF * (1 + |value| + |bound|) in log scale; invalid (a, b)
+    and evaluator saturation make the sample inconclusive.  Returns one
+    (report, record) per case, in order, each as check_case gives it.
+    """
+    tallies = [_Tally(case) for case in cases]
+    groups: dict[tuple, list[_Tally]] = {}
+    for tally in tallies:
+        groups.setdefault((tally.case.grid, tally.case.draw), []).append(tally)
+    for (grid, draw), group in groups.items():
+        rng = random.Random(plan.seed)
+        total = 0
+        for s in itertools.chain(grid(plan), (draw(rng, plan) for _ in range(plan.random_count))):
+            total += 1
+            try:
+                _check_point(s["a"], s["b"])
+            except ParMeansError:
+                for tally in group:
+                    tally.inconclusive += 1
+                continue
+            point = _Point(s)
+            for tally in group:
+                tally.add(point)
+        for tally in group:
+            tally.total = total
+    return [tally.result() for tally in tallies]
+
+
 def check_case(case: InequalityCase, plan: SamplingPlan = SamplingPlan()
                ) -> tuple[CheckReport, SupremumRecord]:
     """Evaluate one case on its structured grid plus random samples.
 
-    A sample fails when either bracket side is violated by more than
-    SLACK_COEFF * (1 + |value| + |bound|) in log scale; invalid (a, b)
-    and evaluator saturation make the sample inconclusive.  Deterministic
-    in the seed.
+    The one-case call of check_cases; deterministic in the seed.
     """
-    rng = random.Random(plan.seed)
-    samples = case.grid(plan)
-    samples += [case.draw(rng, plan) for _ in range(plan.random_count)]
-
-    total = passed = inconclusive = failed = 0
-    worst_margin = math.inf
-    worst_witness: Sample = {}
-    report_margin = math.inf
-    report_witness: Sample = {}
-    sup, inf = -math.inf, math.inf
-    arg_sup: Sample = {}
-    out_of_region_violations = 0
-
-    for s in samples:
-        total += 1
-        try:
-            _check_point(s["a"], s["b"])
-            val = case.log_value(s)
-            lo = case.log_lower(s) if case.log_lower is not None else None
-            hi = case.log_upper(s) if case.log_upper is not None else None
-        except ParMeansError:
-            inconclusive += 1
-            continue
-        ratio = math.exp(val)
-        if ratio > sup:
-            sup, arg_sup = ratio, dict(s)
-        inf = min(inf, ratio)
-        margin = math.inf
-        violated = False
-        if lo is not None:
-            margin = min(margin, val - lo)
-            violated |= val - lo < -SLACK_COEFF * (1.0 + abs(val) + abs(lo))
-        if hi is not None:
-            margin = min(margin, hi - val)
-            violated |= hi - val < -SLACK_COEFF * (1.0 + abs(val) + abs(hi))
-        if case.assert_in(s) and not case.report_only:
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_witness = dict(s)
-            if violated:
-                failed += 1
-            else:
-                passed += 1
-        else:
-            passed += 1
-            if violated:
-                out_of_region_violations += 1
-            if margin < report_margin:
-                report_margin = margin
-                report_witness = dict(s)
-
-    if not math.isfinite(worst_margin):
-        worst_margin, worst_witness = report_margin, report_witness
-    notes = ""
-    if out_of_region_violations:
-        notes = f"report-only violations: {out_of_region_violations}"
-    report = CheckReport(
-        case_id=case.case_id,
-        total=total,
-        passed=passed,
-        inconclusive=inconclusive,
-        failed=failed,
-        worst_margin=worst_margin if math.isfinite(worst_margin) else 1e300,
-        worst_witness=worst_witness,
-        notes=notes,
-    )
-    record = SupremumRecord(
-        observed_sup=sup,
-        observed_inf=inf,
-        arg_sup=arg_sup,
-        samples=total - inconclusive,
-    )
-    return report, record
+    return check_cases([case], plan)[0]
 
 
 # -- named specializations ---------------------------------------------------

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import ParMeansError
 from .hgf import hd_eval
-from .inequalities import SamplingPlan, catalog, check_case, special_reductions_check
+from .inequalities import SamplingPlan, catalog, check_cases, special_reductions_check
 
 DEFAULT_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 # Defaults keep every single-family scan comfortably under the 5%
@@ -230,8 +230,7 @@ def convexity_suite(
 def inequality_suite(plan: SamplingPlan = SamplingPlan()) -> list[CheckReport]:
     """The thirteen catalog cases, one report each."""
     reports = []
-    for case in catalog():
-        report, record = check_case(case, plan)
+    for report, record in check_cases(catalog(), plan):
         notes = (report.notes + "; " if report.notes else "") + \
             f"observed range [{record.observed_inf:.12g}, {record.observed_sup:.12g}]"
         reports.append(CheckReport(

@@ -12,7 +12,8 @@ of the two pairs.  The public
 evaluators must reproduce it bit for bit, and the
 inequality checker and the convexity scans, which read ln M from the
 fast path, must reach the same verdicts
-as a slow path through the public evaluators.  t_derivatives and
+as a slow path through the public evaluators, one case at a time and
+with the catalog on its shared sample streams.  t_derivatives and
 integral_hessian, which now evaluate T' at the probe point and T'''
 at each quadrature node once, must reproduce copies of their former
 per-stencil and per-weight forms bit for bit.
@@ -36,6 +37,7 @@ from parmeans import (
     builtin_generators,
     catalog,
     check_case,
+    check_cases,
     family_evaluator,
     four_param_F,
     gini,
@@ -304,6 +306,7 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
         return take_logs(s)
 
     def point():
+        current["reads"] += 1
         return MeanPoint(current["a"], current["b"])
 
     monkeypatch.setattr(inequalities, "_logs", recording_logs)
@@ -313,15 +316,23 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
     monkeypatch.setattr(inequalities, "_ln_He2", _slow(two_param_heronian, point))
     monkeypatch.setattr(inequalities, "_ln_A",
                         lambda t, w, lnb: math.log(power_mean(t, point())))
+    # one case at a time, and all cases on their shared sample streams,
+    # each through the stand-ins
+    current["reads"] = 0
+    slow = {case.case_id: check_case(case, plan) for case in catalog()}
+    slow_reads, current["reads"] = current["reads"], 0
+    grouped = dict(zip(slow, check_cases(catalog(), plan)))
+    assert 0 < current["reads"] < slow_reads
     inconclusive = 0
-    for case in catalog():
-        (rep, rec), (slow_rep, slow_rec) = fast[case.case_id], check_case(case, plan)
-        assert (rep.total, rep.passed, rep.failed, rep.inconclusive, rep.notes) == \
-            (slow_rep.total, slow_rep.passed, slow_rep.failed, slow_rep.inconclusive,
-             slow_rep.notes), case.case_id
-        assert rep.worst_margin == pytest.approx(slow_rep.worst_margin, rel=0, abs=1e-14)
-        assert rec.samples == slow_rec.samples
-        inconclusive += rep.inconclusive
+    for slow_path in (slow, grouped):
+        for case_id, (rep, rec) in fast.items():
+            slow_rep, slow_rec = slow_path[case_id]
+            assert (rep.total, rep.passed, rep.failed, rep.inconclusive, rep.notes) == \
+                (slow_rep.total, slow_rep.passed, slow_rep.failed, slow_rep.inconclusive,
+                 slow_rep.notes), case_id
+            assert rep.worst_margin == pytest.approx(slow_rep.worst_margin, rel=0, abs=1e-14)
+            assert rec.samples == slow_rec.samples
+            inconclusive += rep.inconclusive
     if plan.b_high > 1e6:
         assert inconclusive > 0
 

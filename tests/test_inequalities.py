@@ -11,6 +11,7 @@ from parmeans import (
     SamplingPlan,
     catalog,
     check_case,
+    check_cases,
     four_param_F,
     gini,
     identric_mean,
@@ -230,3 +231,91 @@ def test_check_case_takes_the_logs_once_per_sample(case_id, monkeypatch):
     report, _ = check_case(get_case(case_id), SamplingPlan(grid_b_count=4, random_count=60, seed=2))
     assert report.total > 60
     assert len(calls) <= report.total
+
+
+@pytest.mark.parametrize("plan", [
+    SamplingPlan(),
+    SamplingPlan(random_count=0),
+    SamplingPlan(grid_b_count=12, random_count=400, seed=6, b_high=1e300),  # saturates
+], ids=["default", "grid_only", "saturating"])
+def test_check_cases_matches_check_case(plan):
+    # the grouped run gives every case the report and record it gets alone, bit for bit
+    cases = catalog()
+    grouped = check_cases(cases, plan)
+    assert len(grouped) == len(cases)
+    for case, got in zip(cases, grouped):
+        assert repr(got) == repr(check_case(case, plan)), case.case_id
+    if plan.b_high > 1e6:
+        assert any(report.inconclusive for report, _ in grouped)
+
+
+def test_check_cases_keeps_a_refused_case_apart():
+    # cases on one draw; a shared family term raises on some samples and is
+    # not kept, so both cases reading it are inconclusive there, and the
+    # case that does not read it tallies as it does alone
+    from parmeans import SaturationError
+    from parmeans.inequalities import InequalityCase, _with_logs
+
+    calls = []
+
+    def refusing(p, q, w, lnb):
+        calls.append(lnb)
+        if lnb > math.log(10.0):
+            raise SaturationError("synthetic overflow", 1234.0)
+        return lnb + 0.25 * w
+
+    def draw(rng, plan):
+        return {"a": 1.0, "b": rng.uniform(1.5, 100.0)}
+
+    def grid(plan):
+        return [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}]
+
+    def make(case_id, log_value):
+        return InequalityCase(case_id=case_id, formula=case_id, log_value=log_value,
+                              log_lower=None, log_upper=lambda s: 0.0, draw=draw, grid=grid)
+
+    cases = [
+        make("refused", _with_logs(lambda s, w, lnb: s.ln(refusing, 1.0, 2.0) - lnb - 0.5)),
+        make("plain", _with_logs(lambda s, w, lnb: -0.5 - 1e-3 * lnb)),
+        make("refused_too", _with_logs(lambda s, w, lnb: 0.5 * (s.ln(refusing, 1.0, 2.0) - lnb) - 0.5)),
+    ]
+    plan = SamplingPlan(grid_b_count=0, random_count=50, seed=1)
+    grouped = check_cases(cases, plan)
+    grouped_calls = len(calls)
+    assert repr(grouped) == repr([check_case(case, plan) for case in cases])
+    (refused, _), (plain, _), (refused_too, _) = grouped
+    assert 0 < refused.inconclusive == refused_too.inconclusive < refused.total
+    assert plain.inconclusive == 0 and plain.passed == plain.total
+    # one evaluation per valid sample, one per reading case where it raised
+    valid = refused.total - refused.inconclusive
+    assert grouped_calls == valid + 2 * refused.inconclusive
+
+
+def test_check_cases_shares_the_rs_means(monkeypatch):
+    # the five (r, s) cases on one stream: the sample's logs once, and six
+    # family evaluations per sample where the cases read twelve
+    from parmeans import core, inequalities
+
+    logs, evals = [], []
+
+    def counting_logs(a, b):
+        logs.append((a, b))
+        return math.log(a / b)
+
+    family_ln = inequalities._family_ln
+
+    def counting_family(*args):
+        evals.append(args)
+        return family_ln(*args)
+
+    monkeypatch.setattr(inequalities, "log_ratio", counting_logs)
+    monkeypatch.setattr(core, "log_ratio", counting_logs)
+    monkeypatch.setattr(inequalities, "_family_ln", counting_family)
+    cases = [c for c in catalog() if c.draw is inequalities._rs_draw]
+    assert len(cases) == 5
+    results = check_cases(cases, SamplingPlan(grid_b_count=4, random_count=60, seed=2))
+    total = results[0][0].total
+    assert total > 60
+    assert all(report.total == total and report.inconclusive == 0 for report, _ in results)
+    assert len(logs) == total
+    assert len(evals) == 6 * total

@@ -21,6 +21,7 @@ from parmeans import (
     four_param_F,
     geometric_mean,
     gini,
+    hd_eval,
     heronian_mean,
     identric_mean,
     log_mean,
@@ -313,6 +314,15 @@ def test_saturation_error():
         stolarsky(ParamPair(400.0, 1.0), MeanPoint(1.0, math.exp(2.0)))
     except SaturationError as exc:
         assert exc.exponent == pytest.approx(800.0, rel=1e-12)
+
+
+def test_range_saturation_reports_its_limit():
+    # |ln H_D| > 709 is refused with the range limit, not the 700 exponent limit
+    with pytest.raises(SaturationError) as info:
+        hd_eval(ParamPair(2.7e-4, -2.1e-3), MeanPoint(0.74, 1.04))
+    assert info.value.limit == 709.0
+    assert abs(info.value.exponent) > 709.0
+    assert "limit 709)" in str(info.value)
 
 
 def test_branch_continuity_p_eq_q():
