@@ -52,7 +52,6 @@ VERDICT_INDEFINITE = "indefinite"
 class HessianConfig:
     step_scale: float = _EPS ** 0.25
     sign_tol: float = 1e-7
-    richardson: bool = True
 
     def __post_init__(self):
         for name in ("step_scale", "sign_tol"):
@@ -153,6 +152,58 @@ class CheckReport:
         }
 
 
+class Tally:
+    """Sample counts and the worst margin of one check; the builder of its CheckReport.
+
+    A margin strictly below the worst so far becomes the worst, with a
+    copy of its witness, so a tie keeps the first.  A sample that raised
+    fails with margin -1e300 and the error text in its witness; the
+    latest such error is kept.  The report gives 1e300 (-1e300 for -inf)
+    when no finite margin was seen, so the JSON report stays strict.
+    """
+
+    __slots__ = ("passed", "inconclusive", "failed", "worst_margin", "worst_witness")
+
+    def __init__(self):
+        self.passed = self.inconclusive = self.failed = 0
+        self.worst_margin = math.inf
+        self.worst_witness: dict = {}
+
+    @property
+    def total(self) -> int:
+        return self.passed + self.inconclusive + self.failed
+
+    def count(self, ok: bool) -> None:
+        """Count one decided sample as passed or failed."""
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+
+    def undecided(self) -> None:
+        """Count one inconclusive sample."""
+        self.inconclusive += 1
+
+    def margin(self, margin: float, witness: dict) -> None:
+        if margin < self.worst_margin:
+            self.worst_margin = margin
+            self.worst_witness = dict(witness)
+
+    def error(self, exc: Exception, witness: dict) -> None:
+        """Fail a sample that raised: a ParMeansError's message, else type and message."""
+        text = str(exc) if isinstance(exc, ParMeansError) else f"{type(exc).__name__}: {exc}"
+        self.failed += 1
+        self.worst_margin = -1e300
+        self.worst_witness = {**witness, "error": text}
+
+    def report(self, case_id: str, notes: str = "") -> CheckReport:
+        worst = self.worst_margin
+        if not math.isfinite(worst):
+            worst = math.copysign(1e300, worst)
+        return CheckReport(case_id, self.total, self.passed, self.inconclusive, self.failed,
+                           worst, self.worst_witness, notes)
+
+
 def hessian_logF(
     evaluator: Callable[[ParamPair, MeanPoint], EvalResult],
     pp: ParamPair,
@@ -189,19 +240,12 @@ def _hessian(phi: Callable[[float, float], float], p: float, q: float,
         # the same stencil associated in the two mixed orders
         return ((A - B) - (C - D)) / (4.0 * h1 * h2), ((A - C) - (B - D)) / (4.0 * h1 * h2)
 
-    if cfg.richardson:
-        d2_pp = (4.0 * dpp(0.5 * hp) - dpp(hp)) / 3.0
-        d2_qq = (4.0 * dqq(0.5 * hq) - dqq(hq)) / 3.0
-        m1a, m1b = dpq(hp, hq)
-        m2a, m2b = dpq(0.5 * hp, 0.5 * hq)
-        d2_pq = (4.0 * 0.5 * (m2a + m2b) - 0.5 * (m1a + m1b)) / 3.0
-        spread = abs(m2a - m2b)
-    else:
-        d2_pp = dpp(hp)
-        d2_qq = dqq(hq)
-        m1a, m1b = dpq(hp, hq)
-        d2_pq = 0.5 * (m1a + m1b)
-        spread = abs(m1a - m1b)
+    d2_pp = (4.0 * dpp(0.5 * hp) - dpp(hp)) / 3.0
+    d2_qq = (4.0 * dqq(0.5 * hq) - dqq(hq)) / 3.0
+    m1a, m1b = dpq(hp, hq)
+    m2a, m2b = dpq(0.5 * hp, 0.5 * hq)
+    d2_pq = (4.0 * 0.5 * (m2a + m2b) - 0.5 * (m1a + m1b)) / 3.0
+    spread = abs(m2a - m2b)
 
     delta = d2_pp * d2_qq - d2_pq * d2_pq
     tol = cfg.sign_tol * (abs(f0) + 1.0)
@@ -259,9 +303,12 @@ def expected_verdict(spec: ScanSpec) -> Optional[str]:
     return RS_SIGN_VERDICTS[(1 if rs > 0.0 else -1, spec.region)]
 
 
-def _error_text(exc: Exception) -> str:
-    """The witness text of a failed sample: a ParMeansError's message, else type and message."""
-    return str(exc) if isinstance(exc, ParMeansError) else f"{type(exc).__name__}: {exc}"
+def _count_verdict(tally: Tally, verdict: str, expect: str) -> None:
+    """A Hessian verdict passes when it is the expected one; inconclusive is undecided."""
+    if verdict == VERDICT_INCONCLUSIVE:
+        tally.undecided()
+    else:
+        tally.count(verdict == expect)
 
 
 def scan_convexity(spec: ScanSpec) -> CheckReport:
@@ -270,7 +317,8 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
     Every family reads the stencil's ln M straight from its core log
     path (family_log_path), with the point's logs taken once per mean
     point.  Every grid point is still evaluated once through the public
-    evaluator, which sets the margin scale.
+    evaluator, which sets the margin scale.  Any exception fails its
+    sample, not the scan.
     """
     sign = 1.0 if spec.region == "positive_quadrant" else -1.0
     expect = expected_verdict(spec)
@@ -278,9 +326,7 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
     ev = family_evaluator(spec.family, spec.gen)
     path = family_log_path(spec.family, spec.gen)
 
-    total = passed = inconclusive = failed = 0
-    worst_margin = math.inf
-    worst_witness: dict = {}
+    tally = Tally()
     observed: dict[str, int] = {}
     skipped = 0
     for pt in spec.mean_points:
@@ -291,35 +337,24 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                 if abs(p - q) <= spec.exclusion_band:
                     skipped += 1
                     continue
-                total += 1
                 pq = ParamPair(sign * abs(p), sign * abs(q))
+                where = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q}
                 try:
                     rep = _hessian(phi, pq.p, pq.q, cfg)
                     ln_m = math.log(ev(pq, pt).value) if expect is not None else 0.0
-                except Exception as exc:  # any exception fails this sample, not the scan
-                    failed += 1
-                    worst_margin = -1e300
-                    worst_witness = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q,
-                                     "error": _error_text(exc)}
+                except Exception as exc:
+                    tally.error(exc, where)
                     continue
                 observed[rep.verdict] = observed.get(rep.verdict, 0) + 1
                 if expect is None:
-                    passed += 1
+                    tally.count(True)
                     continue
                 tol = spec.sign_tol * (1.0 + abs(ln_m))
                 directional = rep.d2_pp if expect == VERDICT_CONVEX else -rep.d2_pp
-                margin = min(directional, rep.delta) / tol
-                if margin < worst_margin:
-                    worst_margin = margin
-                    worst_witness = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q,
-                                     "d2_pp": rep.d2_pp, "delta": rep.delta,
-                                     "verdict": rep.verdict}
-                if rep.verdict == expect:
-                    passed += 1
-                elif rep.verdict == VERDICT_INCONCLUSIVE:
-                    inconclusive += 1
-                else:
-                    failed += 1
+                tally.margin(min(directional, rep.delta) / tol,
+                             {**where, "d2_pp": rep.d2_pp, "delta": rep.delta,
+                              "verdict": rep.verdict})
+                _count_verdict(tally, rep.verdict, expect)
     notes = f"observed={observed}; skipped_near_diagonal={skipped}"
     if expect is None:
         dominant = max(observed, key=observed.get) if observed else "none"
@@ -327,16 +362,7 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
         if spec.family == "hd" and spec.region == "negative_quadrant" \
                 and dominant != VERDICT_CONVEX:
             notes += "; flags: observed verdict contradicts the stated negative-quadrant claim"
-    return CheckReport(
-        case_id=f"convexity[{spec.family},{spec.region}]",
-        total=total,
-        passed=passed,
-        inconclusive=inconclusive,
-        failed=failed,
-        worst_margin=worst_margin if math.isfinite(worst_margin) else 1e300,
-        worst_witness=worst_witness,
-        notes=notes,
-    )
+    return tally.report(f"convexity[{spec.family},{spec.region}]", notes)
 
 
 def j_criterion_probe(
@@ -350,34 +376,29 @@ def j_criterion_probe(
 
     J is computed at each (t, point) sample; if its sign is constant, the
     positive-quadrant Hessian verdicts of H_f must match: J < 0 implies
-    log-convex there, J > 0 log-concave.
+    log-convex there, J > 0 log-concave.  The worst margin is that of the
+    Hessian samples, or the smallest |J| when the implication is vacuous.
     """
     from .hgf import hf_eval  # local import to avoid a cycle at module load
 
+    tally = Tally()
     signs = set()
-    inconclusive = 0
-    j_values = []
+    j_samples = []
     for t, pt in samples:
-        der = t_derivatives(f, t, pt)
-        j_values.append(der.J_val)
-        if abs(der.J_val) <= dead_zone:
-            inconclusive += 1
+        j = t_derivatives(f, t, pt).J_val
+        j_samples.append((abs(j), {"t": t, "a": pt.a, "b": pt.b, "J": j}))
+        if abs(j) <= dead_zone:
+            tally.undecided()
         else:
-            signs.add(1 if der.J_val > 0.0 else -1)
+            tally.count(True)
+            signs.add(1 if j > 0.0 else -1)
 
-    total = len(samples)
-    passed = total - inconclusive
-    failed = 0
-    worst = math.inf
-    witness: dict = {}
+    case_id = f"j_criterion[{f.label}]"
     notes = f"J signs observed: {sorted(signs)}"
     if len(signs) != 1:
-        return CheckReport(
-            case_id=f"j_criterion[{f.label}]",
-            total=total, passed=passed, inconclusive=inconclusive, failed=0,
-            worst_margin=min(abs(j) for j in j_values),
-            worst_witness={}, notes=notes + "; no constant sign, implication vacuous",
-        )
+        for margin, witness in j_samples:
+            tally.margin(margin, witness)
+        return tally.report(case_id, notes + "; no constant sign, implication vacuous")
 
     sigma = signs.pop()
     expect = VERDICT_CONVEX if sigma < 0 else VERDICT_CONCAVE
@@ -386,24 +407,13 @@ def j_criterion_probe(
         for q in hessian_grid:
             if abs(p - q) <= 0.05:
                 continue
-            total += 1
             rep = hessian_logF(ev, ParamPair(p, q), mean_point)
             directional = rep.d2_pp if expect == VERDICT_CONVEX else -rep.d2_pp
-            worst = min(worst, min(directional, rep.delta))
-            if rep.verdict == expect:
-                passed += 1
-            elif rep.verdict == VERDICT_INCONCLUSIVE:
-                inconclusive += 1
-            else:
-                failed += 1
-                witness = {"p": p, "q": q, "verdict": rep.verdict, "expected": expect}
-    return CheckReport(
-        case_id=f"j_criterion[{f.label}]",
-        total=total, passed=passed, inconclusive=inconclusive, failed=failed,
-        worst_margin=worst if math.isfinite(worst) else 1e300,
-        worst_witness=witness,
-        notes=notes + f"; expected quadrant verdict {expect}",
-    )
+            tally.margin(min(directional, rep.delta),
+                         {"p": p, "q": q, "d2_pp": rep.d2_pp, "delta": rep.delta,
+                          "verdict": rep.verdict, "expected": expect})
+            _count_verdict(tally, rep.verdict, expect)
+    return tally.report(case_id, notes + f"; expected quadrant verdict {expect}")
 
 
 def integral_hessian(

@@ -147,7 +147,8 @@ class EvalResult:
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value > 0.0):
             raise SaturationError("evaluated mean left the positive floating range",
-                                  self.value if math.isfinite(self.value) else math.inf)
+                                  self.value if math.isfinite(self.value) else math.inf,
+                                  None, "value")
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ def _ln_eval(
 
 def _check_range(ln: float) -> None:
     if abs(ln) > RANGE_LIMIT:
-        raise SaturationError("result magnitude outside floating range", ln, RANGE_LIMIT)
+        raise SaturationError("result magnitude outside floating range", ln, RANGE_LIMIT, "ln M")
 
 
 def _identric_e(z: float) -> float:
@@ -401,7 +402,8 @@ def _power_mean_exponent(t: float, w: float) -> float:
     """ln PM - ln b = log1p(expm1(t w)/2)/t with w = ln(a/b), cancellation-free across t = 0."""
     z = t * w
     if abs(z) > OVERFLOW_LIMIT:
-        raise SaturationError("power-mean exponent not representable", z)
+        raise SaturationError("power-mean exponent not representable", z,
+                              OVERFLOW_LIMIT, "t ln(a/b)")
     if z > 30.0:
         body = z + math.log1p(math.exp(-z)) - math.log(2.0)
     else:

@@ -12,14 +12,19 @@ class DomainError(ParMeansError):
 
 
 class SaturationError(ParMeansError):
-    """An exponent product would leave the representable floating range.
+    """A quantity would leave the representable floating range.
 
     Raised instead of silently producing inf/0 so that scan harnesses
-    never accumulate corrupted samples.
+    never accumulate corrupted samples.  The message names the measured
+    quantity (an exponent product unless told otherwise), its value
+    (.exponent) and the limit it broke (.limit; None when the value
+    itself is outside the positive floats).
     """
 
-    def __init__(self, message: str, exponent: float, limit: float = 700.0):
-        super().__init__(f"{message} (exponent product {exponent:.6g}, limit {limit:g})")
+    def __init__(self, message: str, exponent: float, limit: float | None = 700.0,
+                 quantity: str = "exponent product"):
+        bound = "" if limit is None else f", limit {limit:g}"
+        super().__init__(f"{message} ({quantity} {exponent:.6g}{bound})")
         self.exponent = exponent
         self.limit = limit
 

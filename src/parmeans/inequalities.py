@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .convexity import CheckReport
+from .convexity import CheckReport, Tally
 from .core import (
     MeanPoint,
     Y_mean,
@@ -469,22 +469,21 @@ def catalog() -> list[InequalityCase]:
 SLACK_COEFF = 1e-11
 
 
-class _Tally:
-    """One case's verdict counts, worst margins and observed extremes."""
+class _CaseTally(Tally):
+    """One case's Tally, plus its report-only margin, observed extremes and
+    out-of-region violation count.  add() is the checker's hot loop, so it
+    counts through the Tally's fields directly."""
 
-    __slots__ = ("case", "value", "lower", "upper", "assert_in", "total",
-                 "passed", "inconclusive", "failed", "worst_margin", "worst_witness",
-                 "report_margin", "report_witness", "sup", "inf", "arg_sup",
-                 "out_of_region_violations")
+    __slots__ = ("case", "value", "lower", "upper", "assert_in", "report_margin",
+                 "report_witness", "sup", "inf", "arg_sup", "out_of_region_violations")
 
     def __init__(self, case: InequalityCase):
+        super().__init__()
         self.case = case
         self.value, self.lower, self.upper = case.log_value, case.log_lower, case.log_upper
         # report-only cases assert nowhere
         self.assert_in = (lambda s: False) if case.report_only else case.assert_in
-        self.total = self.passed = self.inconclusive = self.failed = 0
-        self.worst_margin = self.report_margin = math.inf
-        self.worst_witness: Sample = {}
+        self.report_margin = math.inf
         self.report_witness: Sample = {}
         self.sup, self.inf = -math.inf, math.inf
         self.arg_sup: Sample = {}
@@ -515,9 +514,7 @@ class _Tally:
                 margin = gap
             violated |= gap < -SLACK_COEFF * (1.0 + abs(val) + abs(hi))
         if self.assert_in(s):
-            if margin < self.worst_margin:
-                self.worst_margin = margin
-                self.worst_witness = dict(s)
+            self.margin(margin, s)
             if violated:
                 self.failed += 1
             else:
@@ -531,29 +528,18 @@ class _Tally:
                 self.report_witness = dict(s)
 
     def result(self) -> tuple[CheckReport, SupremumRecord]:
-        worst_margin, worst_witness = self.worst_margin, self.worst_witness
-        if not math.isfinite(worst_margin):
-            worst_margin, worst_witness = self.report_margin, self.report_witness
+        if self.worst_margin == math.inf:  # nothing asserted: report the report-only margin
+            self.worst_margin, self.worst_witness = self.report_margin, self.report_witness
         notes = ""
         if self.out_of_region_violations:
             notes = f"report-only violations: {self.out_of_region_violations}"
-        report = CheckReport(
-            case_id=self.case.case_id,
-            total=self.total,
-            passed=self.passed,
-            inconclusive=self.inconclusive,
-            failed=self.failed,
-            worst_margin=worst_margin if math.isfinite(worst_margin) else 1e300,
-            worst_witness=worst_witness,
-            notes=notes,
-        )
         record = SupremumRecord(
             observed_sup=self.sup,
             observed_inf=self.inf,
             arg_sup=self.arg_sup,
-            samples=self.total - self.inconclusive,
+            samples=self.passed + self.failed,
         )
-        return report, record
+        return self.report(self.case.case_id, notes), record
 
 
 def check_cases(cases: Sequence[InequalityCase], plan: SamplingPlan = SamplingPlan()
@@ -569,26 +555,22 @@ def check_cases(cases: Sequence[InequalityCase], plan: SamplingPlan = SamplingPl
     and evaluator saturation make the sample inconclusive.  Returns one
     (report, record) per case, in order, each as check_case gives it.
     """
-    tallies = [_Tally(case) for case in cases]
-    groups: dict[tuple, list[_Tally]] = {}
+    tallies = [_CaseTally(case) for case in cases]
+    groups: dict[tuple, list[_CaseTally]] = {}
     for tally in tallies:
         groups.setdefault((tally.case.grid, tally.case.draw), []).append(tally)
     for (grid, draw), group in groups.items():
         rng = random.Random(plan.seed)
-        total = 0
         for s in itertools.chain(grid(plan), (draw(rng, plan) for _ in range(plan.random_count))):
-            total += 1
             try:
                 _check_point(s["a"], s["b"])
             except ParMeansError:
                 for tally in group:
-                    tally.inconclusive += 1
+                    tally.undecided()
                 continue
             point = _Point(s)
             for tally in group:
                 tally.add(point)
-        for tally in group:
-            tally.total = total
     return [tally.result() for tally in tallies]
 
 
@@ -652,35 +634,20 @@ def special_reductions_check(plan: SamplingPlan = SamplingPlan(grid_b_count=25)
 
     For every (a, b) grid point: the inequality itself holds with the
     standard slack, and the specialized sides agree with the general
-    inequality evaluated at its (r, s) to 1e-12 relative.
+    inequality evaluated at its (r, s) to 1e-12 relative.  A sample whose
+    sides disagree fails as an error, with margin -1e300.
     """
-    total = passed = failed = 0
-    worst_margin = math.inf
-    worst_witness: Sample = {}
+    tally = Tally()
     for name, lhs, rhs, direction, gen_lhs, gen_rhs in _REDUCTIONS:
         for sample in _ab_only_grid(plan):
-            total += 1
             w, lnb = _logs(sample)
             lv, rv = lhs(sample, w, lnb), rhs(sample, w, lnb)
             margin = (rv - lv) if direction == "le" else (lv - rv)
-            slack = SLACK_COEFF * (1.0 + abs(lv) + abs(rv))
-            agree = (abs(lv - gen_lhs(sample, w, lnb)) <= 1e-12 * (1.0 + abs(lv))
-                     and abs(rv - gen_rhs(sample, w, lnb)) <= 1e-12 * (1.0 + abs(rv)))
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_witness = {"case": name, **sample}
-            if margin >= -slack and agree:
-                passed += 1
-            else:
-                failed += 1
-                worst_witness = {"case": name, **sample, "agree": agree}
-    return CheckReport(
-        case_id="special_reductions",
-        total=total,
-        passed=passed,
-        inconclusive=0,
-        failed=failed,
-        worst_margin=worst_margin,
-        worst_witness=worst_witness,
-        notes=f"{len(_REDUCTIONS)} named specializations",
-    )
+            witness = {"case": name, **sample}
+            if not (abs(lv - gen_lhs(sample, w, lnb)) <= 1e-12 * (1.0 + abs(lv))
+                    and abs(rv - gen_rhs(sample, w, lnb)) <= 1e-12 * (1.0 + abs(rv))):
+                tally.error(ParMeansError("specialized and general sides disagree"), witness)
+                continue
+            tally.margin(margin, witness)
+            tally.count(margin >= -SLACK_COEFF * (1.0 + abs(lv) + abs(rv)))
+    return tally.report("special_reductions", f"{len(_REDUCTIONS)} named specializations")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
-from .convexity import CheckReport, ScanSpec, _error_text, scan_convexity
+from .convexity import CheckReport, ScanSpec, Tally, scan_convexity
 from .core import (
     GeneratorPair,
     MeanPoint,
@@ -39,41 +40,25 @@ DEFAULT_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_MEAN_POINTS = (MeanPoint(1.0, 3.0), MeanPoint(1.0, 10.0), MeanPoint(1.0, 100.0))
 
 
-def _relative_check(
-    case_id: str,
-    samples,
-    lhs,
-    rhs,
-    tol: float,
-    notes: str = "",
-) -> CheckReport:
-    """Equality check |lhs/rhs - 1| <= tol; margin is tol minus deviation."""
-    total = passed = failed = inconclusive = 0
-    worst = math.inf
-    witness: dict = {}
+def _relative_check(case_id: str, samples, lhs, rhs, tol: float) -> CheckReport:
+    """Equality check |lhs/rhs - 1| <= tol; margin is tol minus deviation.
+
+    A ParMeansError makes the sample inconclusive; any other exception
+    fails it, with the error in the witness.
+    """
+    tally = Tally()
     for s in samples:
-        total += 1
         try:
             dev = abs(lhs(s) / rhs(s) - 1.0)
         except ParMeansError:
-            inconclusive += 1
+            tally.undecided()
             continue
         except Exception as exc:  # a foreign exception fails this sample, not the suite
-            failed += 1
-            worst, witness = -1e300, {**s, "error": _error_text(exc)}
+            tally.error(exc, s)
             continue
-        margin = tol - dev
-        if margin < worst:
-            worst = margin
-            witness = dict(s)
-        if dev <= tol:
-            passed += 1
-        else:
-            failed += 1
-    return CheckReport(case_id=case_id, total=total, passed=passed,
-                       inconclusive=inconclusive, failed=failed,
-                       worst_margin=worst, worst_witness=witness,
-                       notes=notes or f"tolerance {tol:g}")
+        tally.margin(tol - dev, s)
+        tally.count(dev <= tol)
+    return tally.report(case_id, f"tolerance {tol:g}")
 
 
 def _positive_pairs(rng: random.Random, count: int, low=0.1, high=4.0):
@@ -156,17 +141,15 @@ def reduction_consistency_check(count: int = 400, seed: int = 1) -> CheckReport:
     fails it, with the error in the witness.
     """
     rng = random.Random(seed)
-    total = passed = failed = inconclusive = 0
-    worst = math.inf
-    witness: dict = {}
+    tally = Tally()
     patterns = ("p_2p", "p_0", "0_q", "p_p", "p_3p", "3q_q")
-    while total < count:
+    while tally.total < count:
         r = rng.uniform(-2.5, 2.5)
         s = rng.uniform(-2.5, 2.5)
         if abs(r - s) < 0.05 or abs(r) < 0.05 or abs(s) < 0.05:
             continue
         p = rng.uniform(0.1, 2.0) * rng.choice((-1.0, 1.0))
-        pattern = patterns[total % len(patterns)]
+        pattern = patterns[tally.total % len(patterns)]
         pp = {
             "p_2p": ParamPair(p, 2.0 * p),
             "p_0": ParamPair(p, 0.0),
@@ -178,36 +161,24 @@ def reduction_consistency_check(count: int = 400, seed: int = 1) -> CheckReport:
         gp = GeneratorPair(r, s)
         pt = MeanPoint(1.0, math.exp(rng.uniform(math.log(1.2), math.log(20.0))))
         tag = reduction_table(pp, gp)
-        total += 1
+        where = {"pattern": pattern, "p": pp.p, "q": pp.q, "r": r, "s": s}
         if tag is None:
-            failed += 1
-            witness = {"pattern": pattern, "p": pp.p, "q": pp.q, "r": r, "s": s,
-                       "error": "reduction table did not fire"}
+            tally.error(ParMeansError("reduction table did not fire"), where)
             continue
-        sample = {"pattern": pattern, "p": pp.p, "q": pp.q, "r": r, "s": s,
-                  "b": pt.b, "tag": tag.family}
+        sample = {**where, "b": pt.b, "tag": tag.family}
         try:
             direct = family_evaluator(tag.family)(ParamPair(tag.p, tag.q), pt).value
             f_val = four_param_F(pp, gp, pt).value
             dev = abs(f_val / direct - 1.0)
         except ParMeansError:
-            inconclusive += 1
+            tally.undecided()
             continue
         except Exception as exc:  # a foreign exception fails this sample, not the suite
-            failed += 1
-            worst, witness = -1e300, {**sample, "error": _error_text(exc)}
+            tally.error(exc, sample)
             continue
-        margin = 1e-10 - dev
-        if margin < worst:
-            worst = margin
-            witness = {**sample, "dev": dev}
-        if dev <= 1e-10:
-            passed += 1
-        else:
-            failed += 1
-    return CheckReport(case_id="identity[reduction_table]", total=total, passed=passed,
-                       inconclusive=inconclusive, failed=failed, worst_margin=worst,
-                       worst_witness=witness, notes="tolerance 1e-10")
+        tally.margin(1e-10 - dev, {**sample, "dev": dev})
+        tally.count(dev <= 1e-10)
+    return tally.report("identity[reduction_table]", "tolerance 1e-10")
 
 
 def convexity_suite(
@@ -233,11 +204,7 @@ def inequality_suite(plan: SamplingPlan = SamplingPlan()) -> list[CheckReport]:
     for report, record in check_cases(catalog(), plan):
         notes = (report.notes + "; " if report.notes else "") + \
             f"observed range [{record.observed_inf:.12g}, {record.observed_sup:.12g}]"
-        reports.append(CheckReport(
-            case_id=report.case_id, total=report.total, passed=report.passed,
-            inconclusive=report.inconclusive, failed=report.failed,
-            worst_margin=report.worst_margin, worst_witness=report.worst_witness,
-            notes=notes))
+        reports.append(replace(report, notes=notes))
     return reports
 
 

@@ -126,6 +126,24 @@ def test_check_identities_suite(tmp_path, capsys):
                              "worst_margin", "worst_witness"}
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_check_without_samples_writes_strict_json(tmp_path, capsys):
+    # a check with no samples reports the 1e300 sentinel, not Infinity
+    from parmeans.suites import identity_suite
+
+    assert {r.worst_margin for r in identity_suite(count=0)[:5]} == {1e300}
+    out_file = tmp_path / "id.json"
+    code, _, _ = run(capsys, "check", "--suite", "identities", "--random-count", "0",
+                     "--out", str(out_file))
+    assert code == 0
+    with open(out_file, encoding="utf-8") as handle:
+        payload = json.load(handle, parse_constant=_reject_constant)
+    assert [c["worst_margin"] for c in payload["cases"][:5]] == [1e300] * 5
+
+
 def test_check_inequalities_exit_zero_and_13_cases(tmp_path, capsys):
     out_file = tmp_path / "ineq.json"
     code, out, _ = run(capsys, "check", "--suite", "inequalities", "--seed", "7",

@@ -24,6 +24,7 @@ from parmeans import (
 )
 from parmeans.convexity import (
     HessianConfig,
+    Tally,
     VERDICT_CONCAVE,
     VERDICT_CONVEX,
     VERDICT_INCONCLUSIVE,
@@ -198,6 +199,9 @@ def test_j_criterion_probes():
     # f = S_{1,0} (r + s > 0): J > 0, positive-quadrant verdicts concave
     rep = j_criterion_probe(stolarsky_generator(1.0, 0.0), samples())
     assert rep.failed == 0 and "[1]" in rep.notes and "concave" in rep.notes
+    # the witness is the worst-margin Hessian sample
+    assert rep.worst_witness["expected"] == "concave"
+    assert min(-rep.worst_witness["d2_pp"], rep.worst_witness["delta"]) == rep.worst_margin
     # f = D: J < 0, verdicts convex
     rep = j_criterion_probe(difference_generator(), samples())
     assert rep.failed == 0 and "[-1]" in rep.notes and "convex" in rep.notes
@@ -228,6 +232,35 @@ def test_random_blend_margins_signs():
         assert max(margins) <= 1e-11
     hd_margins = random_blend_margins("hd", 1.0, 300, seed=32)
     assert min(hd_margins) >= -1e-11
+
+
+def test_tally_counts_margins_errors_and_sentinel():
+    empty = Tally().report("none")
+    assert (empty.total, empty.worst_margin, empty.worst_witness) == (0, 1e300, {})
+
+    tally = Tally()
+    first = {"i": 1}
+    tally.margin(0.5, first)
+    first["i"] = 99  # the Tally keeps a copy
+    tally.margin(0.5, {"i": 2})  # a tie keeps the first witness
+    tally.count(True)
+    tally.count(False)
+    tally.undecided()
+    rep = tally.report("case", "note")
+    assert (rep.total, rep.passed, rep.failed, rep.inconclusive) == (3, 1, 1, 1)
+    assert (rep.worst_margin, rep.worst_witness, rep.notes) == (0.5, {"i": 1}, "note")
+
+    tally.error(ZeroDivisionError("first"), {"i": 3})
+    tally.error(DomainError("second"), {"i": 4})
+    tally.margin(-5.0, {"i": 5})  # a finite margin does not displace an error
+    rep = tally.report("case")
+    assert (rep.total, rep.failed) == (5, 3)
+    assert rep.worst_margin == -1e300
+    assert rep.worst_witness == {"i": 4, "error": "second"}
+
+    other = Tally()
+    other.error(ZeroDivisionError("boom"), {})
+    assert other.report("case").worst_witness == {"error": "ZeroDivisionError: boom"}
 
 
 def test_report_merge_is_associative():

@@ -12,6 +12,7 @@ from parmeans import (
     BRANCH_P_EQ_Q,
     BRANCH_Q_ZERO,
     DomainError,
+    EvalResult,
     GeneratorPair,
     MeanPoint,
     ParamPair,
@@ -323,6 +324,18 @@ def test_range_saturation_reports_its_limit():
     assert info.value.limit == 709.0
     assert abs(info.value.exponent) > 709.0
     assert "limit 709)" in str(info.value)
+    assert "(ln M -865.646, limit 709)" in str(info.value)
+    assert "exponent product" not in str(info.value)
+
+
+def test_saturation_messages_name_their_quantity():
+    with pytest.raises(SaturationError) as info:
+        EvalResult(0.0, "generic", 0.0)
+    assert str(info.value) == "evaluated mean left the positive floating range (value 0)"
+    assert (info.value.exponent, info.value.limit) == (0.0, None)
+    with pytest.raises(SaturationError) as info:
+        stolarsky(ParamPair(400.0, 1.0), MeanPoint(1.0, math.exp(2.0)))
+    assert "(exponent product 800, limit 700)" in str(info.value)
 
 
 def test_branch_continuity_p_eq_q():

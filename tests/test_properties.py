@@ -18,6 +18,7 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
+from parmeans.convexity import CheckReport, Tally
 
 PARAMS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 SIDES = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -64,3 +65,28 @@ def test_four_param_exchange_symmetry(p, q, r, s, a, b):
         pytest.approx(v, rel=1e-12)
     assert four_param_F(ParamPair(p, q), GeneratorPair(s, r), pt).value == \
         pytest.approx(v, rel=1e-12)
+
+
+def _tally_report(margins: list, start: int) -> CheckReport:
+    """A Tally over margins, sample start + i witnessed as {"i": start + i}; >= 0 passes."""
+    tally = Tally()
+    for i, m in enumerate(margins, start):
+        tally.margin(m, {"i": i})
+        tally.count(m >= 0.0)
+    return tally.report("case")
+
+
+@given(margins=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]) | st.floats(
+           min_value=-1e3, max_value=1e3, allow_nan=False), max_size=30),
+       cuts=st.tuples(st.integers(0, 30), st.integers(0, 30)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tally_over_a_list_equals_merge_of_its_parts(margins, cuts):
+    # one Tally over the whole stream equals CheckReport.merge of the Tallies
+    # over its three consecutive parts, merged in either grouping
+    i, j = sorted(min(c, len(margins)) for c in cuts)
+    a = _tally_report(margins[:i], 0)
+    b = _tally_report(margins[i:j], i)
+    c = _tally_report(margins[j:], j)
+    whole = _tally_report(margins, 0)
+    assert a.merge(b).merge(c) == whole
+    assert a.merge(b.merge(c)) == whole
