@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
-from .convexity import HessianConfig, hessian_logF
+from .convexity import CheckReport, HessianConfig, hessian_logF
 from .core import (
     GeneratorPair,
     MeanPoint,
@@ -103,6 +102,24 @@ def _run_suite(args) -> list:
     raise ParMeansError(f"unknown suite {args.suite!r}")
 
 
+def _totals(reports: list) -> tuple[int, int, int]:
+    """(failed, inconclusive, total) samples over the reports."""
+    return (sum(r.failed for r in reports), sum(r.inconclusive for r in reports),
+            sum(r.total for r in reports))
+
+
+def _write_json(path: str, payload: dict, what: str) -> bool:
+    """Write payload as indented JSON; on failure say so on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def check_exit_code(failures: int, inconclusive: int, total: int) -> int:
     if failures:
         return EXIT_FAIL
@@ -113,9 +130,7 @@ def check_exit_code(failures: int, inconclusive: int, total: int) -> int:
 
 def cmd_check(args) -> int:
     reports = _run_suite(args)
-    failures = sum(r.failed for r in reports)
-    inconclusive = sum(r.inconclusive for r in reports)
-    total = sum(r.total for r in reports)
+    failures, inconclusive, total = _totals(reports)
     for r in reports:
         status = "PASS" if r.failed == 0 else "FAIL"
         print(f"{status} {r.case_id}: total={r.total} passed={r.passed} "
@@ -135,14 +150,8 @@ def cmd_check(args) -> int:
         "cases": [r.to_dict() for r in reports],
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.out and not _write_json(args.out, payload, "report"):
+        return EXIT_IO
     print(f"done: {len(reports)} cases, {failures} failures, "
           f"{inconclusive}/{total} inconclusive")
     return check_exit_code(failures, inconclusive, total)
@@ -174,45 +183,43 @@ def cmd_scan(args) -> int:
     return EXIT_PASS
 
 
+def _read_cases(path: str) -> list[CheckReport]:
+    """The cases of one JSON report, each read by CheckReport.from_dict."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ParMeansError(str(exc)) from None
+    cases = payload.get("cases") if isinstance(payload, dict) else None
+    if not isinstance(cases, list):
+        raise ParMeansError("no list of cases")
+    return [CheckReport.from_dict(case) for case in cases]
+
+
 def cmd_report(args) -> int:
-    merged = {}
+    merged: dict[str, CheckReport] = {}
     try:
         for path in args.inputs:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            for case in payload.get("cases", []):
-                cid = case["id"]
-                agg = merged.setdefault(cid, {"total": 0, "passed": 0, "failed": 0,
-                                              "inconclusive": 0,
-                                              "worst_margin": math.inf})
-                agg["total"] += case["total"]
-                agg["passed"] += case["passed"]
-                agg["failed"] += case["failed"]
-                agg["inconclusive"] += case["inconclusive"]
-                agg["worst_margin"] = min(agg["worst_margin"], case["worst_margin"])
+            for case in _read_cases(path):
+                prior = merged.get(case.case_id)
+                merged[case.case_id] = case if prior is None else prior.merge(case)
     except OSError as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, KeyError) as exc:
-        print(f"error: malformed report: {exc}", file=sys.stderr)
+    except ParMeansError as exc:
+        print(f"error: malformed report: {path}: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    width = max((len(cid) for cid in merged), default=8)
+    reports = [merged[cid] for cid in sorted(merged)]
+    width = max((len(r.case_id) for r in reports), default=8)
     print(f"{'case':<{width}}  total  passed  failed  inconclusive  worst_margin")
-    for cid in sorted(merged):
-        agg = merged[cid]
-        print(f"{cid:<{width}}  {agg['total']:5d}  {agg['passed']:6d}  "
-              f"{agg['failed']:6d}  {agg['inconclusive']:12d}  {agg['worst_margin']:.3e}")
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump({"schema_version": SCHEMA_VERSION, "cases": merged}, handle,
-                          indent=2, default=str)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write summary: {exc}", file=sys.stderr)
-            return EXIT_IO
-    failures = sum(agg["failed"] for agg in merged.values())
-    return EXIT_FAIL if failures else EXIT_PASS
+    for r in reports:
+        print(f"{r.case_id:<{width}}  {r.total:5d}  {r.passed:6d}  "
+              f"{r.failed:6d}  {r.inconclusive:12d}  {r.worst_margin:.3e}")
+    if args.out and not _write_json(args.out, {"schema_version": SCHEMA_VERSION,
+                                               "cases": [r.to_dict() for r in reports]},
+                                    "summary"):
+        return EXIT_IO
+    return check_exit_code(*_totals(reports))
 
 
 def _load_config_file(path: str) -> dict:
@@ -277,13 +284,9 @@ def build_parser(check_defaults: dict | None = None) -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check, **(check_defaults or {}))
 
     p_scan = sub.add_parser("scan", help="CSV Hessian scan over a parameter grid")
-    p_scan.add_argument("--family", required=True)
+    add_family_args(p_scan, with_params=False)
     p_scan.add_argument("--p-grid", type=_grid, required=True, dest="p_grid")
     p_scan.add_argument("--q-grid", type=_grid, required=True, dest="q_grid")
-    p_scan.add_argument("--r", type=_param, default=None)
-    p_scan.add_argument("--s", type=_param, default=None)
-    p_scan.add_argument("--a", type=_param, required=True)
-    p_scan.add_argument("--b", type=_param, required=True)
     p_scan.add_argument("--sign-tol", type=float, default=None)
     p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=cmd_scan)

@@ -36,7 +36,7 @@ from .core import (
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _t1_t3, t_derivatives
+from .hgf import _t1_t3, hf_eval, t_derivatives
 from .quadrature import integrate_fixed
 from .stable import log_ratio
 
@@ -110,7 +110,11 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Pass/fail tally for one scan or inequality case."""
+    """Pass/fail tally for one case; the one reader, merger and writer of the report format.
+
+    The counts must add up and the worst margin stays finite, so the JSON
+    report is strict: +-inf becomes +-1e300 and NaN is refused.
+    """
 
     case_id: str
     total: int
@@ -124,6 +128,25 @@ class CheckReport:
     def __post_init__(self):
         if self.total != self.passed + self.inconclusive + self.failed:
             raise ParMeansError("CheckReport counts do not add up")
+        if math.isnan(self.worst_margin):
+            raise ParMeansError("CheckReport worst margin is NaN")
+        if math.isinf(self.worst_margin):
+            object.__setattr__(self, "worst_margin", math.copysign(1e300, self.worst_margin))
+
+    @classmethod
+    def from_dict(cls, case) -> "CheckReport":
+        """The inverse of to_dict, with worst_witness {} and notes "" when missing;
+        ParMeansError for anything else that is not a case of the format."""
+        keys = ("id", "total", "passed", "inconclusive", "failed", "worst_margin")
+        if not isinstance(case, dict) or not case.keys() >= set(keys):
+            raise ParMeansError("a report case needs the fields " + ", ".join(keys))
+        case_id, *counts, margin = (case[k] for k in keys)
+        witness, notes = case.get("worst_witness", {}), case.get("notes", "")
+        if not (isinstance(case_id, str) and isinstance(witness, dict) and isinstance(notes, str)
+                and all(type(n) is int and n >= 0 for n in counts)
+                and type(margin) in (int, float)):
+            raise ParMeansError(f"report case {case_id!r} has a field of the wrong type")
+        return cls(case_id, *counts, float(margin), witness, notes)
 
     def merge(self, other: "CheckReport") -> "CheckReport":
         """Associative, order-independent combination of two partial reports."""
@@ -157,9 +180,9 @@ class Tally:
 
     A margin strictly below the worst so far becomes the worst, with a
     copy of its witness, so a tie keeps the first.  A sample that raised
-    fails with margin -1e300 and the error text in its witness; the
-    latest such error is kept.  The report gives 1e300 (-1e300 for -inf)
-    when no finite margin was seen, so the JSON report stays strict.
+    fails with margin -inf and the error text in its witness; the latest
+    such error is kept.  The CheckReport turns a margin of +-inf (no
+    finite margin seen, or an error) into +-1e300.
     """
 
     __slots__ = ("passed", "inconclusive", "failed", "worst_margin", "worst_witness")
@@ -193,15 +216,12 @@ class Tally:
         """Fail a sample that raised: a ParMeansError's message, else type and message."""
         text = str(exc) if isinstance(exc, ParMeansError) else f"{type(exc).__name__}: {exc}"
         self.failed += 1
-        self.worst_margin = -1e300
+        self.worst_margin = -math.inf
         self.worst_witness = {**witness, "error": text}
 
     def report(self, case_id: str, notes: str = "") -> CheckReport:
-        worst = self.worst_margin
-        if not math.isfinite(worst):
-            worst = math.copysign(1e300, worst)
         return CheckReport(case_id, self.total, self.passed, self.inconclusive, self.failed,
-                           worst, self.worst_witness, notes)
+                           self.worst_margin, self.worst_witness, notes)
 
 
 def hessian_logF(
@@ -379,8 +399,6 @@ def j_criterion_probe(
     log-convex there, J > 0 log-concave.  The worst margin is that of the
     Hessian samples, or the smallest |J| when the implication is vacuous.
     """
-    from .hgf import hf_eval  # local import to avoid a cycle at module load
-
     tally = Tally()
     signs = set()
     j_samples = []

@@ -14,7 +14,7 @@ with E(t) = e(t w) and E'(t) = w e1(t w):
 
     stolarsky   e = log_exprel(z)         e1 = exprel_logd(z)
     gini        e = softplus(z)           e1 = sigmoid(z)
-    identric2   e = z exprel_logd(z)      e1 = exprel_logd(z) + z exprel_logd2(z)
+    identric2   e = z exprel_logd(z)      e1 = identric_weight(z), the derivative of e
     heronian2   e = log_heronian_sum(z)   e1 = heronian_weight(z)
     F(.,.;r,s)  _rs_kernels(r, s), the divided difference in (r, s) of log_exprel(u z)
     H_D         the Stolarsky pair plus an exact pole term (hgf)
@@ -51,8 +51,8 @@ from typing import Callable, Optional
 from .errors import DomainError, SaturationError
 from .stable import (
     exprel_logd,
-    exprel_logd2,
     heronian_weight,
+    identric_weight,
     log_exprel,
     log_heronian_sum,
     log_ratio,
@@ -237,14 +237,10 @@ def _identric_e(z: float) -> float:
     return z * exprel_logd(z)
 
 
-def _identric_e1(z: float) -> float:
-    return exprel_logd(z) + z * exprel_logd2(z)
-
-
 # (e, e1, max |generator parameter|) of each named family
 _STOLARSKY = (log_exprel, exprel_logd, 1.0)
 _GINI = (softplus, sigmoid, 2.0)
-_IDENTRIC2 = (_identric_e, _identric_e1, 1.0)
+_IDENTRIC2 = (_identric_e, identric_weight, 1.0)
 _HERONIAN2 = (log_heronian_sum, heronian_weight, 1.0)
 _KERNELS = {"stolarsky": _STOLARSKY, "gini": _GINI,
             "identric2": _IDENTRIC2, "heronian2": _HERONIAN2}
@@ -284,7 +280,7 @@ def _rs_kernels(r: float, s: float) -> tuple:
             return z * _band_mean(exprel_logd, r, s, z)[0]
 
         def e1(z: float) -> float:
-            return _band_mean(_identric_e1, r, s, z)[0]
+            return _band_mean(identric_weight, r, s, z)[0]
 
         return e, e1, max(abs(r), abs(s)), 1.0, 0.0
 

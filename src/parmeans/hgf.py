@@ -48,7 +48,6 @@ class FDConfig:
     second_step_scale: float = SECOND_STEP_SCALE
     cross_step_scale: float = CROSS_STEP_SCALE
     nested_step_scale: float = NESTED_STEP_SCALE
-    richardson: bool = True
 
 
 @dataclass(frozen=True)
@@ -184,9 +183,7 @@ def _t1_t3(
     def second(h: float) -> float:
         return (t_prime(f, t + h, pt) - 2.0 * T1t + t_prime(f, t - h, pt)) / (h * h)
 
-    if cfg.richardson:
-        return T1t, (4.0 * second(0.5 * h2) - second(h2)) / 3.0
-    return T1t, second(h2)
+    return T1t, (4.0 * second(0.5 * h2) - second(h2)) / 3.0
 
 
 def t_derivatives(
@@ -210,10 +207,7 @@ def t_derivatives(
     def central(h: float) -> float:
         return (t_prime(f, t + h, pt) - t_prime(f, t - h, pt)) / (2.0 * h)
 
-    if cfg.richardson:
-        T2 = (4.0 * central(0.5 * h1) - central(h1)) / 3.0
-    else:
-        T2 = central(h1)
+    T2 = (4.0 * central(0.5 * h1) - central(h1)) / 3.0
 
     # normalized coordinates for the (x, y) differences
     xn, yn = _normalized_args(t, la, lb)
@@ -228,9 +222,7 @@ def t_derivatives(
         ) / (4.0 * hxx * hyy)
 
     def I_at(xx: float) -> float:
-        if cfg.richardson:
-            return (4.0 * cross(xx, 0.5 * hx, 0.5 * hy) - cross(xx, hx, hy)) / 3.0
-        return cross(xx, hx, hy)
+        return (4.0 * cross(xx, 0.5 * hx, 0.5 * hy) - cross(xx, hx, hy)) / 3.0
 
     I_n = I_at(xn)
     hx2 = cfg.nested_step_scale * xn

@@ -137,18 +137,5 @@ def expm1_minus_z_over_z2(z: float) -> float:
 
 
 def identric_weight(v: float) -> float:
-    """x (ln I)_x as a function of v = ln(x/y): (e^v-1-v)/(4 sinh^2(v/2))."""
-    if abs(v) < _SERIES_CUT:
-        num = expm1_minus_z_over_z2(v)
-        v2 = v * v
-        # 4 sinh^2(v/2) / v^2 = 2(cosh v - 1)/v^2
-        den = (
-            1.0
-            + v2 * (1.0 / 12.0
-            + v2 * (1.0 / 360.0
-            + v2 * (1.0 / 20160.0
-            + v2 * (1.0 / 1814400.0))))
-        )
-        return num / den
-    s = math.sinh(0.5 * v)
-    return (math.expm1(v) - v) / (4.0 * s * s)
+    """x (ln I)_x as a function of v = ln(x/y): d/dv [v exprel_logd(v)]."""
+    return exprel_logd(v) + v * exprel_logd2(v)

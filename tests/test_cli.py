@@ -219,6 +219,84 @@ def test_report_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+def _write_report(path, cases):
+    path.write_text(json.dumps({"schema_version": 1, "cases": cases}))
+    return str(path)
+
+
+def test_report_reads_its_own_summary(tmp_path, capsys):
+    f1, summary = tmp_path / "a.json", tmp_path / "summary.json"
+    run(capsys, "check", "--suite", "identities", "--seed", "1",
+        "--random-count", "60", "--out", str(f1))
+    code, _, _ = run(capsys, "report", "--inputs", str(f1), str(f1), "--out", str(summary))
+    assert code == 0
+    code, out, _ = run(capsys, "report", "--inputs", str(summary), str(f1))
+    assert code == 0
+    line = [ln for ln in out.splitlines() if "reduction_table" in ln][0]
+    assert line.split()[1] == "180"  # 60 samples in each of three reports
+    cases = {c["id"]: c for c in json.loads(f1.read_text())["cases"]}
+    merged = json.loads(summary.read_text())["cases"]
+    assert [c["id"] for c in merged] == sorted(cases)
+    for case in merged:  # the check report's own schema, witnesses and notes kept
+        single = cases[case["id"]]
+        assert case["total"] == 2 * single["total"]
+        assert (case["worst_witness"], case["notes"]) == \
+            (single["worst_witness"], single["notes"])
+
+
+def test_report_summary_of_infinite_margins_is_strict_json(tmp_path, capsys):
+    # a version-1 report written before the 1e300 rule carries Infinity margins
+    old = tmp_path / "old.json"
+    old.write_text('{"schema_version": 1, "cases": ['
+                   '{"id": "a", "total": 0, "passed": 0, "failed": 0, "inconclusive": 0,'
+                   ' "worst_margin": Infinity},'
+                   '{"id": "b", "total": 1, "passed": 1, "failed": 0, "inconclusive": 0,'
+                   ' "worst_margin": -Infinity}]}')
+    summary = tmp_path / "summary.json"
+    code, _, _ = run(capsys, "report", "--inputs", str(old), "--out", str(summary))
+    assert code == 0
+    with open(summary, encoding="utf-8") as handle:
+        payload = json.load(handle, parse_constant=_reject_constant)
+    assert [c["worst_margin"] for c in payload["cases"]] == [1e300, -1e300]
+    assert [(c["worst_witness"], c["notes"]) for c in payload["cases"]] == [({}, "")] * 2
+
+
+_CASE = {"id": "c", "total": 3, "passed": 3, "failed": 0, "inconclusive": 0,
+         "worst_margin": 0.5}
+
+
+@pytest.mark.parametrize("payload", [
+    "[1, 2]",
+    '{"schema_version": 1, "cases": {"c": 1}}',
+    '{"schema_version": 1}',
+    json.dumps({"cases": [{**_CASE, "passed": 1}]}),
+    json.dumps({"cases": [{**_CASE, "worst_margin": float("nan")}]}),
+    json.dumps({"cases": [{**_CASE, "total": "3"}]}),
+    json.dumps({"cases": [{k: v for k, v in _CASE.items() if k != "id"}]}),
+    json.dumps({"cases": [_CASE, [1]]}),
+], ids=["top-level-list", "cases-not-list", "no-cases", "counts-do-not-add-up",
+        "nan-margin", "string-count", "no-id", "case-not-object"])
+def test_report_malformed_input_exits_2(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    code, out, err = run(capsys, "report", "--inputs", str(bad))
+    assert code == 2
+    assert "error: malformed report" in err
+    assert "Traceback" not in out + err
+
+
+def test_report_exit_code_inconclusive(tmp_path, capsys):
+    # 6 of 100 merged samples inconclusive is beyond the 5% limit; 5 of 100 is not
+    a = _write_report(tmp_path / "a.json", [{**_CASE, "total": 50, "passed": 47,
+                                             "inconclusive": 3}])
+    b = _write_report(tmp_path / "b.json", [{**_CASE, "total": 50, "passed": 47,
+                                             "inconclusive": 3}])
+    c = _write_report(tmp_path / "c.json", [{**_CASE, "total": 50, "passed": 48,
+                                             "inconclusive": 2}])
+    assert run(capsys, "report", "--inputs", a, b)[0] == 3
+    assert run(capsys, "report", "--inputs", a, c)[0] == 0
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed = 9\nrandom-count = 80\n")

@@ -1,5 +1,9 @@
 """Property-based invariants for the mean families."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 
 try:
@@ -18,6 +22,7 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
+from parmeans.cli import main
 from parmeans.convexity import CheckReport, Tally
 
 PARAMS = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -90,3 +95,49 @@ def test_tally_over_a_list_equals_merge_of_its_parts(margins, cuts):
     whole = _tally_report(margins, 0)
     assert a.merge(b).merge(c) == whole
     assert a.merge(b.merge(c)) == whole
+
+
+@st.composite
+def check_reports(draw, case_id=st.sampled_from(["c1", "c2", "c3"])):
+    passed, inconclusive, failed = (draw(st.integers(0, 50)) for _ in range(3))
+    return CheckReport(
+        draw(case_id), passed + inconclusive + failed, passed, inconclusive, failed,
+        draw(st.floats(allow_nan=False)),
+        draw(st.dictionaries(st.sampled_from(["a", "b", "p", "q"]),
+                             st.floats(allow_nan=False, allow_infinity=False), max_size=4)),
+        draw(st.text(max_size=8)))
+
+
+@given(report=check_reports())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_check_report_dict_round_trip(report):
+    assert CheckReport.from_dict(report.to_dict()) == report
+    assert CheckReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+
+
+def _merged_file(directory: Path, name: str, *inputs: Path) -> Path:
+    out = directory / name
+    assert main(["report", "--inputs", *map(str, inputs), "--out", str(out)]) in (0, 1, 3)
+    return out
+
+
+@given(files=st.lists(st.lists(check_reports(), max_size=4), min_size=3, max_size=3))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_report_files_merge_associatively(files):
+    # report --out of ((A, B), C) and of (A, (B, C)) agree in counts and worst margins
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        a, b, c = (tmp / f"{n}.json" for n in "abc")
+        for path, reports in zip((a, b, c), files):
+            path.write_text(json.dumps({"schema_version": 1,
+                                        "cases": [r.to_dict() for r in reports]}))
+        left = _merged_file(tmp, "left.json", _merged_file(tmp, "ab.json", a, b), c)
+        right = _merged_file(tmp, "right.json", a, _merged_file(tmp, "bc.json", b, c))
+
+        def summary(path):
+            return {case["id"]: (case["total"], case["passed"], case["failed"],
+                                 case["inconclusive"], case["worst_margin"])
+                    for case in json.loads(path.read_text())["cases"]}
+
+        assert summary(left) == summary(right)
+        assert set(summary(left)) == {r.case_id for reports in files for r in reports}
