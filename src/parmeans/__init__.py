@@ -3,7 +3,7 @@
 Mean families (Stolarsky, Gini, two-parameter identric and Heronian,
 the four-parameter family, and the difference function H_D), a generic
 homogeneous-generator framework with an integral-representation oracle,
-finite-difference log-convexity certification, and a catalog of mean
+closed-form Hessian log-convexity certification, and a catalog of mean
 inequalities with a sampling checker.
 """
 

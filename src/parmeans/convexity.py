@@ -1,21 +1,40 @@
 """Numerical certification of bivariate log-convexity in the parameter pair.
 
-Three routes are provided and cross-checked against each other:
+Four routes are provided and cross-checked against each other:
 
+  * scan_convexity: the closed-form Hessian (_quotient_hessian) of the
+    engine's quotient ln M = ln b + (E(p) - E(q))/(p - q).  With
+    d = p - q and D = E(p) - E(q):
+
+        d2_pp = E''(p)/d - 2 E'(p)/d^2 + 2 D/d^3
+        d2_qq = -E''(q)/d - 2 E'(q)/d^2 + 2 D/d^3
+        d2_pq = (E'(p) + E'(q))/d^2 - 2 D/d^3
+
+    E = e(t w), E' = w e1(t w) and E'' = w^2 e2(t w) come from the
+    family's kernel tuple in core, whose e2 kernels are
+
+        stolarsky   exprel_logd2
+        gini        sigmoid_d = sigma (1 - sigma)
+        identric2   identric_weight_d = 2 L'' + z L''', L = log_exprel
+        heronian2   heronian_weight_d, the derivative of heronian_weight
+        F(.,.;r,s)  e2 of _rs_kernels(r, s), band rule inside _in_band(r, s)
+        H_D         the Stolarsky tuple plus the pole part
+                    (ln|t|, 1/t, -1/t^2) read at w = 1
+
+    so a grid point costs six kernel calls.  Each entry and delta
+    carries an error estimate, and a point is inconclusive where |d2_pp|
+    or |delta| is within its estimate.  The expected verdict comes from
+    the r + s sign rule; H_D is log-convex on the positive quadrant and
+    log-concave on the negative one;
   * hessian_logF: central second differences of (p, q) -> ln M with one
-    Richardson halving, classified against a sign tolerance;
+    Richardson halving, classified against a sign tolerance (the CLI
+    hessian and scan commands);
   * midpoint_test: the defining Jensen inequality, reported as the
     defect margin alpha ln M1 + beta ln M2 - ln M(blend), so margins
     <= 0 are consistent with log-concavity and >= 0 with log-convexity;
   * integral_hessian: quadrature of the t^2/(1-t)^2/t(1-t) weighted
     T''' integrals behind the second-derivative criterion; the three
     weights share the rule's nodes, so T''' is evaluated once per node.
-
-scan_convexity drives the Hessian route over parameter grids with the
-expected verdict derived once from the r + s sign rule.  It shares
-hessian_logF's stencil, but reads ln M of every family from the core
-log path (family_log_path) with the point's logs taken once; the step
-scale and the sign tolerance must be finite and positive.
 """
 
 from __future__ import annotations
@@ -26,19 +45,21 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import (
+    _KERNELS,
+    _STOLARSKY,
     EvalResult,
     GeneratorPair,
     MeanPoint,
     ParamPair,
+    _rs_kernels,
     family_evaluator,
     family_generator_pair,
-    family_log_path,
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _t1_t3, hf_eval, t_derivatives
+from .hgf import _HD_POLE, _t1_t3, hf_eval, t_derivatives
 from .quadrature import integrate_fixed
-from .stable import log_ratio
+from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
 _EPS = 2.0 ** -52
 
@@ -71,11 +92,12 @@ class HessianReport:
     mixed_spread: float  # |difference of the two mixed-difference estimates|
 
     @staticmethod
-    def classify(d2_pp: float, delta: float, tol: float) -> str:
-        if abs(d2_pp) <= tol or abs(delta) <= tol:
+    def classify(d2_pp: float, delta: float, pp_tol: float, delta_tol: float) -> str:
+        """Inconclusive when |d2_pp| or |delta| is within its tolerance, else the sign verdict."""
+        if abs(d2_pp) <= pp_tol or abs(delta) <= delta_tol:
             return VERDICT_INCONCLUSIVE
-        if delta > tol:
-            return VERDICT_CONVEX if d2_pp > tol else VERDICT_CONCAVE
+        if delta > 0.0:
+            return VERDICT_CONVEX if d2_pp > 0.0 else VERDICT_CONCAVE
         return VERDICT_INDEFINITE
 
 
@@ -90,11 +112,12 @@ class ScanSpec:
     mean_points: tuple[MeanPoint, ...]
     gen: Optional[GeneratorPair] = None
     exclusion_band: float = 0.05
-    sign_tol: float = 1e-7
-    step_scale: float = _EPS ** 0.25
 
     def __post_init__(self):
-        HessianConfig(step_scale=self.step_scale, sign_tol=self.sign_tol)  # rejects bad values
+        # a NaN or negative band would let p = q through, where the Hessian divides by p - q
+        band = self.exclusion_band
+        if not (isinstance(band, (int, float)) and band >= 0.0):
+            raise DomainError(f"exclusion_band must be a nonnegative real, got {band!r}")
         if self.region not in ("positive_quadrant", "negative_quadrant"):
             raise DomainError(f"unknown region {self.region!r}")
         sign = 1.0 if self.region == "positive_quadrant" else -1.0
@@ -108,12 +131,24 @@ class ScanSpec:
             raise DomainError("four_param scans need a GeneratorPair")
 
 
+def _strict_json(value):
+    """value with every float finite, through dicts and lists: +-inf -> +-1e300, NaN -> None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else math.copysign(1e300, value)
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Pass/fail tally for one case; the one reader, merger and writer of the report format.
 
     The counts must add up and the worst margin stays finite, so the JSON
-    report is strict: +-inf becomes +-1e300 and NaN is refused.
+    report is strict: +-inf becomes +-1e300 and NaN is refused.  Witness
+    values follow the same rule, except that a NaN in them becomes None.
     """
 
     case_id: str
@@ -132,6 +167,7 @@ class CheckReport:
             raise ParMeansError("CheckReport worst margin is NaN")
         if math.isinf(self.worst_margin):
             object.__setattr__(self, "worst_margin", math.copysign(1e300, self.worst_margin))
+        object.__setattr__(self, "worst_witness", _strict_json(self.worst_witness))
 
     @classmethod
     def from_dict(cls, case) -> "CheckReport":
@@ -235,13 +271,10 @@ def hessian_logF(
     The caller keeps (p, q) away from the singular loci by more than the
     step so the differences never straddle a branch switch.
     """
-    return _hessian(lambda P, Q: math.log(evaluator(ParamPair(P, Q), pt).value),
-                    pp.p, pp.q, cfg)
+    def phi(P: float, Q: float) -> float:
+        return math.log(evaluator(ParamPair(P, Q), pt).value)
 
-
-def _hessian(phi: Callable[[float, float], float], p: float, q: float,
-             cfg: HessianConfig) -> HessianReport:
-    """The Hessian stencil of hessian_logF over any (P, Q) -> ln M."""
+    p, q = pp.p, pp.q
     hp = cfg.step_scale * (1.0 + abs(p))
     hq = cfg.step_scale * (1.0 + abs(q))
     f0 = phi(p, q)
@@ -269,7 +302,7 @@ def _hessian(phi: Callable[[float, float], float], p: float, q: float,
 
     delta = d2_pp * d2_qq - d2_pq * d2_pq
     tol = cfg.sign_tol * (abs(f0) + 1.0)
-    verdict = HessianReport.classify(d2_pp, delta, tol)
+    verdict = HessianReport.classify(d2_pp, delta, tol, tol)
     return HessianReport(d2_pp, d2_qq, d2_pq, delta, verdict, hp, spread)
 
 
@@ -304,12 +337,11 @@ RS_SIGN_VERDICTS: dict[tuple[int, str], str] = {
     (-1, "negative_quadrant"): VERDICT_CONCAVE,
 }
 
-# H_D: log-convex on the positive quadrant; the negative quadrant verdict
-# is recorded, not asserted (the source statement conflicts with the
-# J-sign criterion there, which predicts concave).
-HD_VERDICTS: dict[str, Optional[str]] = {
+# H_D: log-convex on the positive quadrant and log-concave on the negative
+# one, as t^3 E'''(t) = 2 phi(t w/2) > 0 with phi(x) = x^3 cosh x / sinh^3 x.
+HD_VERDICTS: dict[str, str] = {
     "positive_quadrant": VERDICT_CONVEX,
-    "negative_quadrant": None,
+    "negative_quadrant": VERDICT_CONCAVE,
 }
 
 
@@ -331,27 +363,93 @@ def _count_verdict(tally: Tally, verdict: str, expect: str) -> None:
         tally.count(verdict == expect)
 
 
-def scan_convexity(spec: ScanSpec) -> CheckReport:
-    """Hessian scan over the grid; deterministic given the spec.
+_NO_INNER = (0.0, 0.0, 0.0)
 
-    Every family reads the stencil's ln M straight from its core log
-    path (family_log_path), with the point's logs taken once per mean
-    point.  Every grid point is still evaluated once through the public
-    evaluator, which sets the margin scale.  Any exception fails its
-    sample, not the scan.
+
+def _quotient_hessian(e, e1, e2, w: float, p: float, q: float,
+                      inner: tuple[float, float, float] = _NO_INNER) -> tuple:
+    """Hessian in (p, q) of (E(p) - E(q))/(p - q), E(t) = e(t w), in closed form.
+
+    With d = p - q and m the quotient, E' = w e1(t w) and E'' = w^2 e2(t w):
+    d2_pp = (E''(p) - 2 (E'(p) - m)/d)/d, d2_qq = -(E''(q) + 2 (E'(q) - m)/d)/d
+    and d2_pq = (E'(p) + E'(q) - 2 m)/d^2.  Returns the three entries and their
+    error estimates: eps times each term's magnitude over its power of |d|, as
+    in core._ln_eval, with the kernels' absolute floors E1_FLOOR and E2_FLOOR,
+    plus inner, the extra absolute rounding of (E, E', E'') of the (r, s) kernels.
+    """
+    d = p - q
+    ad = abs(d)
+    ep, eq = e(p * w), e(q * w)
+    m = (ep - eq) / d
+    e1p, e1q = w * e1(p * w), w * e1(q * w)
+    e2p, e2q = w * w * e2(p * w), w * w * e2(q * w)
+    d2_pp = (e2p - 2.0 * (e1p - m) / d) / d
+    d2_qq = -(e2q + 2.0 * (e1q - m) / d) / d
+    d2_pq = (e1p + e1q - 2.0 * m) / (d * d)
+    err_m = (2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) + inner[0]) / ad + _EPS * abs(m)
+    floor1 = _EPS * E1_FLOOR * abs(w) + inner[1]
+    floor2 = _EPS * E2_FLOOR * w * w + inner[2]
+    err1p, err1q = floor1 + 4.0 * _EPS * abs(e1p), floor1 + 4.0 * _EPS * abs(e1q)
+    est_pp = (floor2 + 4.0 * _EPS * abs(e2p) + 2.0 * (err1p + err_m) / ad) / ad
+    est_qq = (floor2 + 4.0 * _EPS * abs(e2q) + 2.0 * (err1q + err_m) / ad) / ad
+    est_pq = (err1p + err1q + 2.0 * err_m) / (d * d)
+    return d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq
+
+
+def _family_hessian(family: str, gen: Optional[GeneratorPair]
+                    ) -> Callable[[float, float, float], tuple]:
+    """(p, q, w) -> (d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta):
+    the closed-form Hessian of ln M in (p, q) of a scan family at w = ln(a/b),
+    delta and their error estimates.  H_D adds its pole part ln|t| at w = 1."""
+    if family == "four_param":
+        e, e1, e2, gen_max, g, c = _rs_kernels(gen.r, gen.s)
+
+        def parts(p, q, w):
+            gw = g * abs(w)
+            inner = (2.0 * _EPS * (c + gw * (abs(p) + abs(q))), 2.0 * _EPS * gw,
+                     16.0 * _EPS * g * gen_max * w * w)
+            return _quotient_hessian(e, e1, e2, w, p, q, inner)
+    elif family == "hd":
+        def parts(p, q, w):
+            return tuple(s + t for s, t in zip(_quotient_hessian(*_STOLARSKY[:3], w, p, q),
+                                               _quotient_hessian(*_HD_POLE, 1.0, p, q)))
+    else:
+        e, e1, e2, _ = _KERNELS[family]
+
+        def parts(p, q, w):
+            return _quotient_hessian(e, e1, e2, w, p, q)
+
+    def hessian(p: float, q: float, w: float) -> tuple:
+        d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq = parts(p, q, w)
+        delta = d2_pp * d2_qq - d2_pq * d2_pq
+        est_delta = (abs(d2_pp) * est_qq + abs(d2_qq) * est_pp + 2.0 * abs(d2_pq) * est_pq
+                     + est_pp * est_qq + est_pq * est_pq
+                     + 2.0 * _EPS * (abs(d2_pp * d2_qq) + d2_pq * d2_pq))
+        return d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta
+
+    return hessian
+
+
+def scan_convexity(spec: ScanSpec) -> CheckReport:
+    """Closed-form Hessian scan over the grid; deterministic given the spec.
+
+    Every grid point is evaluated once through the public evaluator, whose
+    errors fail the sample, then its Hessian of ln M is read from the
+    family's kernels (_family_hessian).  A point is inconclusive when
+    |d2_pp| or |delta| is within its error estimate; the margin is the
+    smaller of the directional d2_pp and delta, each over its estimate.
+    Any exception fails its sample, not the scan.
     """
     sign = 1.0 if spec.region == "positive_quadrant" else -1.0
     expect = expected_verdict(spec)
-    cfg = HessianConfig(step_scale=spec.step_scale, sign_tol=spec.sign_tol)
     ev = family_evaluator(spec.family, spec.gen)
-    path = family_log_path(spec.family, spec.gen)
+    hessian = _family_hessian(spec.family, spec.gen)
 
     tally = Tally()
     observed: dict[str, int] = {}
     skipped = 0
     for pt in spec.mean_points:
-        w, lnb = log_ratio(pt.a, pt.b), math.log(pt.b)
-        phi = lambda P, Q: path(P, Q, w, lnb)[0]
+        w = log_ratio(pt.a, pt.b)
         for p in spec.p_grid:
             for q in spec.q_grid:
                 if abs(p - q) <= spec.exclusion_band:
@@ -360,28 +458,24 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                 pq = ParamPair(sign * abs(p), sign * abs(q))
                 where = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q}
                 try:
-                    rep = _hessian(phi, pq.p, pq.q, cfg)
-                    ln_m = math.log(ev(pq, pt).value) if expect is not None else 0.0
+                    ev(pq, pt)
+                    d2_pp, _, _, delta, est_pp, _, _, est_delta = hessian(pq.p, pq.q, w)
                 except Exception as exc:
                     tally.error(exc, where)
                     continue
-                observed[rep.verdict] = observed.get(rep.verdict, 0) + 1
+                verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
+                observed[verdict] = observed.get(verdict, 0) + 1
                 if expect is None:
                     tally.count(True)
                     continue
-                tol = spec.sign_tol * (1.0 + abs(ln_m))
-                directional = rep.d2_pp if expect == VERDICT_CONVEX else -rep.d2_pp
-                tally.margin(min(directional, rep.delta) / tol,
-                             {**where, "d2_pp": rep.d2_pp, "delta": rep.delta,
-                              "verdict": rep.verdict})
-                _count_verdict(tally, rep.verdict, expect)
+                directional = d2_pp if expect == VERDICT_CONVEX else -d2_pp
+                tally.margin(min(directional / est_pp, delta / est_delta),
+                             {**where, "d2_pp": d2_pp, "delta": delta, "verdict": verdict})
+                _count_verdict(tally, verdict, expect)
     notes = f"observed={observed}; skipped_near_diagonal={skipped}"
     if expect is None:
         dominant = max(observed, key=observed.get) if observed else "none"
         notes += f"; expected=recorded-only; dominant={dominant}"
-        if spec.family == "hd" and spec.region == "negative_quadrant" \
-                and dominant != VERDICT_CONVEX:
-            notes += "; flags: observed verdict contradicts the stated negative-quadrant claim"
     return tally.report(f"convexity[{spec.family},{spec.region}]", notes)
 
 

@@ -8,21 +8,25 @@ E(t) = ln f(a^t, b^t) - t ln(b), the mean is
 
 with the removable singularity at p = q filled by the band rule below.
 
-Kernel pairs.  In every family E depends on t only through z = t w,
-so each is a pair (e, e1) of cancellation-free kernels from stable.py,
-with E(t) = e(t w) and E'(t) = w e1(t w):
+Kernel tuples.  In every family E depends on t only through z = t w,
+so each is a tuple (e, e1, e2) of cancellation-free kernels from
+stable.py, with E(t) = e(t w), E'(t) = w e1(t w) and E''(t) = w^2 e2(t w):
 
-    stolarsky   e = log_exprel(z)         e1 = exprel_logd(z)
-    gini        e = softplus(z)           e1 = sigmoid(z)
-    identric2   e = z exprel_logd(z)      e1 = identric_weight(z), the derivative of e
-    heronian2   e = log_heronian_sum(z)   e1 = heronian_weight(z)
+    stolarsky   e = log_exprel(z)        e1 = exprel_logd(z)     e2 = exprel_logd2(z)
+    gini        e = softplus(z)          e1 = sigmoid(z)         e2 = sigmoid_d(z)
+    identric2   e = z exprel_logd(z)     e1 = identric_weight(z) e2 = identric_weight_d(z)
+    heronian2   e = log_heronian_sum(z)  e1 = heronian_weight(z) e2 = heronian_weight_d(z)
     F(.,.;r,s)  _rs_kernels(r, s), the divided difference in (r, s) of log_exprel(u z)
-    H_D         the Stolarsky pair plus an exact pole term (hgf)
+    H_D         the Stolarsky tuple plus an exact pole term (hgf)
+
+The evaluators read (e, e1); e2 feeds the closed-form Hessian of the
+convexity scans.
 
 Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, estimated error
 of ln M).  On the band (_in_band) the quotient is the 3-point
 Gauss-Legendre mean of E' over [q, p] (_band_mean), E'(p) at p = q,
-with the size of its correction to E'((p+q)/2) as the estimate; the
+with the size of its correction to E'((p+q)/2) and e1's absolute
+rounding (stable.E1_FLOOR) as the estimate; the
 same two helpers fill r = s in _rs_kernels.  Off the band the kernel
 values' rounding has an absolute floor (log_exprel near 0 is the log of
 a number near 1).  Every estimate also covers the rounding of ln b
@@ -32,12 +36,12 @@ parameters 1e-13 * scale, as E is smooth at 0 and needs no formula
 there.  hf_eval (hgf), whose E is not a function of t w, passes its own
 E(t), E'(t) with w = 1, which the engine applies exactly.
 
-Log paths.  family_log_path(name, gen) returns a family's float-only
-path (p, q, w, ln b) -> (ln M, est) from the point's logs: no dataclass,
-no exp/log round trip; at w = 0 the means give ln b exactly and H_D
-raises DomainError.  The public evaluators validate at the dataclass
-boundary, call the path, tag the branch and exponentiate; the inequality
-checker and the convexity scans read ln M from it directly.
+Log paths.  _family_ln(kernels, p, q, w, ln b) -> (ln M, est) is a
+family's float-only path from the point's logs: no dataclass, no
+exp/log round trip; at w = 0 the means give ln b exactly.  The public
+evaluators validate at the dataclass boundary, call the path, tag the
+branch and exponentiate; the inequality checker reads ln M from it
+directly.
 """
 
 from __future__ import annotations
@@ -45,18 +49,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional
 
 from .errors import DomainError, SaturationError
 from .stable import (
+    E1_FLOOR,
     exprel_logd,
+    exprel_logd2,
     heronian_weight,
+    heronian_weight_d,
     identric_weight,
+    identric_weight_d,
     log_exprel,
     log_heronian_sum,
     log_ratio,
     sigmoid,
+    sigmoid_d,
     softplus,
 )
 
@@ -214,13 +222,14 @@ def _ln_eval(
 ) -> tuple[float, float]:
     """Shared engine, returns (ln value, est ln error).
 
-    E(t) = e(t*w) and E'(t) = w*e1(t*w); see the module docstring.  The
-    estimate's last term covers the rounding of ln b and of the sum.
+    E(t) = e(t*w) and E'(t) = w*e1(t*w); see the module docstring.  On the
+    band the estimate covers e1's absolute rounding (E1_FLOOR); its last
+    term covers the rounding of ln b and of the sum.
     """
     if _in_band(p, q):
         mean, corr = _band_mean(e1, p, q, w)
         ln = lnb + w * mean
-        return ln, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+        return ln, abs(w) * (abs(corr) + E1_FLOOR * _EPS) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
     ep, eq = e(p * w), e(q * w)
     d = p - q
     ln = lnb + (ep - eq) / d
@@ -237,25 +246,25 @@ def _identric_e(z: float) -> float:
     return z * exprel_logd(z)
 
 
-# (e, e1, max |generator parameter|) of each named family
-_STOLARSKY = (log_exprel, exprel_logd, 1.0)
-_GINI = (softplus, sigmoid, 2.0)
-_IDENTRIC2 = (_identric_e, identric_weight, 1.0)
-_HERONIAN2 = (log_heronian_sum, heronian_weight, 1.0)
+# (e, e1, e2, max |generator parameter|) of each named family
+_STOLARSKY = (log_exprel, exprel_logd, exprel_logd2, 1.0)
+_GINI = (softplus, sigmoid, sigmoid_d, 2.0)
+_IDENTRIC2 = (_identric_e, identric_weight, identric_weight_d, 1.0)
+_HERONIAN2 = (log_heronian_sum, heronian_weight, heronian_weight_d, 1.0)
 _KERNELS = {"stolarsky": _STOLARSKY, "gini": _GINI,
             "identric2": _IDENTRIC2, "heronian2": _HERONIAN2}
 
 
 def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
                ) -> tuple[float, float]:
-    """(ln M, est ln error) of a kernel tuple (e, e1, gen_max) from the point's logs.
+    """(ln M, est ln error) of a kernel tuple (e, e1, e2, gen_max) from the point's logs.
 
     w = log_ratio(a, b) and lnb = ln b of a valid point, so a caller that
     evaluates many (p, q) at one point takes the logs once.  Raises
     SaturationError where the public evaluator does: |p*r*w| > 700 or
     |ln M| > 709.  At a = b, w = 0 and every branch gives ln b exactly.
     """
-    e, e1, gen_max = kernels
+    e, e1, _, gen_max = kernels
     _check_saturation(p, q, gen_max, w)
     ln, est = _ln_eval(e, e1, w, p, q, lnb)
     _check_range(ln)
@@ -270,10 +279,11 @@ def _family_eval(kernels: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
 
 
 def _rs_kernels(r: float, s: float) -> tuple:
-    """(e, e1, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided difference in
-    (r, s) of log_exprel(u z), by the band rule inside _in_band(r, s), and e1 = e'.
-    Their rounding is about 2 eps g in e1 and 2 eps (g |z| + c) in e, from band
-    means in (0, 1), or from kernel values (eps (1 + |z|) for log_exprel) over r - s.
+    """(e, e1, e2, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided difference in
+    (r, s) of log_exprel(u z), by the band rule inside _in_band(r, s), e1 = e' and
+    e2 = e''.  Their rounding is about 2 eps g in e1, 2 eps (g |z| + c) in e and
+    16 eps g max(|r|, |s|) in e2, from band means in (0, 1), or from kernel values
+    (eps (1 + |z|) for log_exprel) over r - s.
     """
     if _in_band(r, s):
         def e(z: float) -> float:
@@ -282,7 +292,10 @@ def _rs_kernels(r: float, s: float) -> tuple:
         def e1(z: float) -> float:
             return _band_mean(identric_weight, r, s, z)[0]
 
-        return e, e1, max(abs(r), abs(s)), 1.0, 0.0
+        def e2(z: float) -> float:
+            return _band_mean(lambda u: u * identric_weight_d(u * z), r, s, 1.0)[0]
+
+        return e, e1, e2, max(abs(r), abs(s)), 1.0, 0.0
 
     d = r - s
 
@@ -292,7 +305,10 @@ def _rs_kernels(r: float, s: float) -> tuple:
     def e1(z: float) -> float:
         return (r * exprel_logd(r * z) - s * exprel_logd(s * z)) / d
 
-    return e, e1, max(abs(r), abs(s)), (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
+    def e2(z: float) -> float:
+        return (r * r * exprel_logd2(r * z) - s * s * exprel_logd2(s * z)) / d
+
+    return e, e1, e2, max(abs(r), abs(s)), (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
 
 
 def _four_param_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
@@ -300,8 +316,8 @@ def _four_param_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
     """(ln F, est ln error) from _rs_kernels(r, s) and the point's logs, as _family_ln,
     with the inner (r, s) rounding added: the (p, q) band reads E' = w e1 directly,
     the quotient divides E's rounding by p - q."""
-    e, e1, gen_max, g, c = kernels
-    ln, est = _family_ln((e, e1, gen_max), p, q, w, lnb)
+    g, c = kernels[4:]
+    ln, est = _family_ln(kernels[:4], p, q, w, lnb)
     gw = g * abs(w)
     return ln, est + 2.0 * _EPS * (gw if _in_band(p, q) else (c + gw * (abs(p) + abs(q))) / abs(p - q))
 
@@ -530,24 +546,6 @@ def family_evaluator(name: str, gen: GeneratorPair | None = None) -> FamilyEvalu
 
         return hd_eval
     raise DomainError(f"unknown family {name!r}")
-
-
-def family_log_path(name: str, gen: GeneratorPair | None = None
-                    ) -> Callable[[float, float, float, float], tuple[float, float]]:
-    """The float log path (p, q, w, ln b) -> (ln M, est ln error) of a family named
-    as in family_evaluator, at a point with w = ln(a/b) and ln b.
-
-    It raises the errors of the public evaluator, whose value is exp(ln M); at
-    w = 0 the means give ln b exactly and hd raises DomainError.
-    """
-    family_evaluator(name, gen)  # rejects an unknown name or a missing gen
-    if name in _KERNELS:
-        return partial(_family_ln, _KERNELS[name])
-    if name == "four_param":
-        return partial(_four_param_ln, _rs_kernels(gen.r, gen.s))
-    from .hgf import _hd_ln
-
-    return _hd_ln
 
 
 def family_generator_pair(name: str) -> GeneratorPair:

@@ -251,6 +251,10 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
 
 
+# (E, E', E'') of H_D's pole part E(t) = ln|t|: a kernel triple read at w = 1
+_HD_POLE = (lambda t: math.log(abs(t)), lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
+
+
 def _hd_ln(p: float, q: float, w: float, lnb: float) -> tuple[float, float]:
     """(ln H_D, est ln error) from the point's logs w = ln(a/b) and ln b.
 

@@ -217,6 +217,27 @@ def test_estimate_covers_log_exprel_absolute_rounding():
     assert err <= res.est_rel_error, (err, res.est_rel_error)
 
 
+def test_estimate_covers_e1_rounding_at_p_eq_q():
+    # at p = q the band rule is E'(p) = w e1(p w) alone; just above the series
+    # cut identric_weight is accurate to about 6 eps absolute, times |w|, which
+    # the estimate's E1_FLOOR term covers (err/est was 2.38 without it)
+    p, a, b = -0.01984704707979031, 4147940611.815509, 0.00817352571353212
+    res = two_param_identric(ParamPair(p, p), MeanPoint(a, b))
+    ref = _reference("identric2", p, p, a, b)
+    err = float(abs(res.value - ref) / ref)
+    assert err <= res.est_rel_error, (err, res.est_rel_error)
+    rng = random.Random(2)
+    for _ in range(200):
+        w = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.5)
+        p = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 0.6) / w
+        b = 10.0 ** rng.uniform(-3.0, 3.0)
+        a = b * math.exp(w)
+        res = two_param_identric(ParamPair(p, p), MeanPoint(a, b))
+        ref = _reference("identric2", p, p, a, b)
+        err = float(abs(res.value - ref) / ref)
+        assert err <= res.est_rel_error, (p, a, b, err, res.est_rel_error)
+
+
 @pytest.mark.parametrize("family", ["stolarsky", "hd"])
 def test_estimate_covers_small_z_quotient(family):
     # |p - q| just outside the band and |p w|, |q w| small: the kernel

@@ -261,6 +261,36 @@ def test_report_summary_of_infinite_margins_is_strict_json(tmp_path, capsys):
     assert [(c["worst_witness"], c["notes"]) for c in payload["cases"]] == [({}, "")] * 2
 
 
+def test_report_summary_of_non_finite_witness_is_strict_json(tmp_path, capsys):
+    # witness values follow the margin rule: +-Infinity -> +-1e300, NaN -> null
+    old = tmp_path / "old.json"
+    old.write_text('{"schema_version": 1, "cases": ['
+                   '{"id": "a", "total": 1, "passed": 1, "failed": 0, "inconclusive": 0,'
+                   ' "worst_margin": 0.5, "worst_witness": {"delta": Infinity}},'
+                   '{"id": "b", "total": 1, "passed": 1, "failed": 0, "inconclusive": 0,'
+                   ' "worst_margin": 0.5, "worst_witness":'
+                   ' {"p": 1.0, "d2": [-Infinity, NaN], "why": "x"}}]}')
+    summary = tmp_path / "summary.json"
+    code, _, _ = run(capsys, "report", "--inputs", str(old), "--out", str(summary))
+    assert code == 0
+    with open(summary, encoding="utf-8") as handle:
+        payload = json.load(handle, parse_constant=_reject_constant)
+    assert [c["worst_witness"] for c in payload["cases"]] == [
+        {"delta": 1e300}, {"p": 1.0, "d2": [-1e300, None], "why": "x"}]
+
+
+def test_check_convexity_is_strict_json_without_inconclusive(tmp_path, capsys):
+    out_file = tmp_path / "conv.json"
+    code, _, _ = run(capsys, "check", "--suite", "convexity", "--seed", "0",
+                     "--out", str(out_file))
+    assert code == 0
+    with open(out_file, encoding="utf-8") as handle:
+        payload = json.load(handle, parse_constant=_reject_constant)
+    assert len(payload["cases"]) == 10
+    assert sum(c["inconclusive"] for c in payload["cases"]) == 0
+    assert sum(c["failed"] for c in payload["cases"]) == 0
+
+
 _CASE = {"id": "c", "total": 3, "passed": 3, "failed": 0, "inconclusive": 0,
          "worst_margin": 0.5}
 

@@ -24,14 +24,18 @@ from parmeans import (
 )
 from parmeans.convexity import (
     HessianConfig,
+    HessianReport,
     Tally,
     VERDICT_CONCAVE,
     VERDICT_CONVEX,
     VERDICT_INCONCLUSIVE,
+    _family_hessian,
     expected_verdict,
     random_blend_margins,
 )
 from parmeans.errors import DomainError
+from parmeans.stable import log_ratio
+from parmeans.suites import DEFAULT_GRID, DEFAULT_MEAN_POINTS, convexity_suite
 
 E = math.e
 
@@ -146,18 +150,21 @@ def test_scan_negative_quadrant_flipped_generator():
     assert report.failed == 0
 
 
-def test_scan_hd_negative_quadrant_records_observation():
+def test_scan_hd_negative_quadrant_is_concave():
+    # t^3 E'''(t) = 2 phi(t w/2) > 0 makes H_D log-concave on the negative quadrant
     grid = (0.5, 1.0, 2.0)
     spec = ScanSpec(family="hd", region="negative_quadrant",
                     p_grid=tuple(-g for g in grid), q_grid=tuple(-g for g in grid),
                     mean_points=(MeanPoint(1, 4),))
-    assert expected_verdict(spec) is None
+    assert expected_verdict(spec) == VERDICT_CONCAVE
     report = scan_convexity(spec)
-    assert report.failed == 0
-    # empirically the negative quadrant is concave, contradicting the
-    # stated claim; the scan flags it instead of asserting
-    assert "concave" in report.notes
-    assert "contradicts" in report.notes
+    assert (report.total, report.passed, report.inconclusive, report.failed) == (6, 6, 0, 0)
+    # the suite's case: 60 samples passed as concave, none inconclusive
+    (suite,) = convexity_suite(families=("hd",), regions=("negative_quadrant",))
+    assert (suite.total, suite.passed, suite.inconclusive, suite.failed) == (60, 60, 0, 0)
+    assert suite.notes.startswith("observed={'concave': 60};")
+    assert suite.worst_witness["verdict"] == VERDICT_CONCAVE
+    assert 0.0 < suite.worst_margin < 1e300
 
 
 def test_scan_spec_validation():
@@ -175,13 +182,25 @@ def test_scan_spec_validation():
 @pytest.mark.parametrize("field", ["sign_tol", "step_scale"])
 @pytest.mark.parametrize("value", [0.0, -1e-7, math.inf, math.nan])
 def test_hessian_tolerance_and_step_must_be_positive_finite(field, value):
-    # sign_tol = 0 made scan_convexity divide by zero; a negative one
-    # classified every Hessian as decided
-    with pytest.raises(DomainError):
-        ScanSpec(family="stolarsky", region="positive_quadrant", p_grid=(0.5,),
-                 q_grid=(1.5,), mean_points=(MeanPoint(1, 2),), **{field: value})
+    # a sign_tol of 0 or below would classify every Hessian as decided
     with pytest.raises(DomainError):
         HessianConfig(**{field: value})
+
+
+@pytest.mark.parametrize("band", [math.nan, -1e-3, -math.inf, "0.05", None])
+def test_scan_spec_rejects_bad_exclusion_band(band):
+    # a NaN or negative band let p = q through, where the closed form divides by p - q
+    with pytest.raises(DomainError):
+        ScanSpec(family="stolarsky", region="positive_quadrant", p_grid=(0.5, 1.0),
+                 q_grid=(0.5, 1.0), mean_points=(MeanPoint(1, 2),), exclusion_band=band)
+
+
+def test_scan_zero_exclusion_band_skips_only_the_diagonal():
+    spec = ScanSpec(family="stolarsky", region="positive_quadrant", p_grid=(0.5, 1.0),
+                    q_grid=(0.5, 1.0), mean_points=(MeanPoint(1, 2),), exclusion_band=0.0)
+    report = scan_convexity(spec)
+    assert (report.total, report.passed) == (2, 2)
+    assert report.notes.endswith("skipped_near_diagonal=2")
 
 
 def test_j_criterion_probes():
@@ -336,3 +355,91 @@ def test_reduction_consistency_counts_foreign_exception_as_failed(monkeypatch):
     rep = suites.reduction_consistency_check(count=12, seed=3)
     assert rep.inconclusive == rep.total == 12
     assert rep.failed == rep.passed == 0
+
+
+# -- the closed-form Hessian of the scans ----------------------------------------
+
+HESSIAN_FAMILIES = {
+    "stolarsky": ("stolarsky", None),
+    "gini": ("gini", None),
+    "identric2": ("identric2", None),
+    "heronian2": ("heronian2", None),
+    "hd": ("hd", None),
+    "four_param_rs_pos": ("four_param", GeneratorPair(2.5, -1.0)),
+    "four_param_rs_neg": ("four_param", GeneratorPair(-2.0, 0.5)),
+    "four_param_r_eq_s": ("four_param", GeneratorPair(0.7, 0.7)),
+}
+
+
+@pytest.mark.parametrize("region", ["positive_quadrant", "negative_quadrant"])
+@pytest.mark.parametrize("family", sorted(HESSIAN_FAMILIES))
+def test_closed_form_hessian_within_estimate_of_mpmath(family, region):
+    mp = pytest.importorskip("mpmath")
+    from test_band import _family_E
+
+    name, gen = HESSIAN_FAMILIES[family]
+    r, s = (gen.r, gen.s) if gen else (0.0, 0.0)
+    hessian = _family_hessian(name, gen)
+    sign = 1.0 if region == "positive_quadrant" else -1.0
+    rng = random.Random(41)
+    checked = 0
+    while checked < 12:
+        p, q = sign * rng.uniform(0.2, 4.0), sign * rng.uniform(0.2, 4.0)
+        b = 10.0 ** rng.uniform(0.02, 2.5)
+        if abs(p - q) <= 0.05:
+            continue
+        checked += 1
+        w = log_ratio(1.0, b)
+        d2_pp, d2_qq, d2_pq, delta, *est = hessian(p, q, w)
+        with mp.workdps(50):
+            E = _family_E(name, r, s)
+            W = mp.mpf(w)
+            quotient = lambda P, Q: (E(P, W) - E(Q, W)) / (P - Q)
+            P, Q = mp.mpf(p), mp.mpf(q)
+            ref = [mp.diff(quotient, (P, Q), order) for order in ((2, 0), (0, 2), (1, 1))]
+            ref.append(ref[0] * ref[1] - ref[2] ** 2)
+        for value, reference, estimate in zip((d2_pp, d2_qq, d2_pq, delta), ref, est):
+            assert abs(value - float(reference)) <= estimate, (family, p, q, b)
+        # and the estimate leaves the verdict decided at these points
+        assert abs(d2_pp) > est[0] and delta > est[3]
+
+
+@pytest.mark.parametrize("family", sorted(HESSIAN_FAMILIES))
+def test_closed_form_hessian_agrees_with_hessian_logF_on_the_suite_grid(family):
+    # the stencil's rounding is eps |ln M| over h^2 = sqrt(eps) (1 + |p|)^2,
+    # times its Richardson and stencil weights
+    name, gen = HESSIAN_FAMILIES[family]
+    hessian = _family_hessian(name, gen)
+    ev = family_evaluator(name, gen)
+    for pt in DEFAULT_MEAN_POINTS:
+        w = log_ratio(pt.a, pt.b)
+        for sign in (1.0, -1.0):
+            for p in DEFAULT_GRID:
+                for q in DEFAULT_GRID:
+                    if abs(p - q) <= 0.05:
+                        continue
+                    pq = ParamPair(sign * p, sign * q)
+                    closed = hessian(pq.p, pq.q, w)
+                    rep = hessian_logF(ev, pq, pt)
+                    tol = 32.0 * 2.0 ** -26 * (1.0 + abs(math.log(ev(pq, pt).value)))
+                    for c, fd in zip(closed, (rep.d2_pp, rep.d2_qq, rep.d2_pq)):
+                        assert abs(c - fd) <= tol, (family, pq, pt)
+                    if rep.verdict != VERDICT_INCONCLUSIVE:
+                        assert HessianReport.classify(closed[0], closed[3], closed[4],
+                                                      closed[7]) == rep.verdict
+
+
+def test_closed_form_hessian_is_inconclusive_at_a_equal_b_and_near_it():
+    # at a = b every entry is 0; at b = 1.001 the entries (O(w^4) for Stolarsky)
+    # are below the rounding of the quotient, and the estimate says so
+    for name, gen in HESSIAN_FAMILIES.values():
+        if name == "hd":
+            continue
+        spec = ScanSpec(family=name, region="positive_quadrant", p_grid=(0.5, 2.0),
+                        q_grid=(0.5, 2.0), mean_points=(MeanPoint(3.0, 3.0),), gen=gen)
+        report = scan_convexity(spec)
+        assert (report.total, report.inconclusive, report.worst_margin) == (2, 2, 0.0)
+    spec = ScanSpec(family="stolarsky", region="positive_quadrant", p_grid=(0.2, 0.35),
+                    q_grid=(0.2, 0.35), mean_points=(MeanPoint(1.0, 1.001),))
+    report = scan_convexity(spec)
+    assert (report.inconclusive, report.failed) == (2, 0)

@@ -10,10 +10,12 @@ floor in every estimate.  F(p,q;r,s) is written out as the divided
 difference in (p, q) of its (r, s) divided difference, with no exchange
 of the two pairs.  The public
 evaluators must reproduce it bit for bit, and the
-inequality checker and the convexity scans, which read ln M from the
-fast path, must reach the same verdicts
-as a slow path through the public evaluators, one case at a time and
-with the catalog on its shared sample streams.  t_derivatives and
+inequality checker, which reads ln M from the fast path, must reach the
+same verdicts as a slow path through the public evaluators, one case at
+a time and with the catalog on its shared sample streams.  The
+convexity scans' closed-form Hessian must reach the verdict of the
+finite-difference Hessian over the public evaluators wherever that one
+decides, and fail the same samples.  t_derivatives and
 integral_hessian, which now evaluate T' at the probe point and T'''
 at each quadrature node once, must reproduce copies of their former
 per-stencil and per-weight forms bit for bit.
@@ -27,7 +29,6 @@ import pytest
 from parmeans import (
     FDConfig,
     GeneratorPair,
-    HessianConfig,
     MeanPoint,
     ParamPair,
     ParMeansError,
@@ -102,7 +103,10 @@ def _ref_quotient_eval(E, e1, w, p, q, lnb):
             branch = "both_zero"
         else:
             branch = "p_eq_q"
-        return ln, branch, abs(w * corr) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+        # the band estimate: the correction, e1's absolute rounding floor of 8 eps,
+        # and the rounding of ln b and of the sum
+        est = abs(w) * (abs(corr) + 8.0 * _EPS) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+        return ln, branch, est
     ep, eq = E(p), E(q)
     ln = lnb + (ep - eq) / d
     if abs(q) <= 1e-13 * scale:
@@ -337,45 +341,46 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
         assert inconclusive > 0
 
 
-# -- convexity scans and T''' probes against the public-evaluator path ----------
+# -- convexity scans against the finite-difference scan, and T''' probes --------
 
-def _slow_scan(spec):
-    """scan_convexity's tally, with every stencil value from hessian_logF over the
-    public evaluator: (counts, observed verdicts, worst margin, worst witness)."""
+def _samples(spec):
     sign = 1.0 if spec.region == "positive_quadrant" else -1.0
-    expect = convexity.expected_verdict(spec)
-    cfg = HessianConfig(step_scale=spec.step_scale, sign_tol=spec.sign_tol)
-    ev = family_evaluator(spec.family, spec.gen)
-    counts = {"total": 0, "passed": 0, "failed": 0, "inconclusive": 0}
-    observed = {}
-    worst, witness = math.inf, {}
     for pt in spec.mean_points:
         for p in spec.p_grid:
             for q in spec.q_grid:
-                if abs(p - q) <= spec.exclusion_band:
-                    continue
-                counts["total"] += 1
-                pq = ParamPair(sign * abs(p), sign * abs(q))
-                where = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q}
-                try:
-                    rep = hessian_logF(ev, pq, pt, cfg)
-                    ln_m = math.log(ev(pq, pt).value)
-                except ParMeansError as exc:
-                    counts["failed"] += 1
-                    worst, witness = -1e300, {**where, "error": str(exc)}
-                    continue
-                observed[rep.verdict] = observed.get(rep.verdict, 0) + 1
-                if expect is None:
-                    counts["passed"] += 1
-                    continue
-                directional = rep.d2_pp if expect == convexity.VERDICT_CONVEX else -rep.d2_pp
-                margin = min(directional, rep.delta) / (spec.sign_tol * (1.0 + abs(ln_m)))
-                if margin < worst:
-                    worst, witness = margin, {**where, "verdict": rep.verdict}
-                key = "passed" if rep.verdict == expect else \
-                    "inconclusive" if rep.verdict == convexity.VERDICT_INCONCLUSIVE else "failed"
-                counts[key] += 1
-    return counts, observed, worst if math.isfinite(worst) else 1e300, witness
+                if abs(p - q) > spec.exclusion_band:
+                    yield pt, ParamPair(sign * abs(p), sign * abs(q))
+
+
+def _fd_outcomes(spec):
+    """Per-sample verdict, or error text, of the finite-difference scan the closed
+    form replaced: hessian_logF over the public evaluator, default HessianConfig."""
+    ev = family_evaluator(spec.family, spec.gen)
+    out = []
+    for pt, pq in _samples(spec):
+        try:
+            out.append(hessian_logF(ev, pq, pt).verdict)
+        except ParMeansError as exc:
+            out.append(("error", str(exc)))
+    return out
+
+
+def _closed_outcomes(spec):
+    """Per-sample verdict, or error text, of the closed form: the public evaluator,
+    then the family's closed-form Hessian classified against its estimates."""
+    ev = family_evaluator(spec.family, spec.gen)
+    hessian = convexity._family_hessian(spec.family, spec.gen)
+    out = []
+    for pt, pq in _samples(spec):
+        try:
+            ev(pq, pt)
+            d2_pp, _, _, delta, est_pp, _, _, est_delta = hessian(pq.p, pq.q,
+                                                                  log_ratio(pt.a, pt.b))
+        except ParMeansError as exc:
+            out.append(("error", str(exc)))
+            continue
+        out.append(convexity.HessianReport.classify(d2_pp, delta, est_pp, est_delta))
+    return out
 
 
 SCAN_FAMILIES = {
@@ -389,27 +394,40 @@ SCAN_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
 def test_scan_convexity_matches_public_evaluator_path(family):
+    # the closed form reaches the finite-difference verdict wherever that one
+    # decided, errs at the same samples with the same message, and the report
+    # tallies its per-sample verdicts
     name, gen = SCAN_FAMILIES[family]
     grid = (0.2, 0.5, 1.0, 2.0, 3.5)
     points = (MeanPoint(1.0, 4.0), MeanPoint(2.5, 0.01), MeanPoint(3.0, 3.0),
               MeanPoint(1e-150, 1e150))  # the last one saturates at |p| > 1
-    errors = 0
+    errors = fd_decided = 0
     for region, sign in (("positive_quadrant", 1.0), ("negative_quadrant", -1.0)):
         for pt in points:
             spec = ScanSpec(family=name, region=region, p_grid=tuple(sign * v for v in grid),
                             q_grid=tuple(sign * v for v in grid), mean_points=(pt,), gen=gen)
+            fd, closed = _fd_outcomes(spec), _closed_outcomes(spec)
+            for fd_out, closed_out in zip(fd, closed):
+                if isinstance(fd_out, tuple) or isinstance(closed_out, tuple):
+                    assert fd_out == closed_out, spec
+                elif fd_out != convexity.VERDICT_INCONCLUSIVE:
+                    assert closed_out == fd_out, spec
+                    fd_decided += 1
             rep = scan_convexity(spec)
-            counts, observed, worst, witness = _slow_scan(spec)
-            assert (rep.total, rep.passed, rep.failed, rep.inconclusive) == \
-                (counts["total"], counts["passed"], counts["failed"], counts["inconclusive"]), spec
+            expect = convexity.expected_verdict(spec)
+            verdicts = [v for v in closed if not isinstance(v, tuple)]
+            failed = len(closed) - len(verdicts)
+            if expect is not None:
+                failed += sum(v not in (expect, convexity.VERDICT_INCONCLUSIVE) for v in verdicts)
+            inconclusive = 0 if expect is None else verdicts.count(convexity.VERDICT_INCONCLUSIVE)
+            assert (rep.total, rep.failed, rep.inconclusive) == (len(closed), failed, inconclusive)
+            observed = {v: verdicts.count(v) for v in dict.fromkeys(verdicts)}
             assert rep.notes.startswith(f"observed={observed};"), spec
-            assert {k: v for k, v in rep.worst_witness.items() if k in "abpq"} == \
-                {k: v for k, v in witness.items() if k in "abpq"}, spec
-            assert rep.worst_witness.get("verdict") == witness.get("verdict")
-            assert rep.worst_witness.get("error") == witness.get("error")
-            assert rep.worst_margin == pytest.approx(worst, rel=1e-2)
-            errors += "error" in rep.worst_witness
-    assert errors > 0
+            if len(verdicts) < len(closed):
+                last_error = [v for v in closed if isinstance(v, tuple)][-1][1]
+                assert rep.worst_witness["error"] == last_error
+                errors += 1
+    assert errors > 0 and fd_decided > 0
 
 
 def _probe_generators():

@@ -1,7 +1,9 @@
-"""Kernel-level checks: series branches against direct formulas and
-finite-difference probes of the derivative kernels."""
+"""Kernel-level checks: series branches against direct formulas,
+finite-difference probes of the derivative kernels, and the second- and
+third-derivative kernels against 50-digit mpmath."""
 
 import math
+import random
 
 import pytest
 
@@ -9,12 +11,16 @@ from parmeans.stable import (
     expm1_minus_z_over_z2,
     exprel_logd,
     exprel_logd2,
+    exprel_logd3,
     heronian_weight,
+    heronian_weight_d,
     identric_weight,
+    identric_weight_d,
     log_exprel,
     log_heronian_sum,
     log_ratio,
     sigmoid,
+    sigmoid_d,
     softplus,
 )
 
@@ -99,3 +105,93 @@ def test_log_ratio_accuracy_near_equal():
     a, b = 1.0 + 1e-13, 1.0
     assert log_ratio(a, b) == pytest.approx(1e-13, rel=1e-10)
     assert log_ratio(4.0, 2.0) == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+# -- the second- and third-derivative kernels against 50-digit mpmath -------------
+
+EPS = 2.0 ** -52
+
+
+def _seeded_z(seed, count=120):
+    """Seeded |z| from 1e-6 to 700 on both sides of the series cut, either sign."""
+    rng = random.Random(seed)
+    zs = [0.3499, 0.35, 0.3501, 1.0, 30.0, 699.0]
+    zs += [10.0 ** rng.uniform(-6.0, math.log10(700.0)) for _ in range(count)]
+    zs += [rng.uniform(0.25, 0.45) for _ in range(count // 4)]
+    return [rng.choice((-1.0, 1.0)) * z for z in zs]
+
+
+def _mp_kernels(mp, z):
+    """(L'', L''', the magnitudes of the terms their direct formulas add) at z."""
+    z = mp.mpf(z)
+    x = z / 2
+    sh = mp.sinh(x)
+    l2 = 1 / z ** 2 - 1 / (4 * sh ** 2)
+    l3 = -2 / z ** 3 + mp.cosh(x) / (4 * sh ** 3)
+    return l2, l3, 2 / z ** 2, abs(4 / z ** 3)
+
+
+def test_exprel_logd3_against_mpmath():
+    # the series is accurate relative to the value; the direct formula, which
+    # cancels near the cut, to a few eps of its two terms, each near 2/|z|^3
+    mp = pytest.importorskip("mpmath")
+    for z in _seeded_z(51):
+        with mp.workdps(50):
+            _, l3, _, terms3 = _mp_kernels(mp, z)
+        scale = abs(l3) if abs(z) < 0.35 else terms3
+        assert abs(exprel_logd3(z) - float(l3)) <= 4.0 * EPS * float(scale), z
+    assert exprel_logd3(0.0) == 0.0
+    assert exprel_logd3(800.0) == -2.0 / 800.0 ** 3
+
+
+def test_identric_weight_d_against_mpmath():
+    # 2 L'' + z L''': within a few eps of the terms both kernels add above the
+    # cut; below it within 64 eps relative, as exprel_logd2's series stops at
+    # z^10, whose tail is about 6e-16 (32 eps of L'') at the cut
+    mp = pytest.importorskip("mpmath")
+    for z in _seeded_z(52):
+        with mp.workdps(60 + int(abs(z) / 2.3)):  # the value falls like |z| e^-|z|
+            l2, l3, terms2, terms3 = _mp_kernels(mp, z)
+            ref = 2 * l2 + z * l3
+        tol = 64.0 * EPS * abs(ref) if abs(z) < 0.35 else \
+            4.0 * EPS * (2 * terms2 + abs(z) * terms3)
+        assert abs(identric_weight_d(z) - float(ref)) <= float(tol), z
+    assert identric_weight_d(0.0) == 1.0 / 6.0
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (sigmoid_d, lambda mp, z: mp.exp(-abs(z)) / (1 + mp.exp(-abs(z))) ** 2),
+    (heronian_weight_d, lambda mp, z: mp.diff(
+        lambda t: (mp.exp(t) + mp.exp(t / 2) / 2) / (1 + mp.exp(t / 2) + mp.exp(t)), z)),
+], ids=["sigmoid_d", "heronian_weight_d"])
+def test_even_weight_derivatives_against_mpmath(kernel, reference):
+    # sums of positive terms: a few eps relative, down to e^-700
+    mp = pytest.importorskip("mpmath")
+    for z in _seeded_z(53):
+        with mp.workdps(60 + int(abs(z) / 2.3)):
+            ref = reference(mp, mp.mpf(z))
+        assert abs(kernel(z) - float(ref)) <= 4.0 * EPS * float(abs(ref)), z
+
+
+@pytest.mark.parametrize("r, s", [(0.7, 0.7), (1.3, 1.3004), (-2.0, -1.999999),
+                                  (2.5, -1.0), (-2.0, 0.5), (1.0, 1.002)],
+                         ids=["r_eq_s", "band", "band_1e-6", "off_rs_pos", "off_rs_neg",
+                              "off_near_band"])
+def test_rs_kernels_e2_against_mpmath(r, s):
+    # e2 of F(.,.;r,s) is the (r, s) divided difference of u^2 L''(u z): at r = s
+    # r (2 L'' + r z L''')(r z); within 16 eps g max(|r|, |s|) (see _rs_kernels)
+    mp = pytest.importorskip("mpmath")
+    from parmeans.core import _rs_kernels
+
+    e2, gen_max, g = (_rs_kernels(r, s)[i] for i in (2, 3, 4))
+    rng = random.Random(54)
+    for _ in range(60):
+        z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, math.log10(700.0 / gen_max))
+        R, S = mp.mpf(r), mp.mpf(s)
+        with mp.workdps(60 + int(abs(z) * gen_max / 2.3)):
+            l2r, l3r, _, _ = _mp_kernels(mp, R * z)
+            if r == s:
+                ref = R * (2 * l2r + R * z * l3r)
+            else:
+                ref = (R ** 2 * l2r - S ** 2 * _mp_kernels(mp, S * z)[0]) / (R - S)
+        assert abs(e2(z) - float(ref)) <= 16.0 * EPS * g * gen_max, z
