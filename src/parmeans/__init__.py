@@ -40,7 +40,6 @@ from .errors import (
     ParMeansError,
     QuadratureError,
     SaturationError,
-    StepSizeError,
 )
 from .generators import (
     GeneratorFunction,
@@ -52,7 +51,7 @@ from .generators import (
     logarithmic_generator,
     stolarsky_generator,
 )
-from .hgf import FDConfig, TDerivatives, hd_eval, hf_eval, hf_integral_oracle, t_derivatives
+from .hgf import TDerivatives, hd_eval, hf_eval, hf_integral_oracle, t_derivatives
 from .convexity import (
     CheckReport,
     HessianConfig,

@@ -57,7 +57,7 @@ from .core import (
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _HD_POLE, _t1_t3, hf_eval, t_derivatives
+from .hgf import _HD_POLE, _check_t_interval, _t_stencil, hf_eval, t_derivatives
 from .quadrature import integrate_fixed
 from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
@@ -542,12 +542,13 @@ def integral_hessian(
     structural cross-check of the difference Hessian.
     """
     p, q = pp.p, pp.q
+    _check_t_interval(f, p, q)
     # the three weights share the fixed rule's nodes: T''' once per node
     t3_at: dict[float, float] = {}
 
     def t3(u: float) -> float:
         if u not in t3_at:
-            t3_at[u] = _t1_t3(f, u, pt)[1]
+            t3_at[u] = _t_stencil(f, u, pt)[2]
         return t3_at[u]
 
     def seg(weight: Callable[[float], float]) -> float:

@@ -29,14 +29,6 @@ class SaturationError(ParMeansError):
         self.limit = limit
 
 
-class StepSizeError(ParMeansError):
-    """A finite-difference step underflowed relative to the base point."""
-
-    def __init__(self, message: str, suggested_step: float):
-        super().__init__(f"{message}; suggested step {suggested_step:.3e}")
-        self.suggested_step = suggested_step
-
-
 class QuadratureError(ParMeansError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -20,7 +20,7 @@ from .stable import (
     identric_weight,
     log_ratio,
 )
-from .core import _rs_kernels
+from .core import GeneratorPair, _rs_kernels
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ def heronian_generator() -> GeneratorFunction:
 def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
     """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with G, G1 = G' the (r, s) kernels of
     core's four-parameter family (band rule near r = s) and x (ln S)_x = G1(v)."""
-    G, G1 = _rs_kernels(r, s)[:2]
+    pair = GeneratorPair(r, s)  # finite reals, or DomainError
+    G, G1 = _rs_kernels(pair.r, pair.s)[:2]
 
     def value(x: float, y: float) -> float:
         return x if x == y else math.exp(math.log(y) + G(log_ratio(x, y)))

@@ -1,14 +1,20 @@
 """The generic two-parameter homogeneous function H_f and its T machinery.
 
 T(t) = ln f(a^t, b^t).  The framework provides the branch-complete
-evaluator for H_f, finite-difference access to T', T'', T''' together
-with the cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x,
-the integral-representation oracle exp(int_0^1 T'(tp+(1-t)q) dt), and
-the difference-generator function H_D.
+evaluator for H_f, T' in closed form with T'' and T''' from one
+finite-difference stencil of it, the cross-derivative quantities
+I = (ln f)_xy and J = (x-y)(xI)_x, the integral-representation oracle
+exp(int_0^1 T'(tp+(1-t)q) dt), and the difference-generator function H_D.
 
-All (x, y) work is done at max-normalized coordinates: T' and the signs
-of I and J are invariant under (x, y) -> (x, y)/max(x, y), which keeps
-the finite differences conditioned for large t * ln(b/a).
+T' is evaluated at max-normalized coordinates (it is invariant under
+(x, y) -> (x, y)/max(x, y)), which keeps it conditioned for large
+t * ln(b/a).  A generator of order k is f = y^k exp(e(v)) with
+v = ln(x/y), so with w = ln(a/b)
+
+    T'' = w^2 e''(t w),   I = -e''(v)/(x y),
+    T''' = w^3 e'''(t w), J = -(x - y) e'''(v)/(x y):
+
+I and J are T'' and T''' rescaled; nothing is differenced in (x, y).
 """
 
 from __future__ import annotations
@@ -28,26 +34,13 @@ from .core import (
     _check_saturation,
     _ln_eval,
 )
-from .errors import DomainError, SaturationError, StepSizeError
+from .errors import DomainError, SaturationError
 from .generators import GeneratorFunction
 from .quadrature import integrate
 from .stable import exprel_logd, log_exprel, log_ratio
 
 _EPS = 2.0 ** -52
-FIRST_STEP_SCALE = _EPS ** (1.0 / 3.0)
-SECOND_STEP_SCALE = _EPS ** 0.25
-CROSS_STEP_SCALE = _EPS ** (1.0 / 6.0)  # Richardson leaves h^4 truncation
-NESTED_STEP_SCALE = _EPS ** 0.2
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """Finite-difference step policy (one Richardson halving throughout)."""
-
-    first_step_scale: float = FIRST_STEP_SCALE
-    second_step_scale: float = SECOND_STEP_SCALE
-    cross_step_scale: float = CROSS_STEP_SCALE
-    nested_step_scale: float = NESTED_STEP_SCALE
+STEP_SCALE = _EPS ** 0.25  # the T'' and T''' stencil step is STEP_SCALE (1 + |t|)
 
 
 @dataclass(frozen=True)
@@ -66,8 +59,17 @@ class TDerivatives:
 
 
 def _saturation_guard(t: float, w: float) -> None:
-    if abs(t * w) > OVERFLOW_LIMIT:
+    if not abs(t * w) <= OVERFLOW_LIMIT:
+        if not math.isfinite(t):
+            raise DomainError(f"t must be a finite real, got {t!r}")
         raise SaturationError("generator argument a^t not representable", t * w)
+
+
+def _check_t_interval(f: GeneratorFunction, p: float, q: float) -> None:
+    """T' of a generator without a positive diagonal limit has a pole at t = 0."""
+    lo, hi = min(p, q), max(p, q)
+    if f.diagonal_limit is None and lo <= 0.0 <= hi:
+        raise DomainError(f"T' of generator {f.label} is undefined at t = 0 inside [{lo}, {hi}]")
 
 
 def _normalized_args(t: float, la: float, lb: float) -> tuple[float, float]:
@@ -134,12 +136,7 @@ def hf_integral_oracle(
     if pt.a == pt.b:
         raise DomainError("integral oracle requires a != b")
     p, q = pp.p, pp.q
-    lo, hi = min(p, q), max(p, q)
-    if lo < 0.0 < hi or (lo == 0.0 or hi == 0.0):
-        if f.diagonal_limit is None:
-            raise DomainError(
-                f"T' of generator {f.label} is undefined at t = 0 inside [{lo}, {hi}]"
-            )
+    _check_t_interval(f, p, q)
     if p == q:
         return math.exp(t_prime(f, q, pt))
     result = integrate(
@@ -152,91 +149,54 @@ def hf_integral_oracle(
     return math.exp(result.value)
 
 
-def _t1_t3(
-    f: GeneratorFunction,
-    t: float,
-    pt: MeanPoint,
-    cfg: FDConfig = FDConfig(),
-) -> tuple[float, float]:
-    """(T'(t), T'''(t)) under the checks of t_derivatives.
+def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint) -> tuple[float, float, float]:
+    """(T'(t), T''(t), T'''(t)) under the checks of t_derivatives.
 
-    T''' is the central second difference of T' with one Richardson
-    halving; T'(t) is evaluated once and shared by both stencils.
+    One stencil of T' at t, t +- h/2 and t +- h with h = eps^(1/4) (1 + |t|):
+    T'' and T''' are its central first and second differences, each with
+    one Richardson halving.
     """
-    if pt.a == pt.b:
-        raise DomainError("t_derivatives requires a != b")
+    la, lb = math.log(pt.a), math.log(pt.b)
+    if la == lb:
+        raise DomainError("t_derivatives requires ln(a/b) != 0")
     if t == 0.0:
         raise DomainError("T''' is singular at t = 0")
-    la, lb = math.log(pt.a), math.log(pt.b)
     _saturation_guard(t, la - lb)
     if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
         raise SaturationError("probe coordinates a^t not representable",
                               max(abs(t * la), abs(t * lb)))
 
-    h1 = cfg.first_step_scale * (1.0 + abs(t))
-    h2 = cfg.second_step_scale * (1.0 + abs(t))
-    if t + h2 == t or t + h1 == t:
-        raise StepSizeError("finite-difference step underflow", _EPS ** 0.25 * abs(t))
-
+    h = STEP_SCALE * (1.0 + abs(t))
     T1t = t_prime(f, t, pt)
+    first, second = [], []
+    for hh in (0.5 * h, h):
+        up, down = t_prime(f, t + hh, pt), t_prime(f, t - hh, pt)
+        first.append((up - down) / (2.0 * hh))
+        second.append((up - 2.0 * T1t + down) / (hh * hh))
+    return T1t, (4.0 * first[0] - first[1]) / 3.0, (4.0 * second[0] - second[1]) / 3.0
 
-    def second(h: float) -> float:
-        return (t_prime(f, t + h, pt) - 2.0 * T1t + t_prime(f, t - h, pt)) / (h * h)
 
-    return T1t, (4.0 * second(0.5 * h2) - second(h2)) / 3.0
-
-
-def t_derivatives(
-    f: GeneratorFunction,
-    t: float,
-    pt: MeanPoint,
-    cfg: FDConfig = FDConfig(),
-) -> TDerivatives:
+def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
     """T', T'', T''' plus I, J and C at the probe point t.
 
-    T' comes from the closed form; T'' and T''' are central differences
-    of T' with one Richardson halving.  I is a central cross-difference
-    of ln f and J = (x - y) d/dx(x I) a nested difference, both computed
-    at max-normalized coordinates (their signs are scale-invariant) and
-    rescaled by homogeneity afterwards.
+    T' comes from the closed form, T'' and T''' from _t_stencil.  With
+    w = ln(a/b), homogeneity gives I = -T''/(w^2 x y),
+    J = -(1/y - 1/x) T'''/w^3 and C = (t w)^3/(1/y - 1/x).  1/x and 1/y
+    come from the logs, so x y is never formed; a field outside the
+    floating range raises SaturationError.
     """
-    T1t, T3 = _t1_t3(f, t, pt, cfg)
+    T1, T2, T3 = _t_stencil(f, t, pt)
     la, lb = math.log(pt.a), math.log(pt.b)
-    h1 = cfg.first_step_scale * (1.0 + abs(t))
-
-    def central(h: float) -> float:
-        return (t_prime(f, t + h, pt) - t_prime(f, t - h, pt)) / (2.0 * h)
-
-    T2 = (4.0 * central(0.5 * h1) - central(h1)) / 3.0
-
-    # normalized coordinates for the (x, y) differences
-    xn, yn = _normalized_args(t, la, lb)
-    lnf = lambda xx, yy: math.log(f.value(xx, yy))
-    hx = cfg.cross_step_scale * xn
-    hy = cfg.cross_step_scale * yn
-
-    def cross(xx: float, hxx: float, hyy: float) -> float:
-        return (
-            (lnf(xx + hxx, yn + hyy) - lnf(xx + hxx, yn - hyy))
-            - (lnf(xx - hxx, yn + hyy) - lnf(xx - hxx, yn - hyy))
-        ) / (4.0 * hxx * hyy)
-
-    def I_at(xx: float) -> float:
-        return (4.0 * cross(xx, 0.5 * hx, 0.5 * hy) - cross(xx, hx, hy)) / 3.0
-
-    I_n = I_at(xn)
-    hx2 = cfg.nested_step_scale * xn
-    J_n = (xn - yn) * ((xn + hx2) * I_at(xn + hx2) - (xn - hx2) * I_at(xn - hx2)) / (2.0 * hx2)
-
-    # rescale: I is (-2)-homogeneous, J is (-1)-homogeneous
-    lm = max(t * la, t * lb)
-    x = pt.a ** t
-    y = pt.b ** t
-    scale = math.exp(lm)
-    I_val = I_n / (scale * scale)
-    J_val = J_n / scale
-    C_val = xn * yn * log_ratio(xn, yn) ** 3 / (xn - yn) * scale
-    return TDerivatives(t=t, x=x, y=y, T1=T1t, T2=T2, T3=T3,
+    w = la - lb
+    inv_x, inv_y = math.exp(-t * la), math.exp(-t * lb)
+    d = -inv_y * math.expm1(-t * w)  # 1/y - 1/x
+    I_val = -(T2 / (w * w)) * inv_x * inv_y
+    J_val = -d * (T3 / (w * w * w))
+    C_val = (t * w) ** 3 / d
+    for name, v in (("I", I_val), ("J", J_val), ("C", C_val)):
+        if not math.isfinite(v):
+            raise SaturationError(f"{name} outside the floating range", v, None, name)
+    return TDerivatives(t=t, x=pt.a ** t, y=pt.b ** t, T1=T1, T2=T2, T3=T3,
                         I_val=I_val, J_val=J_val, C_val=C_val)
 
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 # 15-point Kronrod nodes on [-1, 1] (positive half) and weights, with the
 # embedded 7-point Gauss weights.
@@ -86,6 +86,8 @@ def integrate_fixed(
     from finite differences), where adaptive refinement would chase the
     noise floor.
     """
+    if not (isinstance(panels, int) and panels >= 1):
+        raise DomainError(f"panels must be a positive integer, got {panels!r}")
     total_v = total_e = 0.0
     for i in range(panels):
         lo = a + (b - a) * i / panels
@@ -109,8 +111,14 @@ def integrate(
     Bisects the interval with the largest error estimate until the summed
     estimate meets max(rel_tol * |integral|, abs_tol); raises
     QuadratureError with the achieved tolerance when the subdivision
-    budget runs out.
+    budget runs out.  A rel_tol below 50 eps acts as 50 eps; a NaN or
+    negative tolerance and max_subdivisions < 1 raise DomainError.
     """
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not tol >= 0.0:
+            raise DomainError(f"{name} must be a non-negative real, got {tol!r}")
+    if not max_subdivisions >= 1:
+        raise DomainError(f"max_subdivisions must be at least 1, got {max_subdivisions!r}")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     value, err = _gk15(f, a, b)

@@ -18,7 +18,8 @@ finite-difference Hessian over the public evaluators wherever that one
 decides, and fail the same samples.  t_derivatives and
 integral_hessian, which now evaluate T' at the probe point and T'''
 at each quadrature node once, must reproduce copies of their former
-per-stencil and per-weight forms bit for bit.
+per-stencil and per-weight forms bit for bit; T'' is the central first
+difference on the T''' stencil.
 """
 
 import math
@@ -27,7 +28,6 @@ import random
 import pytest
 
 from parmeans import (
-    FDConfig,
     GeneratorPair,
     MeanPoint,
     ParamPair,
@@ -436,11 +436,14 @@ def _probe_generators():
                                    stolarsky_generator(0.5, 0.5)]
 
 
-def _ref_t_derivatives_T(f, t, pt, cfg=FDConfig()):
-    """T', T'' and T''' as t_derivatives computed them with T'(t) per stencil."""
+def _ref_t_derivatives_T(f, t, pt):
+    """T', T'' and T''' as t_derivatives computes them, with T'(t) per stencil.
+
+    T' and T''' keep their former forms; T'' is the central first
+    difference on the T''' stencil's points, with one Richardson halving.
+    """
     T1 = lambda u: t_prime(f, u, pt)
-    h1 = cfg.first_step_scale * (1.0 + abs(t))
-    h2 = cfg.second_step_scale * (1.0 + abs(t))
+    h = (2.0 ** -52) ** 0.25 * (1.0 + abs(t))
 
     def central(h):
         return (T1(t + h) - T1(t - h)) / (2.0 * h)
@@ -448,19 +451,18 @@ def _ref_t_derivatives_T(f, t, pt, cfg=FDConfig()):
     def second(h):
         return (T1(t + h) - 2.0 * T1(t) + T1(t - h)) / (h * h)
 
-    return (T1(t), (4.0 * central(0.5 * h1) - central(h1)) / 3.0,
-            (4.0 * second(0.5 * h2) - second(h2)) / 3.0)
+    return (T1(t), (4.0 * central(0.5 * h) - central(h)) / 3.0,
+            (4.0 * second(0.5 * h) - second(h)) / 3.0)
 
 
 def test_t_derivatives_bit_identical_to_reference():
     rng = random.Random(14)
-    cfg = FDConfig()
     for f in _probe_generators():
         for _ in range(12):
             t = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 5.0)
             pt = MeanPoint(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-2, 2.5))
-            der = t_derivatives(f, t, pt, cfg)
-            assert (der.T1, der.T2, der.T3) == _ref_t_derivatives_T(f, t, pt, cfg), \
+            der = t_derivatives(f, t, pt)
+            assert (der.T1, der.T2, der.T3) == _ref_t_derivatives_T(f, t, pt), \
                 (f.label, t, pt)
 
 

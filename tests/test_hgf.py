@@ -9,6 +9,7 @@ from parmeans import (
     DomainError,
     MeanPoint,
     ParamPair,
+    SaturationError,
     arithmetic_generator,
     builtin_generators,
     difference_generator,
@@ -18,6 +19,7 @@ from parmeans import (
     hf_eval,
     hf_integral_oracle,
     identric_generator,
+    integral_hessian,
     log_mean,
     logarithmic_generator,
     stolarsky,
@@ -26,6 +28,7 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
+from parmeans.hgf import STEP_SCALE, t_prime
 
 
 def all_generators():
@@ -205,9 +208,101 @@ def test_t_derivatives_domain_errors():
         t_derivatives(arithmetic_generator(), 1.0, MeanPoint(4, 4))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_is_a_domain_error(t):
+    for f in (arithmetic_generator(), difference_generator()):
+        with pytest.raises(DomainError):
+            t_derivatives(f, t, MeanPoint(1, 3))
+        with pytest.raises(DomainError):
+            t_prime(f, t, MeanPoint(1, 3))
+    with pytest.raises(DomainError):
+        t_prime(arithmetic_generator(), math.nan, MeanPoint(2, 2))
+
+
+# mpmath ln f of the builtin generators, by label
+_MP_LN_F = {
+    "A": lambda mp, x, y: mp.log((x + y) / 2),
+    "L": lambda mp, x, y: mp.log((x - y) / mp.log(x / y)),
+    "I": lambda mp, x, y: (x * mp.log(x) - y * mp.log(y)) / (x - y) - 1,
+    "D": lambda mp, x, y: mp.log(abs(x - y)),
+    "He": lambda mp, x, y: mp.log(x + mp.sqrt(x * y) + y),
+}
+
+
+@pytest.mark.parametrize("f", builtin_generators(), ids=lambda f: f.label)
+def test_T2_I_and_J_sign_against_mpmath(f):
+    # T'' and I within 1e-2 relative of 40-digit derivatives of ln f; I and
+    # J are differentiated in (x, y), not through T.  The sign of J must be
+    # right wherever T''' clears the stencil's rounding floor
+    # 64 eps |T'|/h^2: for A and D, e'''(v) falls below it near |v| = 25
+    mp = pytest.importorskip("mpmath")
+    ln_f = _MP_LN_F[f.label]
+    rng = random.Random(31)
+    below_floor = 0
+    with mp.workdps(40):
+        for _ in range(120):
+            t = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 4.0)
+            b = 10.0 ** rng.uniform(0.05, 3.0)
+            der = t_derivatives(f, t, MeanPoint(1.0, b))
+            T = lambda u: ln_f(mp, mp.mpf(1), mp.mpf(b) ** u)
+            x, y = mp.mpf(1), mp.mpf(b) ** t
+            lnf = lambda xx, yy: ln_f(mp, xx, yy)
+            I = mp.diff(lnf, (x, y), (1, 1))
+            J = (x - y) * (I + x * mp.diff(lnf, (x, y), (2, 1)))
+            where = (f.label, t, b)
+            assert abs(der.T2 / mp.diff(T, t, 2) - 1) <= 1e-2, where
+            assert abs(der.I_val / I - 1) <= 1e-2, where
+            floor = 64.0 * 2.0 ** -52 * abs(der.T1) / (STEP_SCALE * (1.0 + abs(t))) ** 2
+            if abs(mp.diff(T, t, 3)) <= floor:
+                below_floor += 1
+                continue
+            assert (der.J_val > 0) == (J > 0) and der.J_val != 0, where
+    assert below_floor <= 6  # 5% of the probes
+
+
+def test_t_derivatives_far_from_one_is_finite_or_saturates():
+    # 1/(x y) = e^(-t (ln a + ln b)) is formed from the logs: I stays finite
+    # where x y underflows, and an I beyond the float range saturates
+    f = logarithmic_generator()
+    pt = MeanPoint(math.exp(-690), math.exp(-680))
+    with pytest.raises(SaturationError):
+        t_derivatives(f, 1.0, pt)
+    for t in (0.5, -0.5, -1.0):
+        der = t_derivatives(f, t, pt)
+        fields = (der.T1, der.T2, der.T3, der.I_val, der.J_val, der.C_val)
+        assert all(math.isfinite(v) for v in fields), t
+        inv_xy = math.exp(-t * (math.log(pt.a) + math.log(pt.b)))
+        # w = ln(a/b) = -10
+        assert der.I_val == pytest.approx(-der.T2 / 100.0 * inv_xy, rel=1e-12, abs=1e-300)
+
+
 # ---------------------------------------------------------------------------
 # integral oracle
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pp", [ParamPair(-1.0, 1.0), ParamPair(0.0, 2.0), ParamPair(-2.0, 0.0)])
+def test_integral_forms_refuse_the_pole_of_D(pp):
+    # T' of D has a pole at t = 0; neither integral form may difference across it
+    with pytest.raises(DomainError):
+        hf_integral_oracle(difference_generator(), pp, MeanPoint(1, 3))
+    with pytest.raises(DomainError):
+        integral_hessian(difference_generator(), pp, MeanPoint(1, 3))
+    # a generator with a positive diagonal limit has no pole there
+    assert all(math.isfinite(v) for v in
+               integral_hessian(arithmetic_generator(), pp, MeanPoint(1, 3)))
+
+
+@pytest.mark.parametrize("panels", [0, -1])
+def test_integral_hessian_rejects_empty_rule(panels):
+    with pytest.raises(DomainError):
+        integral_hessian(arithmetic_generator(), ParamPair(1.0, 2.0), MeanPoint(1, 3), panels)
+
+
+@pytest.mark.parametrize("r, s", [("a", 1.0), (math.nan, 1.0), (1.0, math.inf), (None, 0.0)])
+def test_stolarsky_generator_rejects_non_finite_pair(r, s):
+    with pytest.raises(DomainError):
+        stolarsky_generator(r, s)
+
 
 def test_oracle_matches_gini_closed_form():
     val = hf_integral_oracle(arithmetic_generator(), ParamPair(1, 0), MeanPoint(4, 2))
@@ -319,14 +414,6 @@ def test_hd_near_diagonal_against_high_precision_oracle():
                  (2.0, 2.0008), (-0.02, -0.0207), (0.005, 0.0058)]:
         got = hd_eval(ParamPair(p, q), MeanPoint(4.0, 1.5)).value
         assert got == pytest.approx(oracle(p, q, 4.0, 1.5), rel=1e-9)
-
-
-def test_t_derivatives_step_underflow():
-    from parmeans import FDConfig
-    from parmeans.errors import StepSizeError
-    with pytest.raises(StepSizeError):
-        t_derivatives(arithmetic_generator(), 1.0, MeanPoint(4, 2),
-                      FDConfig(second_step_scale=1e-30))
 
 
 def test_hf_eval_stolarsky_generator_matches_four_param():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from parmeans import QuadratureError, integrate
+from parmeans import DomainError, QuadratureError, integrate, integrate_fixed
 
 
 def test_polynomial_exactness():
@@ -49,3 +49,26 @@ def test_budget_exhaustion_raises_with_achieved_tolerance():
 def test_degenerate_interval():
     res = integrate(math.exp, 2.0, 2.0)
     assert res.value == 0.0 and res.subdivisions == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": math.nan}, {"rel_tol": -1e-9}, {"abs_tol": math.nan}, {"abs_tol": -1.0},
+    {"max_subdivisions": 0}, {"max_subdivisions": -5},
+])
+def test_integrate_rejects_bad_arguments(kwargs):
+    # a NaN tolerance would end the loop after one panel, a negative one
+    # would silently become the floor
+    with pytest.raises(DomainError):
+        integrate(math.exp, 0.0, 1.0, **kwargs)
+
+
+def test_integrate_zero_rel_tol_means_the_floor():
+    res = integrate(math.exp, 0.0, 1.0, rel_tol=0.0)
+    assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("panels", [0, -1, 2.5])
+def test_integrate_fixed_rejects_bad_panels(panels):
+    with pytest.raises(DomainError):
+        integrate_fixed(math.exp, 0.0, 1.0, panels)
+    assert integrate_fixed(math.exp, 0.0, 1.0, 1).subdivisions == 1
