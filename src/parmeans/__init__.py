@@ -54,7 +54,6 @@ from .generators import (
 from .hgf import TDerivatives, hd_eval, hf_eval, hf_integral_oracle, t_derivatives
 from .convexity import (
     CheckReport,
-    HessianConfig,
     HessianReport,
     ScanSpec,
     hessian_logF,

@@ -13,7 +13,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from .convexity import CheckReport, HessianConfig, hessian_logF
+from .convexity import CheckReport, hessian_logF
 from .core import (
     GeneratorPair,
     MeanPoint,
@@ -74,12 +74,11 @@ def cmd_eval(args) -> int:
 def cmd_hessian(args) -> int:
     name, gen = _resolve_family(args)
     ev = family_evaluator(name, gen)
-    cfg = HessianConfig() if args.sign_tol is None else HessianConfig(sign_tol=args.sign_tol)
-    rep = hessian_logF(ev, ParamPair(args.p, args.q), MeanPoint(args.a, args.b), cfg)
+    rep = hessian_logF(ev, ParamPair(args.p, args.q), MeanPoint(args.a, args.b))
     print(json.dumps({
         "family": name, "p": args.p, "q": args.q, "a": args.a, "b": args.b,
         "d2_pp": rep.d2_pp, "d2_qq": rep.d2_qq, "d2_pq": rep.d2_pq,
-        "delta": rep.delta, "verdict": rep.verdict, "step_used": rep.step_used,
+        "delta": rep.delta, "verdict": rep.verdict,
     }))
     return EXIT_PASS
 
@@ -90,11 +89,12 @@ def _run_suite(args) -> list:
     if args.suite == "all":
         return full_suite(seed=args.seed, plan=plan)
     if args.suite == "convexity":
-        families = (args.family_filter,) if args.family_filter else \
-            ("stolarsky", "gini", "identric2", "heronian2", "hd")
-        regions = (_REGION_ALIASES[args.region],) if args.region else \
-            ("positive_quadrant", "negative_quadrant")
-        return convexity_suite(families=families, regions=regions)
+        filters = {}
+        if args.family_filter:
+            filters["families"] = (args.family_filter,)
+        if args.region:
+            filters["regions"] = (_REGION_ALIASES[args.region],)
+        return convexity_suite(**filters)
     if args.suite == "inequalities":
         return inequality_suite(plan)
     if args.suite == "identities":
@@ -161,11 +161,10 @@ def cmd_scan(args) -> int:
     name, gen = _resolve_family(args)
     ev = family_evaluator(name, gen)
     pt = MeanPoint(args.a, args.b)
-    cfg = HessianConfig() if args.sign_tol is None else HessianConfig(sign_tol=args.sign_tol)
     rows = []
     for p in args.p_grid:
         for q in args.q_grid:
-            rep = hessian_logF(ev, ParamPair(p, q), pt, cfg)
+            rep = hessian_logF(ev, ParamPair(p, q), pt)
             rows.append((p, q, rep.d2_pp, rep.d2_qq, rep.d2_pq, rep.delta, rep.verdict))
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -268,7 +267,6 @@ def build_parser(check_defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p_hess = sub.add_parser("hessian", help="finite-difference Hessian of ln M")
     add_family_args(p_hess)
-    p_hess.add_argument("--sign-tol", type=float, default=None)
     p_hess.set_defaults(func=cmd_hessian)
 
     p_check = sub.add_parser("check", help="run a verification suite")
@@ -287,7 +285,6 @@ def build_parser(check_defaults: dict | None = None) -> argparse.ArgumentParser:
     add_family_args(p_scan, with_params=False)
     p_scan.add_argument("--p-grid", type=_grid, required=True, dest="p_grid")
     p_scan.add_argument("--q-grid", type=_grid, required=True, dest="q_grid")
-    p_scan.add_argument("--sign-tol", type=float, default=None)
     p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=cmd_scan)
 

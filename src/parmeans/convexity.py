@@ -27,8 +27,8 @@ Four routes are provided and cross-checked against each other:
     the r + s sign rule; H_D is log-convex on the positive quadrant and
     log-concave on the negative one;
   * hessian_logF: central second differences of (p, q) -> ln M with one
-    Richardson halving, classified against a sign tolerance (the CLI
-    hessian and scan commands);
+    Richardson halving, classified against SIGN_TOL (the CLI hessian and
+    scan commands);
   * midpoint_test: the defining Jensen inequality, reported as the
     defect margin alpha ln M1 + beta ln M2 - ln M(blend), so margins
     <= 0 are consistent with log-concavity and >= 0 with log-convexity;
@@ -57,7 +57,7 @@ from .core import (
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _HD_POLE, _check_t_interval, _t_stencil, hf_eval, t_derivatives
+from .hgf import _HD_POLE, STEP_SCALE, _check_t_interval, _t_stencil, hf_eval, t_derivatives
 from .quadrature import integrate_fixed
 from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
@@ -68,17 +68,12 @@ VERDICT_CONCAVE = "concave"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_INDEFINITE = "indefinite"
 
-
-@dataclass(frozen=True)
-class HessianConfig:
-    step_scale: float = _EPS ** 0.25
-    sign_tol: float = 1e-7
-
-    def __post_init__(self):
-        for name in ("step_scale", "sign_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 < v < math.inf):
-                raise DomainError(f"{name} must be a positive finite real, got {v!r}")
+SIGN_TOL = 1e-7  # hessian_logF: |d2_pp| or |delta| within SIGN_TOL (1 + |ln M|) is inconclusive
+EXCLUSION_BAND = 0.05  # grid values and pairs |p - q| within it are left out
+# j_criterion_probe: |J| <= J_DEAD_ZONE is undecided; the Hessian samples it checks
+J_DEAD_ZONE = 1e-8
+J_HESSIAN_GRID = (0.5, 1.0, 2.0)
+J_MEAN_POINT = MeanPoint(1.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +83,6 @@ class HessianReport:
     d2_pq: float
     delta: float
     verdict: str
-    step_used: float
-    mixed_spread: float  # |difference of the two mixed-difference estimates|
 
     @staticmethod
     def classify(d2_pp: float, delta: float, pp_tol: float, delta_tol: float) -> str:
@@ -103,7 +96,7 @@ class HessianReport:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Grid scan plan for one family and one open quadrant."""
+    """Grid scan plan for one family and one open quadrant, grid values beyond EXCLUSION_BAND."""
 
     family: str  # stolarsky | gini | identric2 | heronian2 | four_param | hd
     region: str  # positive_quadrant | negative_quadrant
@@ -111,24 +104,19 @@ class ScanSpec:
     q_grid: tuple[float, ...]
     mean_points: tuple[MeanPoint, ...]
     gen: Optional[GeneratorPair] = None
-    exclusion_band: float = 0.05
 
     def __post_init__(self):
-        # a NaN or negative band would let p = q through, where the Hessian divides by p - q
-        band = self.exclusion_band
-        if not (isinstance(band, (int, float)) and band >= 0.0):
-            raise DomainError(f"exclusion_band must be a nonnegative real, got {band!r}")
+        family_evaluator(self.family, self.gen)  # an unknown family, or four_param without gen
         if self.region not in ("positive_quadrant", "negative_quadrant"):
             raise DomainError(f"unknown region {self.region!r}")
         sign = 1.0 if self.region == "positive_quadrant" else -1.0
         for axis, grid in (("p", self.p_grid), ("q", self.q_grid)):
             for v in grid:
-                if sign * v <= 0.0:
-                    raise DomainError(f"{axis}-grid value {v} outside the open {self.region}")
-                if abs(v) <= self.exclusion_band:
-                    raise DomainError(f"{axis}-grid value {v} inside the exclusion band")
-        if self.family == "four_param" and self.gen is None:
-            raise DomainError("four_param scans need a GeneratorPair")
+                if not (isinstance(v, (int, float)) and EXCLUSION_BAND < sign * v < math.inf):
+                    raise DomainError(f"{axis}-grid value {v!r} is not a finite real in the "
+                                      f"open {self.region} beyond the exclusion band")
+        if not all(isinstance(pt, MeanPoint) for pt in self.mean_points):
+            raise DomainError("mean_points must all be MeanPoints")
 
 
 def _strict_json(value):
@@ -264,10 +252,10 @@ def hessian_logF(
     evaluator: Callable[[ParamPair, MeanPoint], EvalResult],
     pp: ParamPair,
     pt: MeanPoint,
-    cfg: HessianConfig = HessianConfig(),
 ) -> HessianReport:
     """Finite-difference Hessian of (p, q) -> ln M(p, q; a, b).
 
+    Steps hgf.STEP_SCALE (1 + |p|) and (1 + |q|), one Richardson halving.
     The caller keeps (p, q) away from the singular loci by more than the
     step so the differences never straddle a branch switch.
     """
@@ -275,8 +263,8 @@ def hessian_logF(
         return math.log(evaluator(ParamPair(P, Q), pt).value)
 
     p, q = pp.p, pp.q
-    hp = cfg.step_scale * (1.0 + abs(p))
-    hq = cfg.step_scale * (1.0 + abs(q))
+    hp = STEP_SCALE * (1.0 + abs(p))
+    hq = STEP_SCALE * (1.0 + abs(q))
     f0 = phi(p, q)
 
     def dpp(h: float) -> float:
@@ -285,25 +273,23 @@ def hessian_logF(
     def dqq(h: float) -> float:
         return (phi(p, q + h) - 2.0 * f0 + phi(p, q - h)) / (h * h)
 
-    def dpq(h1: float, h2: float) -> tuple[float, float]:
+    def dpq(h1: float, h2: float) -> float:
         A = phi(p + h1, q + h2)
         B = phi(p + h1, q - h2)
         C = phi(p - h1, q + h2)
         D = phi(p - h1, q - h2)
-        # the same stencil associated in the two mixed orders
-        return ((A - B) - (C - D)) / (4.0 * h1 * h2), ((A - C) - (B - D)) / (4.0 * h1 * h2)
+        # the mean of the same stencil associated in the two mixed orders
+        den = 4.0 * h1 * h2
+        return 0.5 * (((A - B) - (C - D)) / den + ((A - C) - (B - D)) / den)
 
     d2_pp = (4.0 * dpp(0.5 * hp) - dpp(hp)) / 3.0
     d2_qq = (4.0 * dqq(0.5 * hq) - dqq(hq)) / 3.0
-    m1a, m1b = dpq(hp, hq)
-    m2a, m2b = dpq(0.5 * hp, 0.5 * hq)
-    d2_pq = (4.0 * 0.5 * (m2a + m2b) - 0.5 * (m1a + m1b)) / 3.0
-    spread = abs(m2a - m2b)
+    d2_pq = (4.0 * dpq(0.5 * hp, 0.5 * hq) - dpq(hp, hq)) / 3.0
 
     delta = d2_pp * d2_qq - d2_pq * d2_pq
-    tol = cfg.sign_tol * (abs(f0) + 1.0)
+    tol = SIGN_TOL * (abs(f0) + 1.0)
     verdict = HessianReport.classify(d2_pp, delta, tol, tol)
-    return HessianReport(d2_pp, d2_qq, d2_pq, delta, verdict, hp, spread)
+    return HessianReport(d2_pp, d2_qq, d2_pq, delta, verdict)
 
 
 def midpoint_test(
@@ -452,7 +438,7 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
         w = log_ratio(pt.a, pt.b)
         for p in spec.p_grid:
             for q in spec.q_grid:
-                if abs(p - q) <= spec.exclusion_band:
+                if abs(p - q) <= EXCLUSION_BAND:
                     skipped += 1
                     continue
                 pq = ParamPair(sign * abs(p), sign * abs(q))
@@ -482,14 +468,12 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
 def j_criterion_probe(
     f: GeneratorFunction,
     samples: Sequence[tuple[float, MeanPoint]],
-    dead_zone: float = 1e-8,
-    hessian_grid: Sequence[float] = (0.5, 1.0, 2.0),
-    mean_point: MeanPoint = MeanPoint(1.0, 3.0),
 ) -> CheckReport:
     """Check the J-sign criterion against positive-quadrant Hessian verdicts.
 
-    J is computed at each (t, point) sample; if its sign is constant, the
-    positive-quadrant Hessian verdicts of H_f must match: J < 0 implies
+    J is computed at each (t, point) sample, undecided where |J| <=
+    J_DEAD_ZONE; if its sign is constant, the hessian_logF verdicts of H_f
+    over J_HESSIAN_GRID at J_MEAN_POINT must match: J < 0 implies
     log-convex there, J > 0 log-concave.  The worst margin is that of the
     Hessian samples, or the smallest |J| when the implication is vacuous.
     """
@@ -499,7 +483,7 @@ def j_criterion_probe(
     for t, pt in samples:
         j = t_derivatives(f, t, pt).J_val
         j_samples.append((abs(j), {"t": t, "a": pt.a, "b": pt.b, "J": j}))
-        if abs(j) <= dead_zone:
+        if abs(j) <= J_DEAD_ZONE:
             tally.undecided()
         else:
             tally.count(True)
@@ -515,11 +499,11 @@ def j_criterion_probe(
     sigma = signs.pop()
     expect = VERDICT_CONVEX if sigma < 0 else VERDICT_CONCAVE
     ev = lambda pp, pt: hf_eval(f, pp, pt)
-    for p in hessian_grid:
-        for q in hessian_grid:
-            if abs(p - q) <= 0.05:
+    for p in J_HESSIAN_GRID:
+        for q in J_HESSIAN_GRID:
+            if abs(p - q) <= EXCLUSION_BAND:
                 continue
-            rep = hessian_logF(ev, ParamPair(p, q), mean_point)
+            rep = hessian_logF(ev, ParamPair(p, q), J_MEAN_POINT)
             directional = rep.d2_pp if expect == VERDICT_CONVEX else -rep.d2_pp
             tally.margin(min(directional, rep.delta),
                          {"p": p, "q": q, "d2_pp": rep.d2_pp, "delta": rep.delta,
@@ -532,13 +516,12 @@ def integral_hessian(
     f: GeneratorFunction,
     pp: ParamPair,
     pt: MeanPoint,
-    panels: int = 4,
 ) -> tuple[float, float, float, float]:
     """Hessian entries from the weighted T''' integral representation.
 
     Returns (d2_pp, d2_qq, d2_pq, delta).  The integrand carries
-    finite-difference noise from T''', so a fixed composite rule is used
-    (adaptive refinement would chase the noise floor); serves as a
+    finite-difference noise from T''', so integrate_fixed's composite rule
+    is used (adaptive refinement would chase the noise floor); serves as a
     structural cross-check of the difference Hessian.
     """
     p, q = pp.p, pp.q
@@ -552,9 +535,7 @@ def integral_hessian(
         return t3_at[u]
 
     def seg(weight: Callable[[float], float]) -> float:
-        return integrate_fixed(
-            lambda t: weight(t) * t3(t * p + (1.0 - t) * q), 0.0, 1.0, panels,
-        ).value
+        return integrate_fixed(lambda t: weight(t) * t3(t * p + (1.0 - t) * q), 0.0, 1.0).value
 
     d2_pp = seg(lambda t: t * t)
     d2_qq = seg(lambda t: (1.0 - t) * (1.0 - t))
@@ -567,18 +548,15 @@ def random_blend_margins(
     region_sign: float,
     count: int,
     seed: int,
-    gen: Optional[GeneratorPair] = None,
-    pt: MeanPoint = MeanPoint(1.0, 4.0),
-    low: float = 0.05,
-    high: float = 4.0,
 ) -> list[float]:
-    """Deterministic random Jensen defects for one family on one quadrant."""
+    """Deterministic random Jensen defects, |p|, |q| in [0.05, 4], at (a, b) = (1, 4)."""
     rng = random.Random(seed)
-    ev = family_evaluator(family, gen)
+    ev = family_evaluator(family)
+    pt = MeanPoint(1.0, 4.0)
     margins = []
     for _ in range(count):
-        p1 = ParamPair(region_sign * rng.uniform(low, high), region_sign * rng.uniform(low, high))
-        p2 = ParamPair(region_sign * rng.uniform(low, high), region_sign * rng.uniform(low, high))
+        p1 = ParamPair(region_sign * rng.uniform(0.05, 4.0), region_sign * rng.uniform(0.05, 4.0))
+        p2 = ParamPair(region_sign * rng.uniform(0.05, 4.0), region_sign * rng.uniform(0.05, 4.0))
         alpha = rng.uniform(0.0, 1.0)
         margins.append(midpoint_test(ev, p1, p2, (alpha, 1.0 - alpha), pt))
     return margins

@@ -429,6 +429,8 @@ def power_mean(t: float, pt: MeanPoint) -> float:
     b * exp(ln PM - ln b) where that is finite and nonzero, exp(ln PM)
     where the factor exp(ln PM - ln b) alone over- or underflows.
     """
+    if not (-_INF < t < _INF if isinstance(t, float) else isinstance(t, int)):
+        raise DomainError(f"power mean exponent must be a finite real, got {t!r}")
     if t == 0.0:
         return geometric_mean(pt)
     a, b = pt.a, pt.b

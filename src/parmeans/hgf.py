@@ -2,7 +2,7 @@
 
 T(t) = ln f(a^t, b^t).  The framework provides the branch-complete
 evaluator for H_f, T' in closed form with T'' and T''' from one
-finite-difference stencil of it, the cross-derivative quantities
+finite-difference stencil of g = x f_x/f, the cross-derivative quantities
 I = (ln f)_xy and J = (x-y)(xI)_x, the integral-representation oracle
 exp(int_0^1 T'(tp+(1-t)q) dt), and the difference-generator function H_D.
 
@@ -40,7 +40,7 @@ from .quadrature import integrate
 from .stable import exprel_logd, log_exprel, log_ratio
 
 _EPS = 2.0 ** -52
-STEP_SCALE = _EPS ** 0.25  # the T'' and T''' stencil step is STEP_SCALE (1 + |t|)
+STEP_SCALE = _EPS ** 0.25  # the package's one finite-difference step at x is STEP_SCALE (1 + |x|)
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,16 @@ def t_prime(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
     return (x * f.partial_x(x, y) * la + y * f.partial_y(x, y) * lb) / f.value(x, y)
 
 
+def _g(f: GeneratorFunction, t: float, la: float, lb: float) -> float:
+    """g(t) = x f_x/f at the normalized (a^t, b^t): T' = k ln b + w g by Euler's relation."""
+    _saturation_guard(t, la - lb)
+    x, y = _normalized_args(t, la, lb)
+    if x == y:
+        f1 = f.value_at_one()  # DomainError without a diagonal limit, so without its partials
+        return f.diagonal_partials[0] / f1
+    return x * f.partial_x(x, y) / f.value(x, y)
+
+
 def ln_f_power(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
     """T(t) = ln f(a^t, b^t), computed at normalized coordinates."""
     la, lb = math.log(pt.a), math.log(pt.b)
@@ -125,10 +135,9 @@ def hf_integral_oracle(
     f: GeneratorFunction,
     pp: ParamPair,
     pt: MeanPoint,
-    rel_tol: float = 1e-12,
     max_subdivisions: int = 10_000,
 ) -> float:
-    """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f.
+    """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f, to 1e-12 relative.
 
     Entirely independent of the closed-form family evaluators: the
     integrand uses only the generator value and first partials.
@@ -143,7 +152,6 @@ def hf_integral_oracle(
         lambda t: t_prime(f, t * p + (1.0 - t) * q, pt),
         0.0,
         1.0,
-        rel_tol=rel_tol,
         max_subdivisions=max_subdivisions,
     )
     return math.exp(result.value)
@@ -152,28 +160,33 @@ def hf_integral_oracle(
 def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint) -> tuple[float, float, float]:
     """(T'(t), T''(t), T'''(t)) under the checks of t_derivatives.
 
-    One stencil of T' at t, t +- h/2 and t +- h with h = eps^(1/4) (1 + |t|):
-    T'' and T''' are its central first and second differences, each with
-    one Richardson halving.
+    T' is t_prime.  T'' = w g' and T''' = w g'' come from one stencil of g,
+    free of the rounding that k ln b carries in T', at t, t +- h/2 and
+    t +- h with h = STEP_SCALE (1 + |t|): its central first and second
+    differences, each with one Richardson halving.  A stencil that reaches
+    the pole at t = 0 of a generator without a diagonal limit raises
+    DomainError.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
     if la == lb:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
     if t == 0.0:
         raise DomainError("T''' is singular at t = 0")
-    _saturation_guard(t, la - lb)
+    g0 = _g(f, t, la, lb)  # its _saturation_guard refuses a non-finite t before the test below
     if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
         raise SaturationError("probe coordinates a^t not representable",
                               max(abs(t * la), abs(t * lb)))
 
     h = STEP_SCALE * (1.0 + abs(t))
-    T1t = t_prime(f, t, pt)
+    _check_t_interval(f, t - h, t + h)
     first, second = [], []
     for hh in (0.5 * h, h):
-        up, down = t_prime(f, t + hh, pt), t_prime(f, t - hh, pt)
+        up, down = _g(f, t + hh, la, lb), _g(f, t - hh, la, lb)
         first.append((up - down) / (2.0 * hh))
-        second.append((up - 2.0 * T1t + down) / (hh * hh))
-    return T1t, (4.0 * first[0] - first[1]) / 3.0, (4.0 * second[0] - second[1]) / 3.0
+        second.append((up - 2.0 * g0 + down) / (hh * hh))
+    w = la - lb
+    return (t_prime(f, t, pt), w * ((4.0 * first[0] - first[1]) / 3.0),
+            w * ((4.0 * second[0] - second[1]) / 3.0))
 
 
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:

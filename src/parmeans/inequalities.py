@@ -73,8 +73,11 @@ class SamplingPlan:
     b_high: float = 1e6
 
     def __post_init__(self):
-        if self.random_count < 0:
-            raise DomainError(f"SamplingPlan.random_count must be >= 0, got {self.random_count}")
+        if not (all(type(n) is int and n >= 0 for n in (self.grid_b_count, self.random_count))
+                and all(isinstance(b, (int, float)) for b in (self.b_low, self.b_high))
+                and 0.0 < self.b_low <= self.b_high < math.inf):
+            raise DomainError(f"SamplingPlan needs integer counts >= 0 and "
+                              f"0 < b_low <= b_high < inf, got {self!r}")
 
     @cached_property
     def _log_b_range(self) -> tuple[float, float]:
@@ -101,7 +104,6 @@ class InequalityCase:
     grid: Callable[[SamplingPlan], list[Sample]]
     constants: tuple[NamedConstant, ...] = ()
     assert_in: Callable[[Sample], bool] = lambda s: True
-    report_only: bool = False
 
 
 # -- scalar helpers over a sample dict --------------------------------------
@@ -416,7 +418,7 @@ def catalog() -> list[InequalityCase]:
                 NamedConstant("lower", "16*sqrt(2)/(9e)", LIN_JIA_CONST, 0.9249),
                 NamedConstant("upper", "1", 1.0, 1.0),
             ),
-            report_only=True,
+            assert_in=lambda s: False,
         ),
         InequalityCase(
             case_id="new_est_2_i",
@@ -481,8 +483,7 @@ class _CaseTally(Tally):
         super().__init__()
         self.case = case
         self.value, self.lower, self.upper = case.log_value, case.log_lower, case.log_upper
-        # report-only cases assert nowhere
-        self.assert_in = (lambda s: False) if case.report_only else case.assert_in
+        self.assert_in = case.assert_in
         self.report_margin = math.inf
         self.report_witness: Sample = {}
         self.sup, self.inf = -math.inf, math.inf
@@ -628,18 +629,17 @@ _REDUCTIONS: list[tuple[str, Side, Side, str, Side, Side]] = [
 ]
 
 
-def special_reductions_check(plan: SamplingPlan = SamplingPlan(grid_b_count=25)
-                             ) -> CheckReport:
+def special_reductions_check() -> CheckReport:
     """Verify each named specialization and its general-case agreement.
 
-    For every (a, b) grid point: the inequality itself holds with the
-    standard slack, and the specialized sides agree with the general
-    inequality evaluated at its (r, s) to 1e-12 relative.  A sample whose
-    sides disagree fails as an error, with margin -1e300.
+    For each of the 25 (a, b) grid points: the inequality itself holds
+    with the standard slack, and the specialized sides agree with the
+    general inequality evaluated at its (r, s) to 1e-12 relative.  A
+    sample whose sides disagree fails as an error, with margin -1e300.
     """
     tally = Tally()
     for name, lhs, rhs, direction, gen_lhs, gen_rhs in _REDUCTIONS:
-        for sample in _ab_only_grid(plan):
+        for sample in _ab_only_grid(SamplingPlan(grid_b_count=25)):
             w, lnb = _logs(sample)
             lv, rv = lhs(sample, w, lnb), rhs(sample, w, lnb)
             margin = (rv - lv) if direction == "le" else (lv - rv)

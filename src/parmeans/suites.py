@@ -184,16 +184,15 @@ def reduction_consistency_check(count: int = 400, seed: int = 1) -> CheckReport:
 def convexity_suite(
     families: tuple[str, ...] = ("stolarsky", "gini", "identric2", "heronian2", "hd"),
     regions: tuple[str, ...] = ("positive_quadrant", "negative_quadrant"),
-    grid: tuple[float, ...] = DEFAULT_GRID,
-    mean_points: tuple[MeanPoint, ...] = DEFAULT_MEAN_POINTS,
 ) -> list[CheckReport]:
+    """One scan per family and region over DEFAULT_GRID at DEFAULT_MEAN_POINTS."""
     reports = []
     for family in families:
         for region in regions:
-            spec = ScanSpec(family=family, region=region,
-                            p_grid=tuple(-v for v in grid) if region == "negative_quadrant" else grid,
-                            q_grid=tuple(-v for v in grid) if region == "negative_quadrant" else grid,
-                            mean_points=mean_points)
+            sign = -1.0 if region == "negative_quadrant" else 1.0
+            grid = tuple(sign * v for v in DEFAULT_GRID)
+            spec = ScanSpec(family=family, region=region, p_grid=grid, q_grid=grid,
+                            mean_points=DEFAULT_MEAN_POINTS)
             reports.append(scan_convexity(spec))
     return reports
 

@@ -348,13 +348,13 @@ def _samples(spec):
     for pt in spec.mean_points:
         for p in spec.p_grid:
             for q in spec.q_grid:
-                if abs(p - q) > spec.exclusion_band:
+                if abs(p - q) > convexity.EXCLUSION_BAND:
                     yield pt, ParamPair(sign * abs(p), sign * abs(q))
 
 
 def _fd_outcomes(spec):
     """Per-sample verdict, or error text, of the finite-difference scan the closed
-    form replaced: hessian_logF over the public evaluator, default HessianConfig."""
+    form replaced: hessian_logF over the public evaluator."""
     ev = family_evaluator(spec.family, spec.gen)
     out = []
     for pt, pq in _samples(spec):
@@ -437,22 +437,32 @@ def _probe_generators():
 
 
 def _ref_t_derivatives_T(f, t, pt):
-    """T', T'' and T''' as t_derivatives computes them, with T'(t) per stencil.
+    """T', T'' and T''' as t_derivatives computes them.
 
-    T' and T''' keep their former forms; T'' is the central first
-    difference on the T''' stencil's points, with one Richardson halving.
+    T' is t_prime.  T'' and T''' are w = ln(a/b) times the central first
+    and second differences of g = x f_x/f at the max-normalized (a^u, b^u),
+    on u = t, t +- h/2, t +- h, each with one Richardson halving.
     """
-    T1 = lambda u: t_prime(f, u, pt)
+    la, lb = math.log(pt.a), math.log(pt.b)
+
+    def g(u):
+        lm = max(u * la, u * lb)
+        x, y = math.exp(u * la - lm), math.exp(u * lb - lm)
+        if x == y:
+            return f.diagonal_partials[0] / f.diagonal_limit(1.0)
+        return x * f.partial_x(x, y) / f.value(x, y)
+
     h = (2.0 ** -52) ** 0.25 * (1.0 + abs(t))
 
     def central(h):
-        return (T1(t + h) - T1(t - h)) / (2.0 * h)
+        return (g(t + h) - g(t - h)) / (2.0 * h)
 
     def second(h):
-        return (T1(t + h) - 2.0 * T1(t) + T1(t - h)) / (h * h)
+        return (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h)
 
-    return (T1(t), (4.0 * central(0.5 * h) - central(h)) / 3.0,
-            (4.0 * second(0.5 * h) - second(h)) / 3.0)
+    w = la - lb
+    return (t_prime(f, t, pt), w * ((4.0 * central(0.5 * h) - central(h)) / 3.0),
+            w * ((4.0 * second(0.5 * h) - second(h)) / 3.0))
 
 
 def test_t_derivatives_bit_identical_to_reference():
@@ -466,13 +476,13 @@ def test_t_derivatives_bit_identical_to_reference():
                 (f.label, t, pt)
 
 
-def _ref_integral_hessian(f, pp, pt, panels=4):
+def _ref_integral_hessian(f, pp, pt):
     p, q = pp.p, pp.q
 
     def seg(weight):
         return integrate_fixed(
             lambda t: weight(t) * t_derivatives(f, t * p + (1.0 - t) * q, pt).T3,
-            0.0, 1.0, panels).value
+            0.0, 1.0).value
 
     d2_pp = seg(lambda t: t * t)
     d2_qq = seg(lambda t: (1.0 - t) * (1.0 - t))

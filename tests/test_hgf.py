@@ -28,7 +28,7 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
-from parmeans.hgf import STEP_SCALE, t_prime
+from parmeans.hgf import t_prime
 
 
 def all_generators():
@@ -208,6 +208,17 @@ def test_t_derivatives_domain_errors():
         t_derivatives(arithmetic_generator(), 1.0, MeanPoint(4, 4))
 
 
+@pytest.mark.parametrize("t", [1e-5, -1e-5, 1e-4])
+def test_t_derivatives_refuse_a_stencil_across_the_pole_of_D(t):
+    # T' of D has a pole at t = 0 inside [t - h, t + h]; the stencil across it
+    # returned T'' = +3.45e8 at t = 1e-5, where the true value is about -1.0e10
+    with pytest.raises(DomainError):
+        t_derivatives(difference_generator(), t, MeanPoint(1, 3))
+    # A has no pole there
+    der = t_derivatives(arithmetic_generator(), t, MeanPoint(1, 3))
+    assert math.isfinite(der.T2) and math.isfinite(der.T3)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_is_a_domain_error(t):
     for f in (arithmetic_generator(), difference_generator()):
@@ -231,14 +242,12 @@ _MP_LN_F = {
 
 @pytest.mark.parametrize("f", builtin_generators(), ids=lambda f: f.label)
 def test_T2_I_and_J_sign_against_mpmath(f):
-    # T'' and I within 1e-2 relative of 40-digit derivatives of ln f; I and
-    # J are differentiated in (x, y), not through T.  The sign of J must be
-    # right wherever T''' clears the stencil's rounding floor
-    # 64 eps |T'|/h^2: for A and D, e'''(v) falls below it near |v| = 25
+    # T'' and I within 1e-2 relative of 40-digit derivatives of ln f, and the
+    # sign of J right at every probe; I and J are differentiated in (x, y),
+    # not through T
     mp = pytest.importorskip("mpmath")
     ln_f = _MP_LN_F[f.label]
     rng = random.Random(31)
-    below_floor = 0
     with mp.workdps(40):
         for _ in range(120):
             t = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 4.0)
@@ -252,12 +261,7 @@ def test_T2_I_and_J_sign_against_mpmath(f):
             where = (f.label, t, b)
             assert abs(der.T2 / mp.diff(T, t, 2) - 1) <= 1e-2, where
             assert abs(der.I_val / I - 1) <= 1e-2, where
-            floor = 64.0 * 2.0 ** -52 * abs(der.T1) / (STEP_SCALE * (1.0 + abs(t))) ** 2
-            if abs(mp.diff(T, t, 3)) <= floor:
-                below_floor += 1
-                continue
             assert (der.J_val > 0) == (J > 0) and der.J_val != 0, where
-    assert below_floor <= 6  # 5% of the probes
 
 
 def test_t_derivatives_far_from_one_is_finite_or_saturates():
@@ -290,12 +294,6 @@ def test_integral_forms_refuse_the_pole_of_D(pp):
     # a generator with a positive diagonal limit has no pole there
     assert all(math.isfinite(v) for v in
                integral_hessian(arithmetic_generator(), pp, MeanPoint(1, 3)))
-
-
-@pytest.mark.parametrize("panels", [0, -1])
-def test_integral_hessian_rejects_empty_rule(panels):
-    with pytest.raises(DomainError):
-        integral_hessian(arithmetic_generator(), ParamPair(1.0, 2.0), MeanPoint(1, 3), panels)
 
 
 @pytest.mark.parametrize("r, s", [("a", 1.0), (math.nan, 1.0), (1.0, math.inf), (None, 0.0)])

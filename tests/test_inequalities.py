@@ -5,6 +5,7 @@ import math
 import pytest
 
 from parmeans import (
+    DomainError,
     GeneratorPair,
     MeanPoint,
     ParamPair,
@@ -141,9 +142,11 @@ def test_supremum_monotone_in_range_extension():
 
 def test_new_est_1_is_report_only():
     case = get_case("new_est_1")
-    assert case.report_only
-    report, record = check_case(case, SamplingPlan(grid_b_count=10, random_count=100))
-    assert report.failed == 0
+    plan = SamplingPlan(grid_b_count=10, random_count=100)
+    assert not any(case.assert_in(s) for s in case.grid(plan))
+    report, record = check_case(case, plan)
+    # nothing is asserted: every sample passes, none fails or is inconclusive
+    assert (report.passed, report.failed, report.inconclusive) == (110, 0, 0)
     # the printed two-sided form still holds empirically
     assert record.observed_sup <= 1.0 + 1e-12
     assert record.observed_inf >= LIN_JIA_CONST - 1e-6
@@ -319,3 +322,19 @@ def test_check_cases_shares_the_rs_means(monkeypatch):
     assert all(report.total == total and report.inconclusive == 0 for report, _ in results)
     assert len(logs) == total
     assert len(evals) == 6 * total
+
+
+@pytest.mark.parametrize("fields", [
+    {"b_low": 0.0},  # raised ValueError from math.log inside check_case
+    {"b_low": -1.0},
+    {"random_count": 2.5},  # raised TypeError from range()
+    {"grid_b_count": 2.5},
+    {"random_count": -1},
+    {"b_low": 10.0, "b_high": 2.0},  # was accepted
+    {"b_high": math.inf},
+    {"b_low": math.nan},
+    {"b_high": "1e6"},
+])
+def test_sampling_plan_rejects_bad_fields(fields):
+    with pytest.raises(DomainError):
+        SamplingPlan(**fields)

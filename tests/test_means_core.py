@@ -135,6 +135,13 @@ def test_power_mean():
         assert power_mean(t, MeanPoint(3, 7)) == pytest.approx(g, rel=1e-10)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "a", None])
+def test_power_mean_rejects_an_exponent_that_is_not_a_finite_real(t):
+    # power_mean(nan, pt) returned NaN and power_mean("a", pt) raised TypeError
+    with pytest.raises(DomainError):
+        power_mean(t, MeanPoint(2, 6))
+
+
 def _within_log_rounding(value, ref):
     """exp turns an absolute error of a few ulps of |ln ref| into the relative error."""
     import mpmath as mp

@@ -67,8 +67,25 @@ def test_integrate_zero_rel_tol_means_the_floor():
     assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("panels", [0, -1, 2.5])
-def test_integrate_fixed_rejects_bad_panels(panels):
+def test_integrate_fixed_uses_four_panels():
+    res = integrate_fixed(math.exp, 0.0, 1.0)
+    assert res.subdivisions == 4
+    assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("rule", [integrate, integrate_fixed], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                  (0.0, math.nan), (math.inf, math.inf)])
+def test_non_finite_bound_is_a_domain_error(rule, a, b):
+    # integrate(f, 0, inf) returned value=inf with error_estimate=nan
     with pytest.raises(DomainError):
-        integrate_fixed(math.exp, 0.0, 1.0, panels)
-    assert integrate_fixed(math.exp, 0.0, 1.0, 1).subdivisions == 1
+        rule(math.exp, a, b)
+
+
+@pytest.mark.parametrize("rule", [integrate, integrate_fixed], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.inf if x > 0.5 else 1.0,
+                               lambda x: 1e308 * (1.0 + x)], ids=["nan", "inf", "overflow"])
+def test_non_finite_result_is_a_quadrature_error(rule, f):
+    # a NaN integrand stopped integrate after one panel and returned NaN
+    with pytest.raises(QuadratureError):
+        rule(f, 0.0, 1.0)
