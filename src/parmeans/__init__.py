@@ -72,7 +72,7 @@ from .inequalities import (
     check_cases,
     special_reductions_check,
 )
-from .quadrature import QuadratureResult, integrate, integrate_fixed
+from .quadrature import QuadratureResult, integrate
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from .convexity import CheckReport, hessian_logF
+from .convexity import EXCLUSION_BAND, CheckReport, HessianReport, _family_hessian
 from .core import (
     GeneratorPair,
     MeanPoint,
@@ -21,8 +21,9 @@ from .core import (
     family_evaluator,
     parse_parameter,
 )
-from .errors import ParMeansError
+from .errors import DomainError, ParMeansError
 from .inequalities import SamplingPlan
+from .stable import log_ratio
 from .suites import convexity_suite, full_suite, identity_suite, inequality_suite
 
 SCHEMA_VERSION = 1
@@ -44,8 +45,16 @@ _REGION_ALIASES = {"pos": "positive_quadrant", "positive": "positive_quadrant",
                    "negative_quadrant": "negative_quadrant"}
 
 
+def _lookup(table: dict, name: str, what: str) -> str:
+    """table[name.lower()], or a ParMeansError that lists the choices."""
+    try:
+        return table[name.lower()]
+    except KeyError:
+        raise ParMeansError(f"unknown {what} {name!r}; choices: {', '.join(table)}") from None
+
+
 def _resolve_family(args):
-    name = _FAMILY_ALIASES[args.family.lower()]
+    name = _lookup(_FAMILY_ALIASES, args.family, "family")
     gen = None
     if name == "four_param":
         if args.r is None or args.s is None:
@@ -71,15 +80,28 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def cmd_hessian(args) -> int:
+def _hessian_rows(args, pairs) -> tuple[str, list]:
+    """(family, [(p, q, d2_pp, d2_qq, d2_pq, delta, verdict)]) as scan_convexity reads each
+    point: the evaluator, whose errors propagate, then the classified closed form."""
     name, gen = _resolve_family(args)
-    ev = family_evaluator(name, gen)
-    rep = hessian_logF(ev, ParamPair(args.p, args.q), MeanPoint(args.a, args.b))
-    print(json.dumps({
-        "family": name, "p": args.p, "q": args.q, "a": args.a, "b": args.b,
-        "d2_pp": rep.d2_pp, "d2_qq": rep.d2_qq, "d2_pq": rep.d2_pq,
-        "delta": rep.delta, "verdict": rep.verdict,
-    }))
+    ev, hessian = family_evaluator(name, gen), _family_hessian(name, gen)
+    pt = MeanPoint(args.a, args.b)
+    w = log_ratio(pt.a, pt.b)
+    rows = []
+    for p, q in pairs:
+        ev(ParamPair(p, q), pt)
+        d2_pp, d2_qq, d2_pq, delta, est_pp, _, _, est_delta = hessian(p, q, w)
+        verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
+        rows.append((p, q, d2_pp, d2_qq, d2_pq, delta, verdict))
+    return name, rows
+
+
+def cmd_hessian(args) -> int:
+    if abs(args.p - args.q) <= EXCLUSION_BAND:
+        raise DomainError(f"the closed-form Hessian needs |p - q| > {EXCLUSION_BAND}")
+    name, [(p, q, d2_pp, d2_qq, d2_pq, delta, verdict)] = _hessian_rows(args, [(args.p, args.q)])
+    print(json.dumps({"family": name, "p": p, "q": q, "a": args.a, "b": args.b, "d2_pp": d2_pp,
+                      "d2_qq": d2_qq, "d2_pq": d2_pq, "delta": delta, "verdict": verdict}))
     return EXIT_PASS
 
 
@@ -91,9 +113,12 @@ def _run_suite(args) -> list:
     if args.suite == "convexity":
         filters = {}
         if args.family_filter:
-            filters["families"] = (args.family_filter,)
+            family = _lookup(_FAMILY_ALIASES, args.family_filter, "family")
+            if family == "four_param":
+                raise ParMeansError("the convexity suite has no F; scan --family F --r --s does")
+            filters["families"] = (family,)
         if args.region:
-            filters["regions"] = (_REGION_ALIASES[args.region],)
+            filters["regions"] = (_lookup(_REGION_ALIASES, args.region, "region"),)
         return convexity_suite(**filters)
     if args.suite == "inequalities":
         return inequality_suite(plan)
@@ -158,14 +183,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    name, gen = _resolve_family(args)
-    ev = family_evaluator(name, gen)
-    pt = MeanPoint(args.a, args.b)
-    rows = []
-    for p in args.p_grid:
-        for q in args.q_grid:
-            rep = hessian_logF(ev, ParamPair(p, q), pt)
-            rows.append((p, q, rep.d2_pp, rep.d2_qq, rep.d2_pq, rep.delta, rep.verdict))
+    _, rows = _hessian_rows(args, [(p, q) for p in args.p_grid for q in args.q_grid
+                                   if abs(p - q) > EXCLUSION_BAND])
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -233,10 +252,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _param(text: str) -> float:
-    return parse_parameter(text)
-
-
 def _grid(text: str) -> list[float]:
     return [parse_parameter(tok) for tok in text.split(",") if tok.strip()]
 
@@ -254,18 +269,18 @@ def build_parser(check_defaults: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--family", required=True,
                        help="stolarsky | gini | identric2 | heronian2 | F | hd")
         if with_params:
-            p.add_argument("--p", type=_param, required=True)
-            p.add_argument("--q", type=_param, required=True)
-        p.add_argument("--r", type=_param, default=None)
-        p.add_argument("--s", type=_param, default=None)
-        p.add_argument("--a", type=_param, required=True)
-        p.add_argument("--b", type=_param, required=True)
+            p.add_argument("--p", type=parse_parameter, required=True)
+            p.add_argument("--q", type=parse_parameter, required=True)
+        p.add_argument("--r", type=parse_parameter, default=None)
+        p.add_argument("--s", type=parse_parameter, default=None)
+        p.add_argument("--a", type=parse_parameter, required=True)
+        p.add_argument("--b", type=parse_parameter, required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one mean")
     add_family_args(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_hess = sub.add_parser("hessian", help="finite-difference Hessian of ln M")
+    p_hess = sub.add_parser("hessian", help="closed-form Hessian of ln M")
     add_family_args(p_hess)
     p_hess.set_defaults(func=cmd_hessian)
 
@@ -281,7 +296,7 @@ def build_parser(check_defaults: dict | None = None) -> argparse.ArgumentParser:
     p_check.add_argument("--config", default=None)
     p_check.set_defaults(func=cmd_check, **(check_defaults or {}))
 
-    p_scan = sub.add_parser("scan", help="CSV Hessian scan over a parameter grid")
+    p_scan = sub.add_parser("scan", help="CSV closed-form Hessian scan over a parameter grid")
     add_family_args(p_scan, with_params=False)
     p_scan.add_argument("--p-grid", type=_grid, required=True, dest="p_grid")
     p_scan.add_argument("--q-grid", type=_grid, required=True, dest="q_grid")
@@ -328,9 +343,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParMeansError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except KeyError as exc:
-        print(f"error: unknown name {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 
 

@@ -1,17 +1,15 @@
 """Numerical certification of bivariate log-convexity in the parameter pair.
 
-Four routes are provided and cross-checked against each other:
-
-  * scan_convexity: the closed-form Hessian (_quotient_hessian) of the
-    engine's quotient ln M = ln b + (E(p) - E(q))/(p - q).  With
-    d = p - q and D = E(p) - E(q):
+  * _quotient_hessian: the one Hessian that every command, probe and
+    suite reads, in closed form for ln M = ln b + (E(p) - E(q))/(p - q).
+    With d = p - q and D = E(p) - E(q):
 
         d2_pp = E''(p)/d - 2 E'(p)/d^2 + 2 D/d^3
         d2_qq = -E''(q)/d - 2 E'(q)/d^2 + 2 D/d^3
         d2_pq = (E'(p) + E'(q))/d^2 - 2 D/d^3
 
-    E = e(t w), E' = w e1(t w) and E'' = w^2 e2(t w) come from the
-    family's kernel tuple in core, whose e2 kernels are
+    A family's (_family_hessian) E = e(t w), E' = w e1(t w) and
+    E'' = w^2 e2(t w) come from its kernel tuple in core, with e2
 
         stolarsky   exprel_logd2
         gini        sigmoid_d = sigma (1 - sigma)
@@ -21,20 +19,18 @@ Four routes are provided and cross-checked against each other:
         H_D         the Stolarsky tuple plus the pole part
                     (ln|t|, 1/t, -1/t^2) read at w = 1
 
-    so a grid point costs six kernel calls.  Each entry and delta
-    carries an error estimate, and a point is inconclusive where |d2_pp|
-    or |delta| is within its estimate.  The expected verdict comes from
-    the r + s sign rule; H_D is log-convex on the positive quadrant and
-    log-concave on the negative one;
+    so a point costs six kernel calls; a generator's (_generator_hessian)
+    are T, T' and T'' of hgf at w = 1.  Entries and delta carry error
+    estimates; a point is inconclusive where |d2_pp| or |delta| is within
+    its estimate.  There is no p = q form.  The expected verdict comes
+    from the r + s sign rule; H_D is log-convex on the positive quadrant
+    and log-concave on the negative one;
   * hessian_logF: central second differences of (p, q) -> ln M with one
-    Richardson halving, classified against SIGN_TOL (the CLI hessian and
-    scan commands);
+    Richardson halving, classified against SIGN_TOL: the Hessian of an
+    arbitrary evaluator and the tests' finite-difference reference;
   * midpoint_test: the defining Jensen inequality, reported as the
     defect margin alpha ln M1 + beta ln M2 - ln M(blend), so margins
-    <= 0 are consistent with log-concavity and >= 0 with log-convexity;
-  * integral_hessian: quadrature of the t^2/(1-t)^2/t(1-t) weighted
-    T''' integrals behind the second-derivative criterion; the three
-    weights share the rule's nodes, so T''' is evaluated once per node.
+    <= 0 are consistent with log-concavity and >= 0 with log-convexity.
 """
 
 from __future__ import annotations
@@ -57,8 +53,7 @@ from .core import (
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _HD_POLE, STEP_SCALE, _check_t_interval, _t_stencil, hf_eval, t_derivatives
-from .quadrature import integrate_fixed
+from .hgf import _HD_POLE, STEP_SCALE, _check_t_interval, _t_stencil, ln_f_power, t_derivatives
 from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
 _EPS = 2.0 ** -52
@@ -74,6 +69,8 @@ EXCLUSION_BAND = 0.05  # grid values and pairs |p - q| within it are left out
 J_DEAD_ZONE = 1e-8
 J_HESSIAN_GRID = (0.5, 1.0, 2.0)
 J_MEAN_POINT = MeanPoint(1.0, 3.0)
+# hgf.t_prime is within T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|) of 40-digit mpmath
+T_PRIME_ROUNDING = 256.0
 
 
 @dataclass(frozen=True)
@@ -405,15 +402,33 @@ def _family_hessian(family: str, gen: Optional[GeneratorPair]
         def parts(p, q, w):
             return _quotient_hessian(e, e1, e2, w, p, q)
 
-    def hessian(p: float, q: float, w: float) -> tuple:
-        d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq = parts(p, q, w)
-        delta = d2_pp * d2_qq - d2_pq * d2_pq
-        est_delta = (abs(d2_pp) * est_qq + abs(d2_qq) * est_pp + 2.0 * abs(d2_pq) * est_pq
-                     + est_pp * est_qq + est_pq * est_pq
-                     + 2.0 * _EPS * (abs(d2_pp * d2_qq) + d2_pq * d2_pq))
-        return d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta
+    return lambda p, q, w: _with_delta(parts(p, q, w))
 
-    return hessian
+
+def _with_delta(parts: tuple) -> tuple:
+    """_quotient_hessian's entries and estimates, with delta and est_delta put in."""
+    d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq = parts
+    delta = d2_pp * d2_qq - d2_pq * d2_pq
+    est_delta = (abs(d2_pp) * est_qq + abs(d2_qq) * est_pp + 2.0 * abs(d2_pq) * est_pq
+                 + est_pp * est_qq + est_pq * est_pq
+                 + 2.0 * _EPS * (abs(d2_pp * d2_qq) + d2_pq * d2_pq))
+    return d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta
+
+
+def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tuple:
+    """_family_hessian's 8-tuple for ln H_f: _quotient_hessian at w = 1 with E = T and
+    E', E'' and the estimate of E'' from _t_stencil at p and q; E' also carries
+    T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|).  DomainError at p = q or across a pole."""
+    p, q = pp.p, pp.q
+    _check_t_interval(f, p, q)
+    if p == q:
+        raise DomainError("the closed-form Hessian has no p = q form")
+    at = {t: _t_stencil(f, t, pt) for t in (p, q)}
+    err1 = T_PRIME_ROUNDING * _EPS * (abs(math.log(pt.a)) + abs(math.log(pt.b))
+                                      + max(abs(at[p][0]), abs(at[q][0])))
+    return _with_delta(_quotient_hessian(
+        lambda t: ln_f_power(f, t, pt), lambda t: at[t][0], lambda t: at[t][1],
+        1.0, p, q, (0.0, err1, max(at[p][3], at[q][3]))))
 
 
 def scan_convexity(spec: ScanSpec) -> CheckReport:
@@ -465,17 +480,16 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
     return tally.report(f"convexity[{spec.family},{spec.region}]", notes)
 
 
-def j_criterion_probe(
-    f: GeneratorFunction,
-    samples: Sequence[tuple[float, MeanPoint]],
-) -> CheckReport:
+def j_criterion_probe(f: GeneratorFunction, samples: Sequence[tuple[float, MeanPoint]]
+                      ) -> CheckReport:
     """Check the J-sign criterion against positive-quadrant Hessian verdicts.
 
     J is computed at each (t, point) sample, undecided where |J| <=
-    J_DEAD_ZONE; if its sign is constant, the hessian_logF verdicts of H_f
-    over J_HESSIAN_GRID at J_MEAN_POINT must match: J < 0 implies
-    log-convex there, J > 0 log-concave.  The worst margin is that of the
-    Hessian samples, or the smallest |J| when the implication is vacuous.
+    J_DEAD_ZONE; if its sign is constant, the closed-form Hessian verdicts
+    of H_f (_generator_hessian) over J_HESSIAN_GRID at J_MEAN_POINT must
+    match: J < 0 implies log-convex there, J > 0 log-concave.  The worst
+    margin is that of the Hessian samples, in units of their estimates as
+    in scan_convexity, or the smallest |J| when the implication is vacuous.
     """
     tally = Tally()
     signs = set()
@@ -498,49 +512,27 @@ def j_criterion_probe(
 
     sigma = signs.pop()
     expect = VERDICT_CONVEX if sigma < 0 else VERDICT_CONCAVE
-    ev = lambda pp, pt: hf_eval(f, pp, pt)
     for p in J_HESSIAN_GRID:
         for q in J_HESSIAN_GRID:
             if abs(p - q) <= EXCLUSION_BAND:
                 continue
-            rep = hessian_logF(ev, ParamPair(p, q), J_MEAN_POINT)
-            directional = rep.d2_pp if expect == VERDICT_CONVEX else -rep.d2_pp
-            tally.margin(min(directional, rep.delta),
-                         {"p": p, "q": q, "d2_pp": rep.d2_pp, "delta": rep.delta,
-                          "verdict": rep.verdict, "expected": expect})
-            _count_verdict(tally, rep.verdict, expect)
+            d2_pp, _, _, delta, est_pp, _, _, est_delta = _generator_hessian(
+                f, ParamPair(p, q), J_MEAN_POINT)
+            verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
+            directional = d2_pp if expect == VERDICT_CONVEX else -d2_pp
+            tally.margin(min(directional / est_pp, delta / est_delta),
+                         {"p": p, "q": q, "d2_pp": d2_pp, "delta": delta,
+                          "verdict": verdict, "expected": expect})
+            _count_verdict(tally, verdict, expect)
     return tally.report(case_id, notes + f"; expected quadrant verdict {expect}")
 
 
-def integral_hessian(
-    f: GeneratorFunction,
-    pp: ParamPair,
-    pt: MeanPoint,
-) -> tuple[float, float, float, float]:
-    """Hessian entries from the weighted T''' integral representation.
-
-    Returns (d2_pp, d2_qq, d2_pq, delta).  The integrand carries
-    finite-difference noise from T''', so integrate_fixed's composite rule
-    is used (adaptive refinement would chase the noise floor); serves as a
-    structural cross-check of the difference Hessian.
-    """
-    p, q = pp.p, pp.q
-    _check_t_interval(f, p, q)
-    # the three weights share the fixed rule's nodes: T''' once per node
-    t3_at: dict[float, float] = {}
-
-    def t3(u: float) -> float:
-        if u not in t3_at:
-            t3_at[u] = _t_stencil(f, u, pt)[2]
-        return t3_at[u]
-
-    def seg(weight: Callable[[float], float]) -> float:
-        return integrate_fixed(lambda t: weight(t) * t3(t * p + (1.0 - t) * q), 0.0, 1.0).value
-
-    d2_pp = seg(lambda t: t * t)
-    d2_qq = seg(lambda t: (1.0 - t) * (1.0 - t))
-    d2_pq = seg(lambda t: t * (1.0 - t))
-    return d2_pp, d2_qq, d2_pq, d2_pp * d2_qq - d2_pq * d2_pq
+def integral_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint
+                     ) -> tuple[float, float, float, float]:
+    """(d2_pp, d2_qq, d2_pq, delta) of ln H_f in (p, q): the closed form of
+    _generator_hessian, which equals the weighted T''' integrals
+    int_0^1 {t^2, (1-t)^2, t(1-t)} T'''(tp + (1-t)q) dt.  DomainError at p = q."""
+    return _generator_hessian(f, pp, pt)[:4]
 
 
 def random_blend_margins(

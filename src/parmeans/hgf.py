@@ -157,21 +157,22 @@ def hf_integral_oracle(
     return math.exp(result.value)
 
 
-def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint) -> tuple[float, float, float]:
-    """(T'(t), T''(t), T'''(t)) under the checks of t_derivatives.
+def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
+               ) -> tuple[float, float, float, float]:
+    """(T'(t), T''(t), T'''(t), estimated error of T'') under the checks of t_derivatives.
 
     T' is t_prime.  T'' = w g' and T''' = w g'' come from one stencil of g,
     free of the rounding that k ln b carries in T', at t, t +- h/2 and
     t +- h with h = STEP_SCALE (1 + |t|): its central first and second
-    differences, each with one Richardson halving.  A stencil that reaches
-    the pole at t = 0 of a generator without a diagonal limit raises
-    DomainError.
+    differences, each with one Richardson halving.  The estimate of T'' is
+    |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h), max|g| over t and t +- h, R
+    the Richardson first difference and D(h/2) the one at step h/2.  A
+    stencil that reaches the pole at t = 0 of a generator without a
+    diagonal limit raises DomainError.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
     if la == lb:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
-    if t == 0.0:
-        raise DomainError("T''' is singular at t = 0")
     g0 = _g(f, t, la, lb)  # its _saturation_guard refuses a non-finite t before the test below
     if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
         raise SaturationError("probe coordinates a^t not representable",
@@ -185,12 +186,14 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint) -> tuple[float, fl
         first.append((up - down) / (2.0 * hh))
         second.append((up - 2.0 * g0 + down) / (hh * hh))
     w = la - lb
-    return (t_prime(f, t, pt), w * ((4.0 * first[0] - first[1]) / 3.0),
-            w * ((4.0 * second[0] - second[1]) / 3.0))
+    g1 = (4.0 * first[0] - first[1]) / 3.0
+    g_max = max(abs(g0), abs(up), abs(down))
+    est2 = abs(w) * (abs(g1 - first[0]) + 32.0 * _EPS * (1.0 + g_max) / h)
+    return t_prime(f, t, pt), w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
 
 
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
-    """T', T'', T''' plus I, J and C at the probe point t.
+    """T', T'', T''' plus I, J and C at the probe point t != 0.
 
     T' comes from the closed form, T'' and T''' from _t_stencil.  With
     w = ln(a/b), homogeneity gives I = -T''/(w^2 x y),
@@ -198,7 +201,9 @@ def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives
     come from the logs, so x y is never formed; a field outside the
     floating range raises SaturationError.
     """
-    T1, T2, T3 = _t_stencil(f, t, pt)
+    if t == 0.0:
+        raise DomainError("J and C are singular at t = 0")
+    T1, T2, T3, _ = _t_stencil(f, t, pt)
     la, lb = math.log(pt.a), math.log(pt.b)
     w = la - lb
     inv_x, inv_y = math.exp(-t * la), math.exp(-t * lb)

@@ -183,9 +183,10 @@ def _ln_A(t: float, w: float, lnb: float) -> float:
 # -- free-variable plans -----------------------------------------------------
 
 def _b_grid(plan: SamplingPlan) -> list[float]:
+    """grid_b_count values of b, log-spaced from b_low to b_high; one is [b_low]."""
     lo, hi = math.log(plan.b_low), math.log(plan.b_high)
-    n = max(2, plan.grid_b_count)
-    return [math.exp(lo + i * (hi - lo) / (n - 1)) for i in range(n)]
+    n = plan.grid_b_count
+    return [math.exp(lo + i * (hi - lo) / max(1, n - 1)) for i in range(n)]
 
 
 def _draw_b(rng: random.Random, plan: SamplingPlan) -> float:

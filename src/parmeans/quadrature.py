@@ -36,7 +36,6 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG_CENTER = 0.417959183673469387755102040816327
-FIXED_PANELS = 4  # the equal panels of integrate_fixed
 
 
 @dataclass(frozen=True)
@@ -75,36 +74,6 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return resk * h, err
 
 
-def _check_bounds(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-
-
-def _result(value: float, err: float, subdivisions: int) -> QuadratureResult:
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError(f"integral {value!r} or its error estimate {err!r} not finite",
-                              math.nan, subdivisions)
-    return QuadratureResult(value, err, subdivisions)
-
-
-def integrate_fixed(f: Callable[[float], float], a: float, b: float) -> QuadratureResult:
-    """Composite Gauss-Kronrod on FIXED_PANELS equal panels, no adaptivity.
-
-    For smooth integrands contaminated by evaluation noise (e.g. built
-    from finite differences), where adaptive refinement would chase the
-    noise floor.  Bounds and result as in integrate.
-    """
-    _check_bounds(a, b)
-    total_v = total_e = 0.0
-    for i in range(FIXED_PANELS):
-        lo = a + (b - a) * i / FIXED_PANELS
-        hi = a + (b - a) * (i + 1) / FIXED_PANELS
-        v, e = _gk15(f, lo, hi)
-        total_v += v
-        total_e += e
-    return _result(total_v, total_e, FIXED_PANELS)
-
-
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -122,7 +91,8 @@ def integrate(
     A rel_tol below 50 eps acts as 50 eps; a non-finite bound, a NaN or
     negative tolerance and max_subdivisions < 1 raise DomainError.
     """
-    _check_bounds(a, b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not tol >= 0.0:
             raise DomainError(f"{name} must be a non-negative real, got {tol!r}")
@@ -148,4 +118,7 @@ def integrate(
         heapq.heappush(heap, (-e1, aa, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, bb, v2, e2))
         n += 1
-    return _result(total_v, total_e, n)
+    if not (math.isfinite(total_v) and math.isfinite(total_e)):
+        raise QuadratureError(f"integral {total_v!r} or its error estimate {total_e!r} not finite",
+                              math.nan, n)
+    return QuadratureResult(total_v, total_e, n)

@@ -377,3 +377,85 @@ def test_negative_random_count_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "check", "--suite", "identities", "--config", str(cfg))
     assert code == 2
 
+
+
+# -- names resolve through one case-insensitive table ----------------------------
+
+def test_check_convexity_family_and_region_ignore_case(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "convexity",
+                       "--family", "Gini", "--region", "POS")
+    assert code == 0
+    assert "convexity[gini,positive_quadrant]" in out and "done: 1 cases" in out
+
+
+def test_check_convexity_region_in_capitals(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "convexity", "--region", "NEG")
+    assert code == 0
+    assert "done: 5 cases" in out and "positive_quadrant" not in out
+
+
+@pytest.mark.parametrize("argv, choice", [
+    (["check", "--suite", "convexity", "--family", "nosuch"], "heronian2"),
+    (["check", "--suite", "convexity", "--region", "nosuch"], "negative_quadrant"),
+    (["eval", "--family", "nosuch", "--p", "1", "--q", "2", "--a", "4", "--b", "2"], "gini"),
+])
+def test_unknown_name_lists_the_choices(capsys, argv, choice):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "'nosuch'; choices:" in err and choice in err
+
+
+def test_check_convexity_refuses_family_F_and_names_scan(capsys):
+    code, _, err = run(capsys, "check", "--suite", "convexity", "--family", "F")
+    assert code == 2
+    assert "has no F" in err and "scan --family F --r --s" in err
+
+
+def test_a_key_error_inside_a_command_is_not_a_bad_name(monkeypatch):
+    # main once turned any KeyError into exit 2 "unknown name"
+    from parmeans import cli
+
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    with pytest.raises(KeyError):
+        main(["eval", "--family", "gini", "--p", "1", "--q", "2", "--a", "4", "--b", "2"])
+
+
+# -- hessian and scan read the closed form that the convexity check uses ---------
+
+@pytest.mark.parametrize("family", ["stolarsky", "gini", "identric2", "heronian2", "hd"])
+def test_hessian_and_scan_equal_the_closed_form_on_the_suite_grid(tmp_path, capsys, family):
+    from parmeans.convexity import EXCLUSION_BAND, HessianReport, _family_hessian
+    from parmeans.stable import log_ratio
+    from parmeans.suites import DEFAULT_GRID, DEFAULT_MEAN_POINTS
+
+    hessian = _family_hessian(family, None)
+    out_file = tmp_path / "scan.csv"
+    for pt in DEFAULT_MEAN_POINTS:
+        point = [f"--a={pt.a!r}", f"--b={pt.b!r}"]
+        w = log_ratio(pt.a, pt.b)
+        for sign in (1.0, -1.0):
+            grid = [sign * v for v in DEFAULT_GRID]
+            rows = []
+            for p in grid:
+                for q in grid:
+                    code, out, _ = run(capsys, "hessian", "--family", family,
+                                       f"--p={p!r}", f"--q={q!r}", *point)
+                    if abs(p - q) <= EXCLUSION_BAND:
+                        assert (code, out) == (2, "")
+                        continue
+                    d2_pp, d2_qq, d2_pq, delta, est_pp, _, _, est_delta = hessian(p, q, w)
+                    verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
+                    assert code == 0
+                    assert json.loads(out) == {
+                        "family": family, "p": p, "q": q, "a": pt.a, "b": pt.b,
+                        "d2_pp": d2_pp, "d2_qq": d2_qq, "d2_pq": d2_pq,
+                        "delta": delta, "verdict": verdict}
+                    rows.append(",".join(["%.17g" % v for v in (p, q, d2_pp, d2_qq, d2_pq, delta)]
+                                         + [verdict]))
+            text = ",".join(repr(v) for v in grid)
+            assert main(["scan", "--family", family, f"--p-grid={text}", f"--q-grid={text}",
+                         *point, "--out", str(out_file)]) == 0
+            assert out_file.read_text().splitlines()[1:] == rows

@@ -13,7 +13,9 @@ from parmeans import (
     arithmetic_generator,
     difference_generator,
     family_evaluator,
+    heronian_generator,
     hessian_logF,
+    identric_generator,
     integral_hessian,
     j_criterion_probe,
     logarithmic_generator,
@@ -30,6 +32,7 @@ from parmeans.convexity import (
     VERDICT_CONVEX,
     VERDICT_INCONCLUSIVE,
     _family_hessian,
+    _generator_hessian,
     expected_verdict,
     random_blend_margins,
 )
@@ -218,9 +221,15 @@ def test_j_criterion_probes():
     # f = S_{1,0} (r + s > 0): J > 0, positive-quadrant verdicts concave
     rep = j_criterion_probe(stolarsky_generator(1.0, 0.0), samples())
     assert rep.failed == 0 and "[1]" in rep.notes and "concave" in rep.notes
-    # the witness is the worst-margin Hessian sample
-    assert rep.worst_witness["expected"] == "concave"
-    assert min(-rep.worst_witness["d2_pp"], rep.worst_witness["delta"]) == rep.worst_margin
+    # the witness is the worst-margin Hessian sample; as in the scans, the
+    # margin is d2_pp or delta in units of its estimate
+    witness = rep.worst_witness
+    assert witness["expected"] == "concave"
+    d2_pp, _, _, delta, est_pp, _, _, est_delta = _generator_hessian(
+        stolarsky_generator(1.0, 0.0), ParamPair(witness["p"], witness["q"]),
+        convexity.J_MEAN_POINT)
+    assert (witness["d2_pp"], witness["delta"]) == (d2_pp, delta)
+    assert min(-d2_pp / est_pp, delta / est_delta) == rep.worst_margin
     # f = D: J < 0, verdicts convex
     rep = j_criterion_probe(difference_generator(), samples())
     assert rep.failed == 0 and "[-1]" in rep.notes and "convex" in rep.notes
@@ -230,19 +239,61 @@ def test_j_criterion_probes():
 
 
 def test_integral_hessian_cross_check():
-    # quadrature of the weighted T''' integrals agrees with the difference
-    # Hessian to 5% on smooth samples
+    # the closed form for H_f agrees with the finite-difference Hessian of the
+    # matching family to within its estimate plus the stencil's rounding, as
+    # bounded in test_closed_form_hessian_agrees_with_hessian_logF_on_the_suite_grid
     cases = [
         (arithmetic_generator(), ParamPair(1.0, 2.0), MeanPoint(1.0, 3.0), "gini"),
         (logarithmic_generator(), ParamPair(0.5, 1.5), MeanPoint(2.0, 5.0), "stolarsky"),
     ]
     for gen, pp, pt, fam in cases:
-        ipp, iqq, ipq, idelta = integral_hessian(gen, pp, pt)
-        rep = hessian_logF(family_evaluator(fam), pp, pt)
-        assert ipp == pytest.approx(rep.d2_pp, rel=0.05)
-        assert iqq == pytest.approx(rep.d2_qq, rel=0.05)
-        assert ipq == pytest.approx(rep.d2_pq, rel=0.05)
-        assert idelta == pytest.approx(rep.delta, rel=0.05)
+        closed = _generator_hessian(gen, pp, pt)
+        assert integral_hessian(gen, pp, pt) == closed[:4]
+        ev = family_evaluator(fam)
+        rep = hessian_logF(ev, pp, pt)
+        tol = 32.0 * 2.0 ** -26 * (1.0 + abs(math.log(ev(pp, pt).value)))
+        for c, est, fd in zip(closed, closed[4:], (rep.d2_pp, rep.d2_qq, rep.d2_pq)):
+            assert abs(c - fd) <= est + tol, (gen.label, c, fd)
+        d2_pp, d2_qq, d2_pq = closed[:3]
+        delta_tol = (abs(d2_pp) + abs(d2_qq) + 2.0 * abs(d2_pq)) * tol + 2.0 * tol * tol
+        assert abs(closed[3] - rep.delta) <= closed[7] + delta_tol
+
+
+# each generator with the family whose ln M has the Hessian of ln H_f
+GENERATOR_FAMILIES = [
+    (arithmetic_generator(), "gini", None),
+    (logarithmic_generator(), "stolarsky", None),
+    (identric_generator(), "identric2", None),
+    (heronian_generator(), "heronian2", None),
+    (difference_generator(), "hd", None),
+] + [(stolarsky_generator(r, s), "four_param", GeneratorPair(r, s))
+     for r, s in ((2.0, 1.0), (-2.5, -2.0), (0.5, 0.5), (1.0, -2.0))]
+
+
+@pytest.mark.parametrize("f, family, gen", GENERATOR_FAMILIES,
+                         ids=[f.label for f, _, _ in GENERATOR_FAMILIES])
+def test_integral_hessian_within_estimates_of_the_family_hessian(f, family, gen):
+    # T, T' and the stencil's T'' of f against the kernels of the family: each
+    # entry and delta within the sum of the two estimates
+    hessian = _family_hessian(family, gen)
+    rng = random.Random(43)
+    for _ in range(200):
+        sign = rng.choice((-1.0, 1.0))
+        p, q = sign * rng.uniform(0.1, 4.0), sign * rng.uniform(0.1, 4.0)
+        if abs(p - q) <= 0.05:
+            continue
+        a = 10.0 ** rng.uniform(-1.0, 1.0)
+        pt = MeanPoint(a, a * 10.0 ** (rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 2.0)))
+        closed = _generator_hessian(f, ParamPair(p, q), pt)
+        assert integral_hessian(f, ParamPair(p, q), pt) == closed[:4]
+        ref = hessian(p, q, log_ratio(pt.a, pt.b))
+        for i in range(4):
+            assert abs(closed[i] - ref[i]) <= closed[4 + i] + ref[4 + i], (i, p, q, pt)
+
+
+def test_integral_hessian_refuses_p_eq_q():
+    with pytest.raises(DomainError):
+        integral_hessian(arithmetic_generator(), ParamPair(1.5, 1.5), MeanPoint(1, 3))
 
 
 def test_random_blend_margins_signs():

@@ -15,10 +15,9 @@ same verdicts as a slow path through the public evaluators, one case at
 a time and with the catalog on its shared sample streams.  The
 convexity scans' closed-form Hessian must reach the verdict of the
 finite-difference Hessian over the public evaluators wherever that one
-decides, and fail the same samples.  t_derivatives and
-integral_hessian, which now evaluate T' at the probe point and T'''
-at each quadrature node once, must reproduce copies of their former
-per-stencil and per-weight forms bit for bit; T'' is the central first
+decides, and fail the same samples.  t_derivatives, which now
+evaluates T' at the probe point once, must reproduce a copy of its
+former per-stencil form bit for bit; T'' is the central first
 difference on the T''' stencil.
 """
 
@@ -43,7 +42,6 @@ from parmeans import (
     four_param_F,
     gini,
     hessian_logF,
-    integral_hessian,
     power_mean,
     scan_convexity,
     stolarsky,
@@ -55,7 +53,6 @@ from parmeans import (
 from parmeans import convexity, inequalities
 from parmeans.core import _check_saturation
 from parmeans.hgf import t_prime
-from parmeans.quadrature import integrate_fixed
 from parmeans.stable import (
     exprel_logd,
     exprel_logd2,
@@ -475,27 +472,3 @@ def test_t_derivatives_bit_identical_to_reference():
             assert (der.T1, der.T2, der.T3) == _ref_t_derivatives_T(f, t, pt), \
                 (f.label, t, pt)
 
-
-def _ref_integral_hessian(f, pp, pt):
-    p, q = pp.p, pp.q
-
-    def seg(weight):
-        return integrate_fixed(
-            lambda t: weight(t) * t_derivatives(f, t * p + (1.0 - t) * q, pt).T3,
-            0.0, 1.0).value
-
-    d2_pp = seg(lambda t: t * t)
-    d2_qq = seg(lambda t: (1.0 - t) * (1.0 - t))
-    d2_pq = seg(lambda t: t * (1.0 - t))
-    return d2_pp, d2_qq, d2_pq, d2_pp * d2_qq - d2_pq * d2_pq
-
-
-def test_integral_hessian_bit_identical_to_reference():
-    rng = random.Random(15)
-    for f in _probe_generators():
-        for _ in range(2):
-            sign = rng.choice((-1.0, 1.0))
-            pp = ParamPair(sign * rng.uniform(0.1, 4.0), sign * rng.uniform(0.1, 4.0))
-            pt = MeanPoint(1.0, 10 ** rng.uniform(0.05, 2.0))
-            assert integral_hessian(f, pp, pt) == _ref_integral_hessian(f, pp, pt), \
-                (f.label, pp, pt)

@@ -338,3 +338,12 @@ def test_check_cases_shares_the_rs_means(monkeypatch):
 def test_sampling_plan_rejects_bad_fields(fields):
     with pytest.raises(DomainError):
         SamplingPlan(**fields)
+
+
+def test_grid_b_count_zero_and_one_are_honoured():
+    # n = max(2, grid_b_count) made these totals 7 and 2
+    case = get_case("stolarsky_yang")
+    assert check_case(case, SamplingPlan(grid_b_count=0, random_count=5))[0].total == 5
+    report = check_case(case, SamplingPlan(grid_b_count=1, random_count=0))[0]
+    assert report.total == 1
+    assert report.worst_witness["b"] == pytest.approx(SamplingPlan().b_low, rel=1e-15)

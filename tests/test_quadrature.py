@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from parmeans import DomainError, QuadratureError, integrate, integrate_fixed
+from parmeans import DomainError, QuadratureError, integrate
 
 
 def test_polynomial_exactness():
@@ -67,13 +67,7 @@ def test_integrate_zero_rel_tol_means_the_floor():
     assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
-def test_integrate_fixed_uses_four_panels():
-    res = integrate_fixed(math.exp, 0.0, 1.0)
-    assert res.subdivisions == 4
-    assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
-
-
-@pytest.mark.parametrize("rule", [integrate, integrate_fixed], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("rule", [integrate], ids=lambda r: r.__name__)
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
                                   (0.0, math.nan), (math.inf, math.inf)])
 def test_non_finite_bound_is_a_domain_error(rule, a, b):
@@ -82,7 +76,7 @@ def test_non_finite_bound_is_a_domain_error(rule, a, b):
         rule(math.exp, a, b)
 
 
-@pytest.mark.parametrize("rule", [integrate, integrate_fixed], ids=lambda r: r.__name__)
+@pytest.mark.parametrize("rule", [integrate], ids=lambda r: r.__name__)
 @pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.inf if x > 0.5 else 1.0,
                                lambda x: 1e308 * (1.0 + x)], ids=["nan", "inf", "overflow"])
 def test_non_finite_result_is_a_quadrature_error(rule, f):
