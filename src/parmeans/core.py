@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DomainError, SaturationError
@@ -557,6 +556,7 @@ def family_generator_pair(name: str) -> GeneratorPair:
 
 def parse_parameter(text: str) -> float:
     """Parse a CLI parameter, accepting exact rationals such as 2/3."""
+    from fractions import Fraction  # here, not at import: it pulls in decimal
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:

@@ -4,7 +4,9 @@ T(t) = ln f(a^t, b^t).  The framework provides the branch-complete
 evaluator for H_f, T' in closed form with T'' and T''' from one
 finite-difference stencil of g = x f_x/f, the cross-derivative quantities
 I = (ln f)_xy and J = (x-y)(xI)_x, the integral-representation oracle
-exp(int_0^1 T'(tp+(1-t)q) dt), and the difference-generator function H_D.
+exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(w int_0^1 g(tp+(1-t)q) dt), which
+integrates g alone and so delivers ln(H_f/b^k) to 1e-12 relative, and the
+difference-generator function H_D.
 
 T' is evaluated at max-normalized coordinates (it is invariant under
 (x, y) -> (x, y)/max(x, y)), which keeps it conditioned for large
@@ -32,6 +34,7 @@ from .core import (
     _branch,
     _check_range,
     _check_saturation,
+    _in_band,
     _ln_eval,
 )
 from .errors import DomainError, SaturationError
@@ -127,6 +130,9 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
     E = lambda t: ln_f_power(f, t, pt)
     E1 = lambda t: t_prime(f, t, pt)
     ln, est = _ln_eval(E, E1, 1.0, p, q, 0.0)
+    if not _in_band(p, q):  # E = k lm + ln f: the rounding of lm = max(t ln a, t ln b)
+        est += 4.0 * _EPS * abs(f.order) * (abs(p) + abs(q)) * (
+            abs(math.log(pt.a)) + abs(math.log(pt.b))) / abs(p - q)
     _check_range(ln)
     return EvalResult(math.exp(ln), _branch(p, q), est)
 
@@ -137,24 +143,25 @@ def hf_integral_oracle(
     pt: MeanPoint,
     max_subdivisions: int = 10_000,
 ) -> float:
-    """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f, to 1e-12 relative.
+    """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f, as b^k exp(w int_0^1 g).
 
-    Entirely independent of the closed-form family evaluators: the
-    integrand uses only the generator value and first partials.
+    T' = k ln b + w g by Euler's relation, with w = ln(a/b) and g = x f_x/f at
+    the normalized (a^t, b^t), so only g is integrated, to 1e-12 relative:
+    ln(H_f/b^k) comes to 1e-12 relative, plus the rounding of k ln b and of
+    the sum.  Independent of the closed-form evaluators: the integrand uses
+    only the generator value and first partial in x.
     """
     if pt.a == pt.b:
         raise DomainError("integral oracle requires a != b")
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
+    la, lb = math.log(pt.a), math.log(pt.b)
     if p == q:
-        return math.exp(t_prime(f, q, pt))
-    result = integrate(
-        lambda t: t_prime(f, t * p + (1.0 - t) * q, pt),
-        0.0,
-        1.0,
-        max_subdivisions=max_subdivisions,
-    )
-    return math.exp(result.value)
+        mean_g = _g(f, q, la, lb)
+    else:
+        mean_g = integrate(lambda t: _g(f, t * p + (1.0 - t) * q, la, lb),
+                           0.0, 1.0, max_subdivisions=max_subdivisions).value
+    return math.exp(f.order * lb + log_ratio(pt.a, pt.b) * mean_g)
 
 
 def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint

@@ -14,6 +14,7 @@ import math
 # relative while the direct formulas are still cancellation-free.
 _SERIES_CUT = 0.35
 _EXP_CUT = 30.0
+_LOGD3_CUT = 1.5  # exprel_logd3's own cut: its direct form cancels 113x here, its series to z^31 does not
 
 # Absolute rounding floors, in eps, of the first- and second-derivative
 # kernels over all z (seen against 60-digit mpmath): just above the series
@@ -93,7 +94,7 @@ def exprel_logd2(z: float) -> float:
 def exprel_logd3(z: float) -> float:
     """Third derivative of log_exprel: -2/z^3 + cosh(z/2)/(4 sinh^3(z/2))."""
     az = abs(z)
-    if az < _SERIES_CUT:
+    if az < _LOGD3_CUT:
         z2 = z * z
         return z * (
             -1.0 / 120.0
@@ -102,7 +103,16 @@ def exprel_logd3(z: float) -> float:
             + z2 * (1.0 / 665280.0
             + z2 * (-691.0 / 11887948800.0
             + z2 * (1.0 / 479001600.0
-            + z2 * (-3617.0 / 50812489728000.0))))))
+            + z2 * (-3617.0 / 50812489728000.0
+            + z2 * (43867.0 / 18783434621952000.0
+            + z2 * (-174611.0 / 2347537025433600000.0
+            + z2 * (77683.0 / 33574047712837632000.0
+            + z2 * (-236364091.0 / 3347478531090402508800000.0
+            + z2 * (657931.0 / 310224200866619719680000.0
+            + z2 * (-3392780147.0 / 53979010950791831224320000000.0
+            + z2 * (1723168255201.0 / 935702329613349837879115776000000.0
+            + z2 * (-7709321041217.0 / 144297555737831935898151813120000000.0
+            + z2 * (151628697551.0 / 98674063850135073812706754560000000.0)))))))))))))))
         )
     if az > 700.0:
         return -2.0 / (z * z * z)

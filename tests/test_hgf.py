@@ -343,6 +343,90 @@ def test_oracle_rejects_difference_generator_across_zero():
     assert v == pytest.approx(6.0, rel=1e-10)
 
 
+_EPS = 2.0 ** -52
+
+
+def _mp_ln_stolarsky(r, s):
+    """mpmath ln S_{r,s}(x, y)."""
+    def ln_s(mp, x, y):
+        R, S = mp.mpf(r), mp.mpf(s)
+        if r == s:  # ln S_{r,r} = ln y + v e^(rv)/expm1(rv) - 1/r, v = ln(x/y)
+            v = mp.log(x / y)
+            return mp.log(y) + v * mp.exp(R * v) / mp.expm1(R * v) - 1 / R
+        return mp.log(S * (x ** R - y ** R) / (R * (x ** S - y ** S))) / (R - S)
+    return ln_s
+
+
+# the builtin generators and the benchmark's Stolarsky generators, each with its mpmath ln f
+_PROBED = [(f, _MP_LN_F[f.label]) for f in builtin_generators()] + [
+    (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s))
+    for r, s in ((2.0, 1.0), (-2.5, -2.0), (0.5, 0.5))]
+_PROBED_IDS = [f.label for f, _ in _PROBED]
+
+# S[-2.5,-2] inputs at which ln H_f is 2.0e-10, 8.7e-14 and 2.7e-11: a
+# tolerance relative to ln H_f could not be met there within 100 panels
+_NEAR_ONE = [
+    (3.5969746902886586, 3.8743381042588654, 28.612064440166513),
+    (3.885861314703962, 3.6499160291502606, 80.98692961367756),
+    (3.1758994098342663, 2.936203492291984, 88.80677534498527),
+]
+
+
+def _mp_ln_hf(mp, ln_f, p, q, b):
+    """50-digit ln H_f = (ln f(1, b^p) - ln f(1, b^q))/(p - q) at a = 1."""
+    with mp.workdps(50):
+        P, Q, B = mp.mpf(p), mp.mpf(q), mp.mpf(b)
+        return (ln_f(mp, mp.mpf(1), B ** P) - ln_f(mp, mp.mpf(1), B ** Q)) / (P - Q)
+
+
+def _assert_oracle_within_bound(mp, f, ln_f, p, q, b):
+    # the documented bound: ln(H_f/b^k) to 1e-12 relative, plus the rounding
+    # of k ln b and of the sum
+    got = hf_integral_oracle(f, ParamPair(p, q), MeanPoint(1.0, b), max_subdivisions=100)
+    ref = _mp_ln_hf(mp, ln_f, p, q, b)
+    k_lnb = f.order * math.log(b)
+    bound = 1e-12 * abs(ref - k_lnb) + 4.0 * _EPS * (abs(k_lnb) + abs(ref))
+    assert abs(math.log(got) - ref) <= bound, (f.label, p, q, b)
+
+
+def _same_sign_probes(seed, count=40):
+    """Seeded same-sign (p, q) in (0.1, 4) and b in 10^[0.05, 2]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sign = rng.choice((-1.0, 1.0))
+        p, q = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
+        yield sign * p, sign * q, 10.0 ** rng.uniform(0.05, 2.0)
+
+
+@pytest.mark.parametrize("p, q, b", _NEAR_ONE)
+def test_oracle_where_h_f_is_near_one_against_mpmath(p, q, b):
+    mp = pytest.importorskip("mpmath")
+    _assert_oracle_within_bound(mp, stolarsky_generator(-2.5, -2.0),
+                                _mp_ln_stolarsky(-2.5, -2.0), p, q, b)
+
+
+@pytest.mark.parametrize("f, ln_f", _PROBED, ids=_PROBED_IDS)
+def test_oracle_within_its_bound_of_mpmath(f, ln_f):
+    # no QuadratureError within 100 panels, and the documented bound
+    mp = pytest.importorskip("mpmath")
+    for p, q, b in _same_sign_probes(61):
+        _assert_oracle_within_bound(mp, f, ln_f, p, q, b)
+
+
+@pytest.mark.parametrize("f, ln_f", _PROBED, ids=_PROBED_IDS)
+def test_hf_eval_within_its_estimate_of_mpmath(f, ln_f):
+    # the quotient's estimate covers the rounding of T's normalization
+    # max(t ln a, t ln b), which is large against T where H_f is near 1
+    mp = pytest.importorskip("mpmath")
+    probes = list(_same_sign_probes(62))
+    if f.label == "S[-2.5,-2]":
+        probes += _NEAR_ONE
+    for p, q, b in probes:
+        res = hf_eval(f, ParamPair(p, q), MeanPoint(1.0, b))
+        ref = _mp_ln_hf(mp, ln_f, p, q, b)
+        assert abs(math.log(res.value) - ref) <= res.est_rel_error, (f.label, p, q, b)
+
+
 # ---------------------------------------------------------------------------
 # H_D
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 parameter/argument invariants and the reduction table."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -454,3 +458,14 @@ def test_parse_parameter():
     assert parse_parameter("4") == 4.0
     with pytest.raises(DomainError):
         parse_parameter("x/y")
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # parse_parameter imports fractions itself, so importing the package and
+    # building its catalogs loads neither fractions nor decimal
+    code = ("import sys, parmeans; parmeans.catalog(); parmeans.builtin_generators(); "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -144,6 +144,23 @@ def test_exprel_logd3_against_mpmath():
     assert exprel_logd3(800.0) == -2.0 / 800.0 ** 3
 
 
+def test_exprel_logd3_relative_accuracy_across_its_cut():
+    # the series runs to |z| = 1.5, where the direct form's two terms are 113
+    # times the value: within 4 eps relative below the cut, 4 eps of the terms
+    # above it, and 256 eps relative on [-2, 2] (the shared 0.35 cut gave
+    # 1.4e4 eps at z = 0.364)
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(55)
+    zs = [rng.uniform(-2.0, 2.0) for _ in range(300)] + [0.35, 0.36, 0.364]
+    zs += [1.5 + k * 1e-3 for k in range(-25, 26)]  # a sweep across the cut
+    for z in zs + [-z for z in zs]:
+        with mp.workdps(60):
+            _, l3, _, terms3 = _mp_kernels(mp, z)
+        err = abs(exprel_logd3(z) - float(l3))
+        assert err <= 4.0 * EPS * float(abs(l3) if abs(z) < 1.5 else terms3), z
+        assert err <= 256.0 * EPS * float(abs(l3)), z
+
+
 def test_identric_weight_d_against_mpmath():
     # 2 L'' + z L''': within a few eps of the terms both kernels add above the
     # cut; below it within 64 eps relative, as exprel_logd2's series stops at
