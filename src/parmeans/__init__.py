@@ -65,7 +65,9 @@ from .convexity import (
 from .inequalities import (
     InequalityCase,
     NamedConstant,
+    SampleStream,
     SamplingPlan,
+    Slot,
     SupremumRecord,
     catalog,
     check_case,

@@ -1,14 +1,20 @@
 """Catalog of the mean inequalities and the sampling checker.
 
 Every case is stored in log scale: the scanned expression is
-ln(lhs/rhs)-style, bracketed by optional lower/upper bound functions,
-so the violation slack 1e-11 * (1 + |value| + |bound|) is scale free.
+ln(lhs/rhs)-style, bracketed by optional lower/upper bounds, so the
+violation slack 1e-11 * (1 + |value| + |bound|) is scale free.  The
+cases read three sample streams: the generalized (r, s) cases, the two
+double inequalities and the six (a, b)-only cases.  A stream maps a
+sample and its logs to the tuple of its cases' log values, plus any
+per-sample bound, and evaluates each mean term once per sample.  A term
+whose evaluator refuses the sample is NaN, and a NaN value or bound
+makes the sample inconclusive for the cases that read it.
 Generalized (r, s) cases are asserted only on the log-concavity region
 r, s >= 0 with r + s > 0; samples outside it are scanned in report-only
 mode.  The double-estimation case between 16 sqrt(2)/(9e) and 1 is
 report-only as well: its bracket is recorded rather than enforced.
-check_cases runs the cases that share a sampling plan on one sample
-stream; check_case is its one-case call.
+check_cases tallies all cases of a stream in one pass over its samples;
+check_case is its one-case call.
 """
 
 from __future__ import annotations
@@ -84,26 +90,65 @@ class SamplingPlan:
         return math.log(self.b_low), math.log(self.b_high)
 
 
+class SampleStream:
+    """The samples that a group of cases shares, and the cases' log values at each.
+
+    values(sample, w, ln b) returns the tuple of the cases' log values,
+    plus any per-sample bound, with each mean term read once; a term
+    whose helper raises a ParMeansError is NaN there (_or_nan), and an
+    error values raises makes the sample inconclusive for every case.
+    grid gives the structured samples and draw one random sample; every
+    sample carries the mean arguments "a" and "b".  region, where set,
+    marks the samples on which an asserted case's violation counts as a
+    failure.
+    """
+
+    __slots__ = ("values", "grid", "draw", "region")
+
+    def __init__(self, values: Callable[[Sample, float, float], tuple],
+                 grid: Callable[[SamplingPlan], list[Sample]],
+                 draw: Callable[[random.Random, SamplingPlan], Sample],
+                 region: Optional[Callable[[Sample], bool]] = None):
+        self.values, self.grid, self.draw, self.region = values, grid, draw, region
+
+
+class Slot(int):
+    """A bound read at each sample from this slot of the stream's tuple."""
+
+
 @dataclass(frozen=True)
 class InequalityCase:
     """One catalog inequality, in log scale.
 
-    log_value maps a sample to the scanned log expression; log_lower and
-    log_upper (either may be None) bracket it.  draw produces the random
-    free variables, grid the structured ones; every sample carries the
-    mean arguments "a" and "b".  assert_in marks samples where a
-    violation counts as a failure; elsewhere it is only noted.
+    Its log value is slot `slot` of its stream's tuple.  lower and upper
+    (either may be None) bracket it, each a log-scale constant or a Slot
+    of the same tuple.  An asserted case counts a violation inside its
+    stream's region as a failure; elsewhere a violation is only noted.
     """
 
     case_id: str
     formula: str
-    log_value: Callable[[Sample], float]
-    log_lower: Optional[Callable[[Sample], float]]
-    log_upper: Optional[Callable[[Sample], float]]
-    draw: Callable[[random.Random, SamplingPlan], Sample]
-    grid: Callable[[SamplingPlan], list[Sample]]
+    stream: SampleStream
+    slot: int
+    lower: float | Slot | None = None
+    upper: float | Slot | None = None
     constants: tuple[NamedConstant, ...] = ()
-    assert_in: Callable[[Sample], bool] = lambda s: True
+    asserted: bool = True
+
+    def grid(self, plan: SamplingPlan) -> list[Sample]:
+        return self.stream.grid(plan)
+
+    def assert_in(self, s: Sample) -> bool:
+        region = self.stream.region
+        return self.asserted and (region is None or region(s))
+
+    def log_value(self, s: Sample) -> float:
+        return self.stream.values(s, *_logs(s))[self.slot]
+
+    def log_upper(self, s: Sample) -> float | None:
+        if isinstance(self.upper, Slot):
+            return self.stream.values(s, *_logs(s))[self.upper]
+        return self.upper
 
 
 # -- scalar helpers over a sample dict --------------------------------------
@@ -113,51 +158,17 @@ def _logs(s: Sample) -> tuple[float, float]:
     return log_ratio(s["a"], s["b"]), math.log(s["b"])
 
 
-class _Point(dict):
-    """A sample, its logs (w, ln b) taken once, and the family means read at it.
-
-    ln(helper, p, q) returns helper(p, q, w, ln b), evaluated at most once
-    per (helper, p, q) while the point lives, which is one sample.  A
-    raised error is not kept, so asking again raises again.  Callers name
-    the module-level helper at call time, so a patched helper takes effect.
-    Parameters are keyed by ==; no catalog term takes a zero parameter,
-    where 0.0 and -0.0 would share an entry.
-    """
-
-    __slots__ = ("w", "lnb", "_terms")
-
-    def __init__(self, sample: Sample):
-        super().__init__(sample)
-        self.w, self.lnb = _logs(sample)
-        self._terms = {}
-
-    def ln(self, helper: Callable[[float, float, float, float], float],
-           p: float, q: float) -> float:
-        key = (helper, p, q)
-        terms = self._terms
-        value = terms.get(key)
-        if value is None:
-            value = terms[key] = helper(p, q, self.w, self.lnb)
-        return value
-
-
-def _with_logs(fn: Callable[[_Point, float, float], float]) -> Callable[[Sample], float]:
-    """A one-argument log expression fn(point, w, ln b).
-
-    The checker passes the _Point it made for the sample, so every case
-    shares its logs and terms; a plain sample gets a point of its own.
-    """
-    def value(s: Sample) -> float:
-        point = s if type(s) is _Point else _Point(s)
-        return fn(point, point.w, point.lnb)
-    return value
+def _or_nan(helper: Callable[..., float], *args: float) -> float:
+    """helper(*args), or NaN where it refuses the sample."""
+    try:
+        return helper(*args)
+    except ParMeansError:
+        return math.nan
 
 
 # The two-parameter families and the power mean are read in log space
-# straight from the core fast path, fed with the sample's logs.  A family
-# mean that more than one case reads goes through the point's ln memo.
-# The closed forms (ln I, A_t, He, the double bound) are evaluated where
-# read: a memo lookup costs about as much as any of them.
+# straight from the core fast path, fed with the sample's logs.  The
+# streams name the helpers at call time, so a patched helper takes effect.
 
 def _ln_S(r: float, s_: float, w: float, lnb: float) -> float:
     return _family_ln(_STOLARSKY, r, s_, w, lnb)[0]
@@ -267,26 +278,53 @@ def _double_draw(rng: random.Random, plan: SamplingPlan) -> Sample:
     }
 
 
-def _blend(s: Sample) -> tuple[float, float, float, float]:
-    alpha = s["alpha"]
+# -- the three sample streams ------------------------------------------------
+
+def _rs_values(x: Sample, w: float, lnb: float) -> tuple[float, ...]:
+    """gen_lin, gen_jia_cao, gen_sandor, new_ineq_1, new_ineq_2: six family means."""
+    r, s = x["r"], x["s"]
+    S = _or_nan(_ln_S, r, s, w, lnb)
+    G3 = _or_nan(_ln_G, r / 3, s / 3, w, lnb)
+    He = _or_nan(_ln_He2, r / 2, s / 2, w, lnb)
+    I = _or_nan(_ln_I2, r, s, w, lnb)
+    return (S - G3,
+            S - He,
+            I - _or_nan(_ln_S, 2 * r, 2 * s, w, lnb),
+            S - 4.0 * He + 3.0 * G3,
+            I - 5.0 * _or_nan(_ln_G, 2 * r / 5, 2 * s / 5, w, lnb) + 4.0 * He)
+
+
+def _double_values(x: Sample, w: float, lnb: float) -> tuple[float, float, float]:
+    """stolarsky_double, gini_double and their common upper bound a/L1 + b/L2 - 1/Lb."""
+    alpha = x["alpha"]
     beta = 1.0 - alpha
-    return (alpha, beta,
-            alpha * s["p1"] + beta * s["p2"],
-            alpha * s["q1"] + beta * s["q2"])
+    p1, q1, p2, q2 = x["p1"], x["q1"], x["p2"], x["q2"]
+    pb, qb = alpha * p1 + beta * p2, alpha * q1 + beta * q2
+    return (_or_nan(_ln_S, pb, qb, w, lnb) - alpha * _or_nan(_ln_S, p1, q1, w, lnb)
+            - beta * _or_nan(_ln_S, p2, q2, w, lnb),
+            _or_nan(_ln_G, pb, qb, w, lnb) - alpha * _or_nan(_ln_G, p1, q1, w, lnb)
+            - beta * _or_nan(_ln_G, p2, q2, w, lnb),
+            alpha / _log_mean(p1, q1) + beta / _log_mean(p2, q2) - 1.0 / _log_mean(pb, qb))
 
 
-def _double_upper(s: Sample) -> float:
-    alpha, beta, pb, qb = _blend(s)
-    return (alpha / _log_mean(s["p1"], s["q1"])
-            + beta / _log_mean(s["p2"], s["q2"])
-            - 1.0 / _log_mean(pb, qb))
+def _ab_values(x: Sample, w: float, lnb: float) -> tuple[float, ...]:
+    """stolarsky_yang, sandor_yang, new_est_1, new_est_2_i, new_est_2_z, new_est_3."""
+    a, b = x["a"], x["b"]
+    I = _ln_identric(w, lnb)
+    A = _or_nan(_ln_A, 2.0 / 3.0, w, lnb)
+    He = math.log(_heronian(a, b))
+    Z = _or_nan(_ln_G, 1.0, 1.0, w, lnb)
+    return (I - A,
+            A - He,
+            I + 2.0 * He - 3.0 * A,
+            I - 0.5 * (_or_nan(_ln_S, 1.2, 1.2, w, lnb) + _or_nan(_ln_S, 0.8, 0.8, w, lnb)),
+            Z - 0.5 * (_or_nan(_ln_G, 1.2, 1.2, w, lnb) + _or_nan(_ln_G, 0.8, 0.8, w, lnb)),
+            Z - math.log(2.0 * _arithmetic(a, b) - _geometric(a, b)))
 
 
-def _double_value(family_ln, s: Sample, w: float, lnb: float) -> float:
-    alpha, beta, pb, qb = _blend(s)
-    return (family_ln(pb, qb, w, lnb)
-            - alpha * family_ln(s["p1"], s["q1"], w, lnb)
-            - beta * family_ln(s["p2"], s["q2"], w, lnb))
+_RS = SampleStream(_rs_values, _rs_grid, _rs_draw, _rs_assert)
+_DOUBLE = SampleStream(_double_values, _double_grid, _double_draw)
+_AB = SampleStream(_ab_values, _ab_only_grid, _ab_only_draw)
 
 
 # -- the catalog -------------------------------------------------------------
@@ -300,172 +338,42 @@ THREE_OVER_E = 3.0 / math.e
 
 def catalog() -> list[InequalityCase]:
     """All thirteen cataloged inequality cases."""
-    zero = lambda s: 0.0
+    one = NamedConstant("lower", "1", 1.0, 1.0)
     return [
-        InequalityCase(
-            case_id="gen_lin",
-            formula="S_{r,s} <= G_{r/3,s/3}",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_S, s["r"], s["s"])
-                                                    - s.ln(_ln_G, s["r"] / 3, s["s"] / 3))),
-            log_lower=None,
-            log_upper=zero,
-            draw=_rs_draw,
-            grid=_rs_grid,
-            assert_in=_rs_assert,
-        ),
-        InequalityCase(
-            case_id="gen_jia_cao",
-            formula="S_{r,s} <= He_{r/2,s/2}",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_S, s["r"], s["s"])
-                                                    - s.ln(_ln_He2, s["r"] / 2, s["s"] / 2))),
-            log_lower=None,
-            log_upper=zero,
-            draw=_rs_draw,
-            grid=_rs_grid,
-            assert_in=_rs_assert,
-        ),
-        InequalityCase(
-            case_id="gen_sandor",
-            formula="I_{r,s} >= S_{2r,2s}",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_I2, s["r"], s["s"])
-                                                    - _ln_S(2 * s["r"], 2 * s["s"], w, lnb))),
-            log_lower=zero,
-            log_upper=None,
-            draw=_rs_draw,
-            grid=_rs_grid,
-            assert_in=_rs_assert,
-        ),
-        InequalityCase(
-            case_id="new_ineq_1",
-            formula="S_{r,s} <= He_{r/2,s/2}^4 * G_{r/3,s/3}^-3",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_S, s["r"], s["s"])
-                                                    - 4.0 * s.ln(_ln_He2, s["r"] / 2, s["s"] / 2)
-                                                    + 3.0 * s.ln(_ln_G, s["r"] / 3, s["s"] / 3))),
-            log_lower=None,
-            log_upper=zero,
-            draw=_rs_draw,
-            grid=_rs_grid,
-            assert_in=_rs_assert,
-        ),
-        InequalityCase(
-            case_id="new_ineq_2",
-            formula="I_{r,s} <= G_{2r/5,2s/5}^5 * He_{r/2,s/2}^-4",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_I2, s["r"], s["s"])
-                                                    - 5.0 * _ln_G(2 * s["r"] / 5, 2 * s["s"] / 5, w, lnb)
-                                                    + 4.0 * s.ln(_ln_He2, s["r"] / 2, s["s"] / 2))),
-            log_lower=None,
-            log_upper=zero,
-            draw=_rs_draw,
-            grid=_rs_grid,
-            assert_in=_rs_assert,
-        ),
-        InequalityCase(
-            case_id="stolarsky_double",
-            formula="1 <= S_blend/(S1^a S2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
-            log_value=_with_logs(lambda s, w, lnb: _double_value(_ln_S, s, w, lnb)),
-            log_lower=zero,
-            log_upper=_double_upper,
-            draw=_double_draw,
-            grid=_double_grid,
-        ),
-        InequalityCase(
-            case_id="gini_double",
-            formula="1 <= G_blend/(G1^a G2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
-            log_value=_with_logs(lambda s, w, lnb: _double_value(_ln_G, s, w, lnb)),
-            log_lower=zero,
-            log_upper=_double_upper,
-            draw=_double_draw,
-            grid=_double_grid,
-        ),
-        InequalityCase(
-            case_id="stolarsky_yang",
-            formula="1 <= I/A_{2/3} <= sqrt(8)/e",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_identric(w, lnb)
-                                                    - _ln_A(2.0 / 3.0, w, lnb))),
-            log_lower=zero,
-            log_upper=lambda s: math.log(SQRT8_OVER_E),
-            draw=_ab_only_draw,
-            grid=_ab_only_grid,
-            constants=(
-                NamedConstant("lower", "1", 1.0, 1.0),
-                NamedConstant("upper", "sqrt(8)/e", SQRT8_OVER_E, 1.0405),
-            ),
-        ),
-        InequalityCase(
-            case_id="sandor_yang",
-            formula="1 <= A_{2/3}/He <= 3/sqrt(8)",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_A(2.0 / 3.0, w, lnb)
-                                                    - math.log(_heronian(s["a"], s["b"])))),
-            log_lower=zero,
-            log_upper=lambda s: math.log(THREE_OVER_SQRT8),
-            draw=_ab_only_draw,
-            grid=_ab_only_grid,
-            constants=(
-                NamedConstant("lower", "1", 1.0, 1.0),
-                NamedConstant("upper", "3/sqrt(8)", THREE_OVER_SQRT8, 1.0607),
-            ),
-        ),
-        InequalityCase(
-            case_id="new_est_1",
-            formula="16*sqrt(2)/(9e) <= I*He^2/A_{2/3}^3 <= 1",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_identric(w, lnb)
-                                                    + 2.0 * math.log(_heronian(s["a"], s["b"]))
-                                                    - 3.0 * _ln_A(2.0 / 3.0, w, lnb))),
-            log_lower=lambda s: math.log(LIN_JIA_CONST),
-            log_upper=zero,
-            draw=_ab_only_draw,
-            grid=_ab_only_grid,
-            constants=(
-                NamedConstant("lower", "16*sqrt(2)/(9e)", LIN_JIA_CONST, 0.9249),
-                NamedConstant("upper", "1", 1.0, 1.0),
-            ),
-            assert_in=lambda s: False,
-        ),
-        InequalityCase(
-            case_id="new_est_2_i",
-            formula="1 <= I/sqrt(I_{6/5} I_{4/5}) <= e^(1/24)",
-            log_value=_with_logs(lambda s, w, lnb: (_ln_identric(w, lnb)
-                                                    - 0.5 * (_ln_S(1.2, 1.2, w, lnb)
-                                                             + _ln_S(0.8, 0.8, w, lnb)))),
-            log_lower=zero,
-            log_upper=lambda s: 1.0 / 24.0,
-            draw=_ab_only_draw,
-            grid=_ab_only_grid,
-            constants=(
-                NamedConstant("lower", "1", 1.0, 1.0),
-                NamedConstant("upper", "e^(1/24)", EXP_1_24, 1.0425),
-            ),
-        ),
-        InequalityCase(
-            case_id="new_est_2_z",
-            formula="1 <= Z/sqrt(Z_{6/5} Z_{4/5}) <= e^(1/24)",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_G, 1.0, 1.0)
-                                                    - 0.5 * (_ln_G(1.2, 1.2, w, lnb)
-                                                             + _ln_G(0.8, 0.8, w, lnb)))),
-            log_lower=zero,
-            log_upper=lambda s: 1.0 / 24.0,
-            draw=_ab_only_draw,
-            grid=_ab_only_grid,
-            constants=(
-                NamedConstant("lower", "1", 1.0, 1.0),
-                NamedConstant("upper", "e^(1/24)", EXP_1_24, 1.0425),
-            ),
-        ),
-        InequalityCase(
-            case_id="new_est_3",
-            formula="1 <= Z/(2A - G) <= 3/e",
-            log_value=_with_logs(lambda s, w, lnb: (s.ln(_ln_G, 1.0, 1.0)
-                                                    - math.log(2.0 * _arithmetic(s["a"], s["b"])
-                                                               - _geometric(s["a"], s["b"])))),
-            log_lower=zero,
-            log_upper=lambda s: math.log(THREE_OVER_E),
-            draw=_ab_only_draw,
-            grid=_ab_only_grid,
-            constants=(
-                NamedConstant("lower", "1", 1.0, 1.0),
-                NamedConstant("upper", "3/e", THREE_OVER_E, 1.1036),
-            ),
-        ),
+        InequalityCase("gen_lin", "S_{r,s} <= G_{r/3,s/3}", _RS, 0, upper=0.0),
+        InequalityCase("gen_jia_cao", "S_{r,s} <= He_{r/2,s/2}", _RS, 1, upper=0.0),
+        InequalityCase("gen_sandor", "I_{r,s} >= S_{2r,2s}", _RS, 2, lower=0.0),
+        InequalityCase("new_ineq_1", "S_{r,s} <= He_{r/2,s/2}^4 * G_{r/3,s/3}^-3",
+                       _RS, 3, upper=0.0),
+        InequalityCase("new_ineq_2", "I_{r,s} <= G_{2r/5,2s/5}^5 * He_{r/2,s/2}^-4",
+                       _RS, 4, upper=0.0),
+        InequalityCase("stolarsky_double",
+                       "1 <= S_blend/(S1^a S2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
+                       _DOUBLE, 0, lower=0.0, upper=Slot(2)),
+        InequalityCase("gini_double",
+                       "1 <= G_blend/(G1^a G2^b) <= exp(a/L1 + b/L2 - 1/Lb)",
+                       _DOUBLE, 1, lower=0.0, upper=Slot(2)),
+        InequalityCase("stolarsky_yang", "1 <= I/A_{2/3} <= sqrt(8)/e",
+                       _AB, 0, lower=0.0, upper=math.log(SQRT8_OVER_E),
+                       constants=(one, NamedConstant("upper", "sqrt(8)/e", SQRT8_OVER_E, 1.0405))),
+        InequalityCase("sandor_yang", "1 <= A_{2/3}/He <= 3/sqrt(8)",
+                       _AB, 1, lower=0.0, upper=math.log(THREE_OVER_SQRT8),
+                       constants=(one,
+                                  NamedConstant("upper", "3/sqrt(8)", THREE_OVER_SQRT8, 1.0607))),
+        InequalityCase("new_est_1", "16*sqrt(2)/(9e) <= I*He^2/A_{2/3}^3 <= 1",
+                       _AB, 2, lower=math.log(LIN_JIA_CONST), upper=0.0,
+                       constants=(NamedConstant("lower", "16*sqrt(2)/(9e)", LIN_JIA_CONST, 0.9249),
+                                  NamedConstant("upper", "1", 1.0, 1.0)),
+                       asserted=False),
+        InequalityCase("new_est_2_i", "1 <= I/sqrt(I_{6/5} I_{4/5}) <= e^(1/24)",
+                       _AB, 3, lower=0.0, upper=1.0 / 24.0,
+                       constants=(one, NamedConstant("upper", "e^(1/24)", EXP_1_24, 1.0425))),
+        InequalityCase("new_est_2_z", "1 <= Z/sqrt(Z_{6/5} Z_{4/5}) <= e^(1/24)",
+                       _AB, 4, lower=0.0, upper=1.0 / 24.0,
+                       constants=(one, NamedConstant("upper", "e^(1/24)", EXP_1_24, 1.0425))),
+        InequalityCase("new_est_3", "1 <= Z/(2A - G) <= 3/e",
+                       _AB, 5, lower=0.0, upper=math.log(THREE_OVER_E),
+                       constants=(one, NamedConstant("upper", "3/e", THREE_OVER_E, 1.1036))),
     ]
 
 
@@ -473,50 +381,54 @@ SLACK_COEFF = 1e-11
 
 
 class _CaseTally(Tally):
-    """One case's Tally, plus its report-only margin, observed extremes and
-    out-of-region violation count.  add() is the checker's hot loop, so it
-    counts through the Tally's fields directly."""
+    """One case's Tally, plus its report-only margin, observed log extremes
+    and out-of-region violation count.  value, lower and upper index the
+    sample's row; add() is the checker's hot loop, so it counts through
+    the Tally's fields directly."""
 
-    __slots__ = ("case", "value", "lower", "upper", "assert_in", "report_margin",
+    __slots__ = ("case", "asserted", "value", "lower", "upper", "report_margin",
                  "report_witness", "sup", "inf", "arg_sup", "out_of_region_violations")
 
     def __init__(self, case: InequalityCase):
         super().__init__()
-        self.case = case
-        self.value, self.lower, self.upper = case.log_value, case.log_lower, case.log_upper
-        self.assert_in = case.assert_in
+        self.case, self.asserted = case, case.asserted
         self.report_margin = math.inf
         self.report_witness: Sample = {}
         self.sup, self.inf = -math.inf, math.inf
         self.arg_sup: Sample = {}
         self.out_of_region_violations = 0
 
-    def add(self, s: Sample) -> None:
-        """Evaluate the case at one valid sample and count the outcome."""
-        try:
-            val = self.value(s)
-            lo = self.lower(s) if self.lower is not None else None
-            hi = self.upper(s) if self.upper is not None else None
-        except ParMeansError:
+    def place(self, at: int, width: int) -> tuple[float, float]:
+        """Index a row of `width` constants and then the stream's tuple.
+
+        Returns the case's constant bounds, which go at `at` and `at + 1`;
+        an absent bound is -inf or inf, and a Slot bound reads the tuple.
+        """
+        case = self.case
+        lower, upper = case.lower, case.upper
+        self.value = width + case.slot
+        self.lower = width + lower if isinstance(lower, Slot) else at
+        self.upper = width + upper if isinstance(upper, Slot) else at + 1
+        return (-math.inf if lower is None or isinstance(lower, Slot) else lower,
+                math.inf if upper is None or isinstance(upper, Slot) else upper)
+
+    def add(self, row: tuple, s: Sample, in_region: bool) -> None:
+        """Count the case at one valid sample, from the sample's row."""
+        val, lo, hi = row[self.value], row[self.lower], row[self.upper]
+        below, above = val - lo, hi - val
+        if below != below or above != above:  # NaN: a refused term or bound
             self.inconclusive += 1
             return
-        ratio = math.exp(val)
-        if ratio > self.sup:
-            self.sup, self.arg_sup = ratio, dict(s)
-        if ratio < self.inf:
-            self.inf = ratio
-        margin = math.inf
-        violated = False
-        if lo is not None:
-            margin = val - lo
-            violated = margin < -SLACK_COEFF * (1.0 + abs(val) + abs(lo))
-        if hi is not None:
-            gap = hi - val
-            if gap < margin:
-                margin = gap
-            violated |= gap < -SLACK_COEFF * (1.0 + abs(val) + abs(hi))
-        if self.assert_in(s):
-            self.margin(margin, s)
+        if val > self.sup:
+            self.sup, self.arg_sup = val, dict(s)
+        if val < self.inf:
+            self.inf = val
+        margin = below if below < above else above
+        violated = margin < 0.0 and (below < -SLACK_COEFF * (1.0 + abs(val) + abs(lo))
+                                     or above < -SLACK_COEFF * (1.0 + abs(val) + abs(hi)))
+        if in_region and self.asserted:
+            if margin < self.worst_margin:
+                self.worst_margin, self.worst_witness = margin, dict(s)
             if violated:
                 self.failed += 1
             else:
@@ -526,8 +438,7 @@ class _CaseTally(Tally):
             if violated:
                 self.out_of_region_violations += 1
             if margin < self.report_margin:
-                self.report_margin = margin
-                self.report_witness = dict(s)
+                self.report_margin, self.report_witness = margin, dict(s)
 
     def result(self) -> tuple[CheckReport, SupremumRecord]:
         if self.worst_margin == math.inf:  # nothing asserted: report the report-only margin
@@ -535,44 +446,52 @@ class _CaseTally(Tally):
         notes = ""
         if self.out_of_region_violations:
             notes = f"report-only violations: {self.out_of_region_violations}"
+        samples = self.passed + self.failed
         record = SupremumRecord(
-            observed_sup=self.sup,
-            observed_inf=self.inf,
+            observed_sup=math.exp(self.sup) if samples else -math.inf,
+            observed_inf=math.exp(self.inf),
             arg_sup=self.arg_sup,
-            samples=self.passed + self.failed,
+            samples=samples,
         )
         return self.report(self.case.case_id, notes), record
 
 
 def check_cases(cases: Sequence[InequalityCase], plan: SamplingPlan = SamplingPlan()
                 ) -> list[tuple[CheckReport, SupremumRecord]]:
-    """Evaluate cases on their structured grids plus random samples.
+    """Evaluate cases on their streams' structured grids plus random samples.
 
-    Cases that share a sampling plan (the same grid and draw functions)
-    run on one stream: the grid, then plan.random_count draws from
-    Random(plan.seed), each sample validated and its logs taken once,
-    each mean term that several cases read evaluated once.  A sample
-    fails a case when either bracket side is violated by more than
-    SLACK_COEFF * (1 + |value| + |bound|) in log scale; invalid (a, b)
-    and evaluator saturation make the sample inconclusive.  Returns one
-    (report, record) per case, in order, each as check_case gives it.
+    The cases of one stream are tallied in one pass over its samples: the
+    grid, then plan.random_count draws from Random(plan.seed), each
+    sample validated, its logs taken and each of its mean terms read
+    once.  A sample fails a case when either bracket side is violated by
+    more than SLACK_COEFF * (1 + |value| + |bound|) in log scale.  An
+    invalid (a, b) makes the sample inconclusive for the whole stream; a
+    NaN value or bound, that is a refused term, for the cases reading it.
+    The observed extremes are kept in log scale and exponentiated once.
+    Returns one (report, record) per case, in order, each as check_case
+    gives it.
     """
     tallies = [_CaseTally(case) for case in cases]
-    groups: dict[tuple, list[_CaseTally]] = {}
+    streams: dict[SampleStream, list[_CaseTally]] = {}
     for tally in tallies:
-        groups.setdefault((tally.case.grid, tally.case.draw), []).append(tally)
-    for (grid, draw), group in groups.items():
+        streams.setdefault(tally.case.stream, []).append(tally)
+    for stream, group in streams.items():
+        # a sample's row: each case's two constant bounds, then the stream's tuple
+        consts = sum((tally.place(2 * i, 2 * len(group)) for i, tally in enumerate(group)), ())
+        values, draw, region = stream.values, stream.draw, stream.region
         rng = random.Random(plan.seed)
-        for s in itertools.chain(grid(plan), (draw(rng, plan) for _ in range(plan.random_count))):
+        draws = (draw(rng, plan) for _ in range(plan.random_count))
+        for s in itertools.chain(stream.grid(plan), draws):
             try:
                 _check_point(s["a"], s["b"])
+                row = consts + values(s, *_logs(s))
             except ParMeansError:
                 for tally in group:
                     tally.undecided()
                 continue
-            point = _Point(s)
+            in_region = region is None or region(s)
             for tally in group:
-                tally.add(point)
+                tally.add(row, s, in_region)
     return [tally.result() for tally in tallies]
 
 

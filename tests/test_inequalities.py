@@ -1,6 +1,9 @@
 """Catalog contents, constants, case checks and the named reductions."""
 
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
@@ -195,28 +198,52 @@ def test_special_reductions():
 
 
 def test_check_case_counts_saturation_as_inconclusive():
+    # a stream that saturates makes the sample inconclusive, neither passed nor failed
     from parmeans import SaturationError
-    from parmeans.inequalities import InequalityCase
+    from parmeans.inequalities import InequalityCase, SampleStream
 
-    def exploding(sample):
+    def exploding(sample, w, lnb):
         if sample["b"] > 10.0:
             raise SaturationError("synthetic overflow", 1234.0)
-        return -0.5
+        return (-0.5,)
 
-    case = InequalityCase(
-        case_id="synthetic",
-        formula="always below zero unless saturated",
-        log_value=exploding,
-        log_lower=None,
-        log_upper=lambda s: 0.0,
-        draw=lambda rng, plan: {"a": 1.0, "b": rng.uniform(1.5, 100.0)},
-        grid=lambda plan: [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}],
-    )
+    stream = SampleStream(exploding,
+                          grid=lambda plan: [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}],
+                          draw=lambda rng, plan: {"a": 1.0, "b": rng.uniform(1.5, 100.0)})
+    case = InequalityCase("synthetic", "always below zero unless saturated", stream, 0,
+                          upper=0.0)
     report, record = check_case(case, SamplingPlan(grid_b_count=0, random_count=50, seed=1))
     assert report.inconclusive >= 1
     assert report.failed == 0
     assert report.total == report.passed + report.inconclusive
     assert record.samples == report.total - report.inconclusive
+
+
+def test_a_nan_value_or_bound_is_inconclusive():
+    # every comparison with NaN is false: a NaN value used to count as
+    # passed, and a case NaN everywhere raised "SupremumRecord inf exceeds sup"
+    from parmeans.inequalities import InequalityCase, SampleStream, Slot
+
+    stream = SampleStream(lambda s, w, lnb: (math.nan if s["b"] > 10.0 else -0.5, math.nan, -0.5),
+                          grid=lambda plan: [],
+                          draw=lambda rng, plan: {"a": 1.0, "b": rng.uniform(1.5, 20.0)})
+    half, everywhere, bound = (InequalityCase(case_id, case_id, stream, slot, upper=upper)
+                               for slot, case_id, upper in ((0, "half", 0.0),
+                                                            (1, "everywhere", 0.0),
+                                                            (2, "nan_bound", Slot(1))))
+    plan = SamplingPlan(grid_b_count=0, random_count=20, seed=4)
+    rng = random.Random(plan.seed)
+    nan = sum(rng.uniform(1.5, 20.0) > 10.0 for _ in range(plan.random_count))
+    assert 0 < nan < 20
+    report, record = check_case(half, plan)
+    assert (report.passed, report.failed, report.inconclusive) == (20 - nan, 0, nan)
+    assert record.samples == 20 - nan
+    assert record.observed_sup == record.observed_inf == math.exp(-0.5)
+    for case in (everywhere, bound):
+        report, record = check_case(case, plan)
+        assert (report.passed, report.failed, report.inconclusive) == (0, 0, 20)
+        assert record.samples == 0
+        assert (record.observed_sup, record.observed_inf) == (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("case_id", ["gen_lin", "new_ineq_1"])
@@ -253,11 +280,11 @@ def test_check_cases_matches_check_case(plan):
 
 
 def test_check_cases_keeps_a_refused_case_apart():
-    # cases on one draw; a shared family term raises on some samples and is
-    # not kept, so both cases reading it are inconclusive there, and the
-    # case that does not read it tallies as it does alone
+    # cases on one stream; a shared term is NaN where its helper raises, so
+    # both cases reading it are inconclusive there, and the case that does
+    # not read it tallies as it does alone
     from parmeans import SaturationError
-    from parmeans.inequalities import InequalityCase, _with_logs
+    from parmeans.inequalities import InequalityCase, SampleStream, _or_nan
 
     calls = []
 
@@ -267,21 +294,15 @@ def test_check_cases_keeps_a_refused_case_apart():
             raise SaturationError("synthetic overflow", 1234.0)
         return lnb + 0.25 * w
 
-    def draw(rng, plan):
-        return {"a": 1.0, "b": rng.uniform(1.5, 100.0)}
+    def values(s, w, lnb):
+        term = _or_nan(refusing, 1.0, 2.0, w, lnb)
+        return (term - lnb - 0.5, -0.5 - 1e-3 * lnb, 0.5 * (term - lnb) - 0.5)
 
-    def grid(plan):
-        return [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}]
-
-    def make(case_id, log_value):
-        return InequalityCase(case_id=case_id, formula=case_id, log_value=log_value,
-                              log_lower=None, log_upper=lambda s: 0.0, draw=draw, grid=grid)
-
-    cases = [
-        make("refused", _with_logs(lambda s, w, lnb: s.ln(refusing, 1.0, 2.0) - lnb - 0.5)),
-        make("plain", _with_logs(lambda s, w, lnb: -0.5 - 1e-3 * lnb)),
-        make("refused_too", _with_logs(lambda s, w, lnb: 0.5 * (s.ln(refusing, 1.0, 2.0) - lnb) - 0.5)),
-    ]
+    stream = SampleStream(values,
+                          grid=lambda plan: [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}],
+                          draw=lambda rng, plan: {"a": 1.0, "b": rng.uniform(1.5, 100.0)})
+    cases = [InequalityCase(case_id, case_id, stream, slot, upper=0.0)
+             for slot, case_id in enumerate(("refused", "plain", "refused_too"))]
     plan = SamplingPlan(grid_b_count=0, random_count=50, seed=1)
     grouped = check_cases(cases, plan)
     grouped_calls = len(calls)
@@ -289,9 +310,8 @@ def test_check_cases_keeps_a_refused_case_apart():
     (refused, _), (plain, _), (refused_too, _) = grouped
     assert 0 < refused.inconclusive == refused_too.inconclusive < refused.total
     assert plain.inconclusive == 0 and plain.passed == plain.total
-    # one evaluation per valid sample, one per reading case where it raised
-    valid = refused.total - refused.inconclusive
-    assert grouped_calls == valid + 2 * refused.inconclusive
+    # one evaluation per sample, where it raised too
+    assert grouped_calls == refused.total
 
 
 def test_check_cases_shares_the_rs_means(monkeypatch):
@@ -314,7 +334,7 @@ def test_check_cases_shares_the_rs_means(monkeypatch):
     monkeypatch.setattr(inequalities, "log_ratio", counting_logs)
     monkeypatch.setattr(core, "log_ratio", counting_logs)
     monkeypatch.setattr(inequalities, "_family_ln", counting_family)
-    cases = [c for c in catalog() if c.draw is inequalities._rs_draw]
+    cases = [c for c in catalog() if c.stream is inequalities._RS]
     assert len(cases) == 5
     results = check_cases(cases, SamplingPlan(grid_b_count=4, random_count=60, seed=2))
     total = results[0][0].total
@@ -347,3 +367,17 @@ def test_grid_b_count_zero_and_one_are_honoured():
     report = check_case(case, SamplingPlan(grid_b_count=1, random_count=0))[0]
     assert report.total == 1
     assert report.worst_witness["b"] == pytest.approx(SamplingPlan().b_low, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_inequality_suite_reproduces_its_golden_report(seed, tmp_path, capsys):
+    # the check --suite inequalities JSON, timestamp aside, as committed
+    from parmeans import cli
+
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--suite", "inequalities", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))
+    del got["timestamp"]
+    golden = Path(__file__).parent / "data" / f"inequalities_seed{seed}.json"
+    assert got == json.loads(golden.read_text(encoding="utf-8"))
