@@ -357,7 +357,7 @@ def _quotient_hessian(e, e1, e2, w: float, p: float, q: float,
     d2_pp = (E''(p) - 2 (E'(p) - m)/d)/d, d2_qq = -(E''(q) + 2 (E'(q) - m)/d)/d
     and d2_pq = (E'(p) + E'(q) - 2 m)/d^2.  Returns the three entries and their
     error estimates: eps times each term's magnitude over its power of |d|, as
-    in core._ln_eval, with the kernels' absolute floors E1_FLOOR and E2_FLOOR,
+    in core._family_ln, with the kernels' absolute floors E1_FLOOR and E2_FLOOR,
     plus inner, the extra absolute rounding of (E, E', E'') of the (r, s) kernels.
     """
     d = p - q

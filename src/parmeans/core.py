@@ -22,31 +22,33 @@ stable.py, with E(t) = e(t w), E'(t) = w e1(t w) and E''(t) = w^2 e2(t w):
 The evaluators read (e, e1); e2 feeds the closed-form Hessian of the
 convexity scans.
 
-Engine.  _ln_eval(e, e1, w, p, q, lnb) returns (ln M, estimated error
-of ln M).  On the band (_in_band) the quotient is the 3-point
-Gauss-Legendre mean of E' over [q, p] (_band_mean), E'(p) at p = q,
-with the size of its correction to E'((p+q)/2) and e1's absolute
-rounding (stable.E1_FLOOR) as the estimate; the
-same two helpers fill r = s in _rs_kernels.  Off the band the kernel
-values' rounding has an absolute floor (log_exprel near 0 is the log of
-a number near 1).  Every estimate also covers the rounding of ln b
-against the quotient.  The branch tag is a function of (p, q) alone
-(_branch); p_eq_q tags |p - q| <= 1e-6 * (1 + |p| + |q|), zero
-parameters 1e-13 * scale, as E is smooth at 0 and needs no formula
-there.  hf_eval (hgf), whose E is not a function of t w, passes its own
-E(t), E'(t) with w = 1, which the engine applies exactly.
+Engine.  _family_ln(kernels, p, q, w, ln b) returns (ln M, estimated
+error of ln M) from the point's logs w = ln(a/b) and ln b, so a caller
+that evaluates many (p, q) at one point takes the logs once.  In one
+frame it refuses exponent products |p r w| beyond 700, chooses the band,
+takes the quotient and refuses |ln M| beyond 709.  On the band
+(_in_band) the quotient is the 3-point Gauss-Legendre mean of E' over
+[q, p] (_band_mean), E'(p) at p = q, with the size of its correction to
+E'((p+q)/2) and e1's absolute rounding (stable.E1_FLOOR) as the
+estimate; the same two helpers fill r = s in _rs_kernels.  Off the band
+the kernel values' rounding has an absolute floor (log_exprel near 0 is
+the log of a number near 1).  Every estimate also covers the rounding of
+ln b against the quotient.  At w = 0 the means give ln b exactly.  The
+branch tag is a function of (p, q) alone (_branch); p_eq_q tags
+|p - q| <= 1e-6 * (1 + |p| + |q|), zero parameters 1e-13 * scale, as E
+is smooth at 0 and needs no formula there.  hf_eval (hgf), whose E is
+not a function of t w, passes its own E(t), E'(t) with w = 1 and no
+generator parameter, which the engine applies exactly.
 
-Log paths.  _family_ln(kernels, p, q, w, ln b) -> (ln M, est) is a
-family's float-only path from the point's logs: no dataclass, no
-exp/log round trip; at w = 0 the means give ln b exactly.  The public
-evaluators validate at the dataclass boundary, call the path, tag the
-branch and exponentiate; the inequality checker reads ln M from it
-directly.
+The public evaluators validate at the dataclass boundary, call the
+engine, tag the branch and exponentiate; the inequality checker reads
+ln M from it directly, with no dataclass and no exp/log round trip.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -83,6 +85,7 @@ BRANCH_DIAGONAL = "diagonal_ab"
 
 _EPS = 2.0 ** -52
 _INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 _GL_NODE, _GL_WEIGHT = math.sqrt(0.6), 5.0 / 18.0  # 3-point Gauss-Legendre outer node, weight
 
 
@@ -90,12 +93,13 @@ def _check_point(a: float, b: float) -> None:
     """Raise DomainError unless a and b are positive finite reals.
 
     One combined test decides for float pairs; the per-field test runs
-    only for other types (ints pass) and to name the offending field.
+    only for other types (ints within the float range pass) and to name
+    the offending field.
     """
     if type(a) is float and type(b) is float and 0.0 < a < _INF and 0.0 < b < _INF:
         return
     for name, v in (("a", a), ("b", b)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+        if not (isinstance(v, (int, float)) and 0.0 < v <= _FLOAT_MAX):
             raise DomainError(f"MeanPoint.{name} must be a positive finite real, got {v!r}")
 
 
@@ -118,11 +122,12 @@ class ParamPair:
     q: float
 
     def __post_init__(self):
-        # the try costs nothing on valid input; a non-number is a DomainError
+        # the try costs nothing on valid input; a non-number, or an int
+        # beyond the float range, is a DomainError
         try:
             if math.isfinite(self.p) and math.isfinite(self.q):
                 return
-        except TypeError:
+        except (TypeError, OverflowError):
             pass
         raise DomainError(f"ParamPair must be finite reals, got ({self.p!r}, {self.q!r})")
 
@@ -138,7 +143,7 @@ class GeneratorPair:
         try:
             if math.isfinite(self.r) and math.isfinite(self.s):
                 return
-        except TypeError:
+        except (TypeError, OverflowError):
             pass
         raise DomainError(f"GeneratorPair must be finite reals, got ({self.r!r}, {self.s!r})")
 
@@ -167,20 +172,9 @@ class ReductionTag:
     q: float
 
 
-def _check_saturation(p: float, q: float, gen_max: float, w: float) -> None:
-    """Reject exponent products |t*u*w| beyond the floating range.
-
-    t runs over (p, q) and u over the generator parameters, with
-    gen_max = max |u|.  Rounding is monotone and sign-symmetric, so
-    |max(|p|, |q|) * gen_max * w| is the largest |t*u*w| bit for bit.
-    """
-    worst = abs(max(abs(p), abs(q)) * gen_max * w)
-    if worst > OVERFLOW_LIMIT:
-        raise SaturationError("exponent product a^(p*r) not representable", worst, OVERFLOW_LIMIT)
-
-
 def _in_band(x: float, y: float) -> bool:
-    """|x - y| <= 1e-3, or <= 1e-6 (1 + |x| + |y|): the divided difference takes the band rule."""
+    """|x - y| <= 1e-3, or <= 1e-6 (1 + |x| + |y|): the divided difference takes the
+    band rule.  _family_ln makes the same test inline."""
     d = abs(x - y)
     return d <= MIDPOINT_BAND or d <= SINGULAR_DELTA * (1.0 + abs(x) + abs(y))
 
@@ -211,36 +205,6 @@ def _branch(p: float, q: float) -> str:
     return BRANCH_GENERIC
 
 
-def _ln_eval(
-    e: Callable[[float], float],
-    e1: Callable[[float], float],
-    w: float,
-    p: float,
-    q: float,
-    lnb: float,
-) -> tuple[float, float]:
-    """Shared engine, returns (ln value, est ln error).
-
-    E(t) = e(t*w) and E'(t) = w*e1(t*w); see the module docstring.  On the
-    band the estimate covers e1's absolute rounding (E1_FLOOR); its last
-    term covers the rounding of ln b and of the sum.
-    """
-    if _in_band(p, q):
-        mean, corr = _band_mean(e1, p, q, w)
-        ln = lnb + w * mean
-        return ln, abs(w) * (abs(corr) + E1_FLOOR * _EPS) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
-    ep, eq = e(p * w), e(q * w)
-    d = p - q
-    ln = lnb + (ep - eq) / d
-    # the 1 is the absolute rounding floor of kernels such as log_exprel near z = 0
-    return ln, 2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) / abs(d) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
-
-
-def _check_range(ln: float) -> None:
-    if abs(ln) > RANGE_LIMIT:
-        raise SaturationError("result magnitude outside floating range", ln, RANGE_LIMIT, "ln M")
-
-
 def _identric_e(z: float) -> float:
     return z * exprel_logd(z)
 
@@ -254,19 +218,33 @@ _KERNELS = {"stolarsky": _STOLARSKY, "gini": _GINI,
             "identric2": _IDENTRIC2, "heronian2": _HERONIAN2}
 
 
-def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
-               ) -> tuple[float, float]:
-    """(ln M, est ln error) of a kernel tuple (e, e1, e2, gen_max) from the point's logs.
+def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float,
+               limit: float = RANGE_LIMIT) -> tuple[float, float]:
+    """The engine: (ln M, est ln error) of a kernel tuple (e, e1, e2, gen_max).
 
-    w = log_ratio(a, b) and lnb = ln b of a valid point, so a caller that
-    evaluates many (p, q) at one point takes the logs once.  Raises
-    SaturationError where the public evaluator does: |p*r*w| > 700 or
-    |ln M| > 709.  At a = b, w = 0 and every branch gives ln b exactly.
+    See the module docstring.  w = log_ratio(a, b) and lnb = ln b of a
+    valid point.  Rounding is monotone and sign-symmetric, so
+    |max(|p|, |q|) gen_max w| is the largest exponent product |t r w| bit
+    for bit.  |ln M| is checked against limit; H_D checks its own sum.
     """
     e, e1, _, gen_max = kernels
-    _check_saturation(p, q, gen_max, w)
-    ln, est = _ln_eval(e, e1, w, p, q, lnb)
-    _check_range(ln)
+    ap, aq = abs(p), abs(q)
+    worst = abs((aq if aq > ap else ap) * gen_max * w)
+    if worst > OVERFLOW_LIMIT:
+        raise SaturationError("exponent product a^(p*r) not representable", worst, OVERFLOW_LIMIT)
+    d = p - q
+    ad = abs(d)
+    if ad <= MIDPOINT_BAND or ad <= SINGULAR_DELTA * (1.0 + ap + aq):  # _in_band(p, q), inline
+        mean, corr = _band_mean(e1, p, q, w)
+        ln = lnb + w * mean
+        est = abs(w) * (abs(corr) + E1_FLOOR * _EPS) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+    else:
+        ep, eq = e(p * w), e(q * w)
+        ln = lnb + (ep - eq) / d
+        # the 1 is the absolute rounding floor of kernels such as log_exprel near z = 0
+        est = 2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) / ad + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+    if abs(ln) > limit:
+        raise SaturationError("result magnitude outside floating range", ln, limit, "ln M")
     return ln, est
 
 
@@ -428,7 +406,7 @@ def power_mean(t: float, pt: MeanPoint) -> float:
     b * exp(ln PM - ln b) where that is finite and nonzero, exp(ln PM)
     where the factor exp(ln PM - ln b) alone over- or underflows.
     """
-    if not (-_INF < t < _INF if isinstance(t, float) else isinstance(t, int)):
+    if not (isinstance(t, (int, float)) and -_FLOAT_MAX <= t <= _FLOAT_MAX):
         raise DomainError(f"power mean exponent must be a finite real, got {t!r}")
     if t == 0.0:
         return geometric_mean(pt)

@@ -30,17 +30,17 @@ from .core import (
     MeanPoint,
     OVERFLOW_LIMIT,
     ParamPair,
+    RANGE_LIMIT,
     ZERO_TOL,
+    _STOLARSKY,
     _branch,
-    _check_range,
-    _check_saturation,
+    _family_ln,
     _in_band,
-    _ln_eval,
 )
 from .errors import DomainError, SaturationError
 from .generators import GeneratorFunction
 from .quadrature import integrate
-from .stable import exprel_logd, log_exprel, log_ratio
+from .stable import log_ratio
 
 _EPS = 2.0 ** -52
 STEP_SCALE = _EPS ** 0.25  # the package's one finite-difference step at x is STEP_SCALE (1 + |x|)
@@ -129,11 +129,10 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
         )
     E = lambda t: ln_f_power(f, t, pt)
     E1 = lambda t: t_prime(f, t, pt)
-    ln, est = _ln_eval(E, E1, 1.0, p, q, 0.0)
+    ln, est = _family_ln((E, E1, None, 0.0), p, q, 1.0, 0.0)
     if not _in_band(p, q):  # E = k lm + ln f: the rounding of lm = max(t ln a, t ln b)
         est += 4.0 * _EPS * abs(f.order) * (abs(p) + abs(q)) * (
             abs(math.log(pt.a)) + abs(math.log(pt.b))) / abs(p - q)
-    _check_range(ln)
     return EvalResult(math.exp(ln), _branch(p, q), est)
 
 
@@ -252,10 +251,10 @@ def _hd_ln(p: float, q: float, w: float, lnb: float) -> tuple[float, float]:
     scale = 1.0 + abs(p) + abs(q)
     if abs(p) <= ZERO_TOL * scale or abs(q) <= ZERO_TOL * scale:
         raise DomainError("H_D rejects zero parameters (no positive diagonal limit)")
-    _check_saturation(p, q, 1.0, w)
-    ln_s, est = _ln_eval(log_exprel, exprel_logd, w, p, q, lnb)
+    ln_s, est = _family_ln(_STOLARSKY, p, q, w, lnb, math.inf)
     d = p - q
     pole = 1.0 / p if d == 0.0 else log_ratio(abs(p), abs(q)) / d
     ln = ln_s + pole
-    _check_range(ln)
+    if abs(ln) > RANGE_LIMIT:
+        raise SaturationError("result magnitude outside floating range", ln, RANGE_LIMIT, "ln M")
     return ln, est + 4.0 * _EPS * (abs(pole) + abs(ln))

@@ -95,7 +95,7 @@ class SampleStream:
 
     values(sample, w, ln b) returns the tuple of the cases' log values,
     plus any per-sample bound, with each mean term read once; a term
-    whose helper raises a ParMeansError is NaN there (_or_nan), and an
+    whose helper raises a ParMeansError is NaN there (_ln_M, _or_nan), and an
     error values raises makes the sample inconclusive for every case.
     grid gives the structured samples and draw one random sample; every
     sample carries the mean arguments "a" and "b".  region, where set,
@@ -167,23 +167,15 @@ def _or_nan(helper: Callable[..., float], *args: float) -> float:
 
 
 # The two-parameter families and the power mean are read in log space
-# straight from the core fast path, fed with the sample's logs.  The
-# streams name the helpers at call time, so a patched helper takes effect.
+# straight from the core engine, fed with the sample's logs.  The streams
+# name the helpers at call time, so a patched helper takes effect.
 
-def _ln_S(r: float, s_: float, w: float, lnb: float) -> float:
-    return _family_ln(_STOLARSKY, r, s_, w, lnb)[0]
-
-
-def _ln_G(r: float, s_: float, w: float, lnb: float) -> float:
-    return _family_ln(_GINI, r, s_, w, lnb)[0]
-
-
-def _ln_I2(r: float, s_: float, w: float, lnb: float) -> float:
-    return _family_ln(_IDENTRIC2, r, s_, w, lnb)[0]
-
-
-def _ln_He2(r: float, s_: float, w: float, lnb: float) -> float:
-    return _family_ln(_HERONIAN2, r, s_, w, lnb)[0]
+def _ln_M(kernels: tuple, p: float, q: float, w: float, lnb: float) -> float:
+    """ln M of a core kernel tuple at (p, q), or NaN where the engine refuses it."""
+    try:
+        return _family_ln(kernels, p, q, w, lnb)[0]
+    except ParMeansError:
+        return math.nan
 
 
 def _ln_A(t: float, w: float, lnb: float) -> float:
@@ -283,15 +275,15 @@ def _double_draw(rng: random.Random, plan: SamplingPlan) -> Sample:
 def _rs_values(x: Sample, w: float, lnb: float) -> tuple[float, ...]:
     """gen_lin, gen_jia_cao, gen_sandor, new_ineq_1, new_ineq_2: six family means."""
     r, s = x["r"], x["s"]
-    S = _or_nan(_ln_S, r, s, w, lnb)
-    G3 = _or_nan(_ln_G, r / 3, s / 3, w, lnb)
-    He = _or_nan(_ln_He2, r / 2, s / 2, w, lnb)
-    I = _or_nan(_ln_I2, r, s, w, lnb)
+    S = _ln_M(_STOLARSKY, r, s, w, lnb)
+    G3 = _ln_M(_GINI, r / 3, s / 3, w, lnb)
+    He = _ln_M(_HERONIAN2, r / 2, s / 2, w, lnb)
+    I = _ln_M(_IDENTRIC2, r, s, w, lnb)
     return (S - G3,
             S - He,
-            I - _or_nan(_ln_S, 2 * r, 2 * s, w, lnb),
+            I - _ln_M(_STOLARSKY, 2 * r, 2 * s, w, lnb),
             S - 4.0 * He + 3.0 * G3,
-            I - 5.0 * _or_nan(_ln_G, 2 * r / 5, 2 * s / 5, w, lnb) + 4.0 * He)
+            I - 5.0 * _ln_M(_GINI, 2 * r / 5, 2 * s / 5, w, lnb) + 4.0 * He)
 
 
 def _double_values(x: Sample, w: float, lnb: float) -> tuple[float, float, float]:
@@ -300,10 +292,10 @@ def _double_values(x: Sample, w: float, lnb: float) -> tuple[float, float, float
     beta = 1.0 - alpha
     p1, q1, p2, q2 = x["p1"], x["q1"], x["p2"], x["q2"]
     pb, qb = alpha * p1 + beta * p2, alpha * q1 + beta * q2
-    return (_or_nan(_ln_S, pb, qb, w, lnb) - alpha * _or_nan(_ln_S, p1, q1, w, lnb)
-            - beta * _or_nan(_ln_S, p2, q2, w, lnb),
-            _or_nan(_ln_G, pb, qb, w, lnb) - alpha * _or_nan(_ln_G, p1, q1, w, lnb)
-            - beta * _or_nan(_ln_G, p2, q2, w, lnb),
+    return (_ln_M(_STOLARSKY, pb, qb, w, lnb) - alpha * _ln_M(_STOLARSKY, p1, q1, w, lnb)
+            - beta * _ln_M(_STOLARSKY, p2, q2, w, lnb),
+            _ln_M(_GINI, pb, qb, w, lnb) - alpha * _ln_M(_GINI, p1, q1, w, lnb)
+            - beta * _ln_M(_GINI, p2, q2, w, lnb),
             alpha / _log_mean(p1, q1) + beta / _log_mean(p2, q2) - 1.0 / _log_mean(pb, qb))
 
 
@@ -313,12 +305,12 @@ def _ab_values(x: Sample, w: float, lnb: float) -> tuple[float, ...]:
     I = _ln_identric(w, lnb)
     A = _or_nan(_ln_A, 2.0 / 3.0, w, lnb)
     He = math.log(_heronian(a, b))
-    Z = _or_nan(_ln_G, 1.0, 1.0, w, lnb)
+    Z = _ln_M(_GINI, 1.0, 1.0, w, lnb)
     return (I - A,
             A - He,
             I + 2.0 * He - 3.0 * A,
-            I - 0.5 * (_or_nan(_ln_S, 1.2, 1.2, w, lnb) + _or_nan(_ln_S, 0.8, 0.8, w, lnb)),
-            Z - 0.5 * (_or_nan(_ln_G, 1.2, 1.2, w, lnb) + _or_nan(_ln_G, 0.8, 0.8, w, lnb)),
+            I - 0.5 * (_ln_M(_STOLARSKY, 1.2, 1.2, w, lnb) + _ln_M(_STOLARSKY, 0.8, 0.8, w, lnb)),
+            Z - 0.5 * (_ln_M(_GINI, 1.2, 1.2, w, lnb) + _ln_M(_GINI, 0.8, 0.8, w, lnb)),
             Z - math.log(2.0 * _arithmetic(a, b) - _geometric(a, b)))
 
 
@@ -521,31 +513,41 @@ def _ln_plain_I(s: Sample, w: float, lnb: float) -> float:
 _REDUCTIONS: list[tuple[str, Side, Side, str, Side, Side]] = [
     # (name, lhs, rhs, direction, general-case lhs, general-case rhs)
     ("L<=A_1/3", _ln_L, lambda s, w, lnb: _ln_A(1.0 / 3.0, w, lnb), "le",
-     lambda s, w, lnb: _ln_S(1.0, 0.0, w, lnb), lambda s, w, lnb: _ln_G(1.0 / 3.0, 0.0, w, lnb)),
-    ("I<=Z_1/3", _ln_plain_I, lambda s, w, lnb: _ln_G(1.0 / 3.0, 1.0 / 3.0, w, lnb), "le",
-     lambda s, w, lnb: _ln_S(1.0, 1.0, w, lnb),
-     lambda s, w, lnb: _ln_G(1.0 / 3.0, 1.0 / 3.0, w, lnb)),
-    ("L<=He_1/2", _ln_L, lambda s, w, lnb: _ln_He2(0.5, 0.0, w, lnb), "le",
-     lambda s, w, lnb: _ln_S(1.0, 0.0, w, lnb), lambda s, w, lnb: _ln_He2(0.5, 0.0, w, lnb)),
-    ("I>=L_2", _ln_plain_I, lambda s, w, lnb: _ln_S(2.0, 0.0, w, lnb), "ge",
-     lambda s, w, lnb: _ln_I2(1.0, 0.0, w, lnb), lambda s, w, lnb: _ln_S(2.0, 0.0, w, lnb)),
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 1.0, 0.0, w, lnb),
+     lambda s, w, lnb: _ln_M(_GINI, 1.0 / 3.0, 0.0, w, lnb)),
+    ("I<=Z_1/3", _ln_plain_I, lambda s, w, lnb: _ln_M(_GINI, 1.0 / 3.0, 1.0 / 3.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 1.0, 1.0, w, lnb),
+     lambda s, w, lnb: _ln_M(_GINI, 1.0 / 3.0, 1.0 / 3.0, w, lnb)),
+    ("L<=He_1/2", _ln_L, lambda s, w, lnb: _ln_M(_HERONIAN2, 0.5, 0.0, w, lnb), "le",
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 1.0, 0.0, w, lnb),
+     lambda s, w, lnb: _ln_M(_HERONIAN2, 0.5, 0.0, w, lnb)),
+    ("I>=L_2", _ln_plain_I, lambda s, w, lnb: _ln_M(_STOLARSKY, 2.0, 0.0, w, lnb), "ge",
+     lambda s, w, lnb: _ln_M(_IDENTRIC2, 1.0, 0.0, w, lnb),
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 2.0, 0.0, w, lnb)),
     ("Y>=I_2", lambda s, w, lnb: math.log(Y_mean(MeanPoint(s["a"], s["b"]))),
-     lambda s, w, lnb: _ln_S(2.0, 2.0, w, lnb), "ge",
-     lambda s, w, lnb: _ln_I2(1.0, 1.0, w, lnb), lambda s, w, lnb: _ln_S(2.0, 2.0, w, lnb)),
-    ("Z>=A_2", lambda s, w, lnb: _ln_G(1.0, 1.0, w, lnb), lambda s, w, lnb: _ln_A(2.0, w, lnb),
-     "ge", lambda s, w, lnb: _ln_I2(2.0, 1.0, w, lnb), lambda s, w, lnb: _ln_S(4.0, 2.0, w, lnb)),
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 2.0, 2.0, w, lnb), "ge",
+     lambda s, w, lnb: _ln_M(_IDENTRIC2, 1.0, 1.0, w, lnb),
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 2.0, 2.0, w, lnb)),
+    ("Z>=A_2", lambda s, w, lnb: _ln_M(_GINI, 1.0, 1.0, w, lnb),
+     lambda s, w, lnb: _ln_A(2.0, w, lnb), "ge",
+     lambda s, w, lnb: _ln_M(_IDENTRIC2, 2.0, 1.0, w, lnb),
+     lambda s, w, lnb: _ln_M(_STOLARSKY, 4.0, 2.0, w, lnb)),
     ("L<=He_1/2^4*A_1/3^-3", _ln_L,
-     lambda s, w, lnb: 4.0 * _ln_He2(0.5, 0.0, w, lnb) - 3.0 * _ln_A(1.0 / 3.0, w, lnb), "le",
-     lambda s, w, lnb: _ln_S(1.0, 0.0, w, lnb),
-     lambda s, w, lnb: 4.0 * _ln_He2(0.5, 0.0, w, lnb) - 3.0 * _ln_G(1.0 / 3.0, 0.0, w, lnb)),
+     lambda s, w, lnb: 4.0 * _ln_M(_HERONIAN2, 0.5, 0.0, w, lnb) - 3.0 * _ln_A(1.0 / 3.0, w, lnb),
+     "le", lambda s, w, lnb: _ln_M(_STOLARSKY, 1.0, 0.0, w, lnb),
+     lambda s, w, lnb: (4.0 * _ln_M(_HERONIAN2, 0.5, 0.0, w, lnb)
+                        - 3.0 * _ln_M(_GINI, 1.0 / 3.0, 0.0, w, lnb))),
     ("I<=A_2/5^5*He_1/2^-4", _ln_plain_I,
-     lambda s, w, lnb: 5.0 * _ln_A(0.4, w, lnb) - 4.0 * _ln_He2(0.5, 0.0, w, lnb), "le",
-     lambda s, w, lnb: _ln_I2(1.0, 0.0, w, lnb),
-     lambda s, w, lnb: 5.0 * _ln_G(0.4, 0.0, w, lnb) - 4.0 * _ln_He2(0.5, 0.0, w, lnb)),
-    ("Z<=G_4/5,2/5^5*He_1,1/2^-4", lambda s, w, lnb: _ln_G(1.0, 1.0, w, lnb),
-     lambda s, w, lnb: 5.0 * _ln_G(0.8, 0.4, w, lnb) - 4.0 * _ln_He2(1.0, 0.5, w, lnb), "le",
-     lambda s, w, lnb: _ln_I2(2.0, 1.0, w, lnb),
-     lambda s, w, lnb: 5.0 * _ln_G(0.8, 0.4, w, lnb) - 4.0 * _ln_He2(1.0, 0.5, w, lnb)),
+     lambda s, w, lnb: 5.0 * _ln_A(0.4, w, lnb) - 4.0 * _ln_M(_HERONIAN2, 0.5, 0.0, w, lnb),
+     "le", lambda s, w, lnb: _ln_M(_IDENTRIC2, 1.0, 0.0, w, lnb),
+     lambda s, w, lnb: (5.0 * _ln_M(_GINI, 0.4, 0.0, w, lnb)
+                        - 4.0 * _ln_M(_HERONIAN2, 0.5, 0.0, w, lnb))),
+    ("Z<=G_4/5,2/5^5*He_1,1/2^-4", lambda s, w, lnb: _ln_M(_GINI, 1.0, 1.0, w, lnb),
+     lambda s, w, lnb: (5.0 * _ln_M(_GINI, 0.8, 0.4, w, lnb)
+                        - 4.0 * _ln_M(_HERONIAN2, 1.0, 0.5, w, lnb)),
+     "le", lambda s, w, lnb: _ln_M(_IDENTRIC2, 2.0, 1.0, w, lnb),
+     lambda s, w, lnb: (5.0 * _ln_M(_GINI, 0.8, 0.4, w, lnb)
+                        - 4.0 * _ln_M(_HERONIAN2, 1.0, 0.5, w, lnb))),
 ]
 
 

@@ -51,7 +51,7 @@ from parmeans import (
     two_param_identric,
 )
 from parmeans import convexity, inequalities
-from parmeans.core import _check_saturation
+from parmeans.core import _GINI, _HERONIAN2, _IDENTRIC2, _STOLARSKY, _family_ln
 from parmeans.hgf import t_prime
 from parmeans.stable import (
     exprel_logd,
@@ -257,39 +257,63 @@ def test_four_param_bit_identical_to_reference():
         assert got == _outcome(_ref_four_param, p, q, r, s, a, b), (p, q, r, s, a, b)
 
 
-def _saturation(check, *args):
-    """The exponent a SaturationError reports, or None when the check passes."""
+def _engine_outcome(engine, *args):
+    """(message, exponent, limit) of the SaturationError engine raises, or its (ln, est) bits."""
     try:
-        check(*args)
+        ln, est = engine(*args)
     except SaturationError as exc:
-        return float(exc.exponent).hex()
-    return None
+        return str(exc), float(exc.exponent).hex(), exc.limit
+    return float(ln).hex(), float(est).hex()
+
+
+# stub kernels E(t) = t w/2 and E'(t) = w/2: a quotient of about w/2, read off the band
+# and on it, without the range of a real kernel
+def _stub_e(z):
+    return 0.5 * z
+
+
+def _stub_e1(z):
+    return 0.5
+
+
+def _ref_stub_ln(p, q, gens, w, lnb):
+    _ref_check_saturation((p, q), gens, w)
+    ln, _, est = _ref_quotient_eval(lambda t: _stub_e(t * w), _stub_e1, w, p, q, lnb)
+    if abs(ln) > 709.0:
+        raise SaturationError("result magnitude outside floating range", ln, 709.0, "ln M")
+    return ln, est
 
 
 def test_check_saturation_matches_pairwise_loop():
+    # the engine's two refusals, the exponent product beyond 700 and |ln M| beyond
+    # 709, each sampled within a few ulps of its limit from either side
     rng = random.Random(13)
-    raised = 0
-    for _ in range(4000):
+    outcomes = {"saturated": 0, "out_of_range": 0, "evaluated": 0}
+    for i in range(6000):
         p, q = rng.uniform(-50, 50), rng.uniform(-50, 50)
         r, s = rng.uniform(-5, 5), rng.uniform(-5, 5)
         if rng.random() < 0.3:
+            q = p + rng.uniform(-2e-3, 2e-3)  # on the band and just off it
+        lnb = rng.uniform(-5, 5)
+        if i % 3 == 0:
             w = rng.uniform(-40, 40)
-        else:  # within a few ulps of the 700 limit, from either side
+        elif i % 3 == 1:  # within a few ulps of the 700 limit, from either side
             worst = max(abs(p), abs(q)) * max(abs(r), abs(s))
             w = rng.choice((-1, 1)) * 700.0 / worst * (1 + rng.randint(-4, 4) * _EPS)
-        got = _saturation(_check_saturation, p, q, max(abs(r), abs(s)), w)
-        assert got == _saturation(_ref_check_saturation, (p, q), (r, s), w), (p, q, r, s, w)
-        raised += got is not None
-    assert 0 < raised < 4000
+        else:  # ln M = lnb + w/2 within a few ulps of +-709, from either side
+            w = rng.uniform(-1, 1)
+            lnb = rng.choice((-1, 1)) * 709.0 * (1 + rng.randint(-4, 4) * _EPS) - 0.5 * w
+        kernels = (_stub_e, _stub_e1, None, max(abs(r), abs(s)))
+        got = _engine_outcome(_family_ln, kernels, p, q, w, lnb)
+        assert got == _engine_outcome(_ref_stub_ln, p, q, (r, s), w, lnb), (p, q, r, s, w, lnb)
+        if len(got) == 2:
+            outcomes["evaluated"] += 1
+        else:
+            outcomes["saturated" if got[2] == 700.0 else "out_of_range"] += 1
+    assert all(n > 100 for n in outcomes.values()), outcomes
 
 
 # -- check_case against a slow path through the public evaluators --------------
-
-def _slow(evaluator, point):
-    def ln(r, s_, w, lnb):
-        return math.log(evaluator(ParamPair(r, s_), point()).value)
-    return ln
-
 
 @pytest.mark.parametrize("plan", [
     SamplingPlan(grid_b_count=6, random_count=150, seed=5),
@@ -311,10 +335,21 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
         return MeanPoint(current["a"], current["b"])
 
     monkeypatch.setattr(inequalities, "_logs", recording_logs)
-    monkeypatch.setattr(inequalities, "_ln_S", _slow(stolarsky, point))
-    monkeypatch.setattr(inequalities, "_ln_G", _slow(gini, point))
-    monkeypatch.setattr(inequalities, "_ln_I2", _slow(two_param_identric, point))
-    monkeypatch.setattr(inequalities, "_ln_He2", _slow(two_param_heronian, point))
+    # the family terms through the public evaluator of their kernel tuple,
+    # NaN where it refuses, as the engine's term helper
+    evaluators = {_STOLARSKY: stolarsky, _GINI: gini,
+                  _IDENTRIC2: two_param_identric, _HERONIAN2: two_param_heronian}
+    families_read = set()
+
+    def slow_ln_M(kernels, p, q, w, lnb):
+        evaluator = evaluators[kernels]
+        families_read.add(evaluator.__name__)
+        try:
+            return math.log(evaluator(ParamPair(p, q), point()).value)
+        except ParMeansError:
+            return math.nan
+
+    monkeypatch.setattr(inequalities, "_ln_M", slow_ln_M)
     monkeypatch.setattr(inequalities, "_ln_A",
                         lambda t, w, lnb: math.log(power_mean(t, point())))
     # one case at a time, and all cases on their shared sample streams,
@@ -324,6 +359,7 @@ def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
     slow_reads, current["reads"] = current["reads"], 0
     grouped = dict(zip(slow, check_cases(catalog(), plan)))
     assert 0 < current["reads"] < slow_reads
+    assert families_read == {"stolarsky", "gini", "two_param_identric", "two_param_heronian"}
     inconclusive = 0
     for slow_path in (slow, grouped):
         for case_id, (rep, rec) in fast.items():

@@ -475,6 +475,19 @@ def test_hd_rejections():
         hd_eval(ParamPair(1.0, 0.0), MeanPoint(4, 2))
 
 
+@pytest.mark.parametrize("p, q, a, b, value", [
+    (-1.0, -2.0, 1.5e308, 1.7e308, 7.968750000000022e+307),
+    (1.0, 2.0, 1e-308, 3e-308, 3.9999999999999606e-308),
+])
+def test_hd_range_check_is_on_the_sum(p, q, a, b, value):
+    # H_D near either end of the float range, bit for bit; only the sum
+    # ln S_{p,q} + pole is range-checked, so the Stolarsky part may leave it
+    assert hd_eval(ParamPair(p, q), MeanPoint(a, b)).value == value
+    if p < 0.0:  # ln S_{-1,-2} = 709.66 there
+        with pytest.raises(SaturationError):
+            stolarsky(ParamPair(p, q), MeanPoint(a, b))
+
+
 def test_hd_opposite_signs():
     # straddling parameters use the stable quotient; H_D(p, -p) = sqrt(ab)
     pt = MeanPoint(9.0, 4.0)

@@ -139,6 +139,31 @@ def test_power_mean():
         assert power_mean(t, MeanPoint(3, 7)) == pytest.approx(g, rel=1e-10)
 
 
+# an int beyond the float range raised OverflowError from math.isfinite or from t * w
+def test_param_pair_rejects_an_int_beyond_the_float_range():
+    with pytest.raises(DomainError):
+        ParamPair(10 ** 400, 1)
+
+
+def test_generator_pair_rejects_an_int_beyond_the_float_range():
+    with pytest.raises(DomainError):
+        GeneratorPair(1, -10 ** 400)
+
+
+def test_mean_point_rejects_an_int_beyond_the_float_range():
+    with pytest.raises(DomainError):
+        MeanPoint(10 ** 400, 1)
+    with pytest.raises(DomainError):
+        MeanPoint(1, 10 ** 400)
+    assert MeanPoint(2 ** 1023, 1).a == 2 ** 1023  # an int within it passes
+
+
+def test_power_mean_rejects_an_int_exponent_beyond_the_float_range():
+    with pytest.raises(DomainError):
+        power_mean(10 ** 400, MeanPoint(2, 6))
+    assert power_mean(2, MeanPoint(2, 6)) == pytest.approx(math.sqrt(20), rel=1e-15)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "a", None])
 def test_power_mean_rejects_an_exponent_that_is_not_a_finite_real(t):
     # power_mean(nan, pt) returned NaN and power_mean("a", pt) raised TypeError

@@ -1,5 +1,12 @@
-"""The check counts of the full suite, pinned case by case."""
+"""The check counts of the full suite, pinned case by case, and the
+convexity and identity reports, pinned field by field."""
 
+import json
+from pathlib import Path
+
+import pytest
+
+from parmeans import cli
 from parmeans.suites import full_suite
 
 # (id, total, passed, failed, inconclusive) of full_suite(seed=0), in report
@@ -42,3 +49,16 @@ def test_full_suite_counts_are_pinned():
     counts = [(r.case_id, r.total, r.passed, r.failed, r.inconclusive) for r in full_suite(seed=0)]
     assert counts == FULL_SUITE_SEED_0
     assert sum(row[1] for row in counts) == 136349
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("suite", ["convexity", "identities"])
+def test_suite_reproduces_its_golden_report(suite, seed, tmp_path, capsys):
+    # the check --suite JSON, timestamp aside, as committed (the inequalities'
+    # golden reports are checked in test_inequalities)
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))
+    del got["timestamp"]
+    golden = Path(__file__).parent / "data" / f"{suite}_seed{seed}.json"
+    assert got == json.loads(golden.read_text(encoding="utf-8"))
