@@ -48,6 +48,7 @@ ln M from it directly, with no dataclass and no exp/log round trip.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -89,6 +90,12 @@ _FLOAT_MAX = sys.float_info.max
 _GL_NODE, _GL_WEIGHT = math.sqrt(0.6), 5.0 / 18.0  # 3-point Gauss-Legendre outer node, weight
 
 
+def _shown(*values: object) -> str:
+    """Bounded reprs, comma-separated: Python refuses str() of an int of over 4300 digits."""
+    return ", ".join(reprlib.repr(v) if not isinstance(v, int) or v.bit_length() <= 128
+                     else f"<int of {v.bit_length()} bits>" for v in values)
+
+
 def _check_point(a: float, b: float) -> None:
     """Raise DomainError unless a and b are positive finite reals.
 
@@ -100,7 +107,7 @@ def _check_point(a: float, b: float) -> None:
         return
     for name, v in (("a", a), ("b", b)):
         if not (isinstance(v, (int, float)) and 0.0 < v <= _FLOAT_MAX):
-            raise DomainError(f"MeanPoint.{name} must be a positive finite real, got {v!r}")
+            raise DomainError(f"MeanPoint.{name} must be a positive finite real, got {_shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ class ParamPair:
                 return
         except (TypeError, OverflowError):
             pass
-        raise DomainError(f"ParamPair must be finite reals, got ({self.p!r}, {self.q!r})")
+        raise DomainError(f"ParamPair must be finite reals, got ({_shown(self.p, self.q)})")
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ class GeneratorPair:
                 return
         except (TypeError, OverflowError):
             pass
-        raise DomainError(f"GeneratorPair must be finite reals, got ({self.r!r}, {self.s!r})")
+        raise DomainError(f"GeneratorPair must be finite reals, got ({_shown(self.r, self.s)})")
 
 
 @dataclass(frozen=True)
@@ -407,7 +414,7 @@ def power_mean(t: float, pt: MeanPoint) -> float:
     where the factor exp(ln PM - ln b) alone over- or underflows.
     """
     if not (isinstance(t, (int, float)) and -_FLOAT_MAX <= t <= _FLOAT_MAX):
-        raise DomainError(f"power mean exponent must be a finite real, got {t!r}")
+        raise DomainError(f"power mean exponent must be a finite real, got {_shown(t)}")
     if t == 0.0:
         return geometric_mean(pt)
     a, b = pt.a, pt.b

@@ -1,10 +1,10 @@
 """Generator functions for the two-parameter homogeneous framework.
 
-A generator is a positive, positively homogeneous function f on the
-open quadrant minus the diagonal, with first partials.  The catalog
-covers the arithmetic, logarithmic, identric and Heronian-sum
-generators, the absolute difference D = |x - y|, and the Stolarsky
-family S_{r,s} for caller-supplied (r, s).
+A generator is a positive, positively homogeneous f = y^k exp(e(v)), v = ln(x/y),
+on the open quadrant minus the diagonal, with first partials and its log-partial
+e1 = e' = x f_x/f, the one kernel hgf's integral oracle and T stencil read.  The
+catalog covers the arithmetic, logarithmic, identric and Heronian-sum generators,
+the absolute difference D = |x - y|, and the Stolarsky family S_{r,s} for (r, s).
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from .errors import DomainError
 from .stable import (
     expm1_minus_z_over_z2,
     exprel_logd,
+    heronian_weight,
     identric_weight,
     log_ratio,
+    sigmoid,
 )
 from .core import GeneratorPair, _rs_kernels
 
@@ -40,6 +42,20 @@ class GeneratorFunction:
     partial_y: Callable[[float, float], float]
     diagonal_limit: Optional[Callable[[float], float]] = None
     diagonal_partials: Optional[tuple[float, float]] = field(default=None)
+    # x f_x/f at v = ln(x/y); if None, derived from the partials, anew by dataclasses.replace
+    e1: Optional[Callable[[float], float]] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if getattr(self.e1, "__func__", self.e1) in (None, GeneratorFunction._partials_e1):
+            object.__setattr__(self, "e1", self._partials_e1)
+
+    def _partials_e1(self, v: float) -> float:
+        """x f_x/f at coordinates normalized so that one equals 1."""
+        x, y = (1.0, math.exp(-v)) if v >= 0.0 else (math.exp(v), 1.0)
+        if x == y:
+            f1 = self.value_at_one()  # DomainError without a diagonal limit, so without partials
+            return self.diagonal_partials[0] / f1
+        return x * self.partial_x(x, y) / self.value(x, y)
 
     def value_at_one(self) -> float:
         """f(1, 1) through the diagonal limit; errors if absent."""
@@ -57,6 +73,7 @@ def arithmetic_generator() -> GeneratorFunction:
         partial_y=lambda x, y: 0.5,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
+        e1=sigmoid,
     )
 
 
@@ -81,6 +98,7 @@ def logarithmic_generator() -> GeneratorFunction:
         partial_y=partial_y,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
+        e1=exprel_logd,
     )
 
 
@@ -105,11 +123,17 @@ def identric_generator() -> GeneratorFunction:
         partial_y=partial_y,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
+        e1=identric_weight,
     )
 
 
 def difference_generator() -> GeneratorFunction:
     """D(x, y) = |x - y|; no positive diagonal limit."""
+    def e1(v: float) -> float:
+        if v == 0.0:
+            raise DomainError("generator D has no positive diagonal limit")
+        return 1.0 / (-math.expm1(-v))
+
     return GeneratorFunction(
         label="D",
         order=1.0,
@@ -118,6 +142,7 @@ def difference_generator() -> GeneratorFunction:
         partial_y=lambda x, y: -math.copysign(1.0, x - y),
         diagonal_limit=None,
         diagonal_partials=None,
+        e1=e1,
     )
 
 
@@ -133,6 +158,7 @@ def heronian_generator() -> GeneratorFunction:
         partial_y=lambda x, y: 1.0 + 0.5 * math.sqrt(x / y),
         diagonal_limit=lambda x: 3.0 * x,
         diagonal_partials=(1.5, 1.5),
+        e1=heronian_weight,
     )
 
 
@@ -160,6 +186,7 @@ def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
         partial_y=partial_y,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
+        e1=G1,
     )
 
 

@@ -1,9 +1,9 @@
 """The generic two-parameter homogeneous function H_f and its T machinery.
 
-T(t) = ln f(a^t, b^t).  The framework provides the branch-complete
-evaluator for H_f, T' in closed form with T'' and T''' from one
-finite-difference stencil of g = x f_x/f, the cross-derivative quantities
-I = (ln f)_xy and J = (x-y)(xI)_x, the integral-representation oracle
+T(t) = ln f(a^t, b^t).  The framework provides the branch-complete evaluator
+for H_f, T' in closed form with T'' and T''' from one finite-difference
+stencil of g(t) = x f_x/f = e1(t w), the generator's log-partial, the
+cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, the oracle
 exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(w int_0^1 g(tp+(1-t)q) dt), which
 integrates g alone and so delivers ln(H_f/b^k) to 1e-12 relative, and the
 difference-generator function H_D.
@@ -94,14 +94,10 @@ def t_prime(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
     return (x * f.partial_x(x, y) * la + y * f.partial_y(x, y) * lb) / f.value(x, y)
 
 
-def _g(f: GeneratorFunction, t: float, la: float, lb: float) -> float:
-    """g(t) = x f_x/f at the normalized (a^t, b^t): T' = k ln b + w g by Euler's relation."""
-    _saturation_guard(t, la - lb)
-    x, y = _normalized_args(t, la, lb)
-    if x == y:
-        f1 = f.value_at_one()  # DomainError without a diagonal limit, so without its partials
-        return f.diagonal_partials[0] / f1
-    return x * f.partial_x(x, y) / f.value(x, y)
+def _g(f: GeneratorFunction, t: float, w: float) -> float:
+    """g(t) = x f_x/f at (a^t, b^t), that is e1(t w): T' = k ln b + w g by Euler's relation."""
+    _saturation_guard(t, w)
+    return f.e1(t * w)
 
 
 def ln_f_power(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
@@ -144,23 +140,23 @@ def hf_integral_oracle(
 ) -> float:
     """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f, as b^k exp(w int_0^1 g).
 
-    T' = k ln b + w g by Euler's relation, with w = ln(a/b) and g = x f_x/f at
-    the normalized (a^t, b^t), so only g is integrated, to 1e-12 relative:
-    ln(H_f/b^k) comes to 1e-12 relative, plus the rounding of k ln b and of
-    the sum.  Independent of the closed-form evaluators: the integrand uses
-    only the generator value and first partial in x.
+    T' = k ln b + w g by Euler's relation, with w = ln(a/b) and g = x f_x/f =
+    e1(t w), so only g is integrated, to 1e-12 relative: ln(H_f/b^k) comes
+    to 1e-12 relative, plus the rounding of k ln b and of the sum.
+    Independent of the closed-form evaluators: the integrand is the
+    generator's log-partial e1 alone, one stable kernel per node.
     """
     if pt.a == pt.b:
         raise DomainError("integral oracle requires a != b")
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
-    la, lb = math.log(pt.a), math.log(pt.b)
+    lb, w = math.log(pt.b), log_ratio(pt.a, pt.b)
     if p == q:
-        mean_g = _g(f, q, la, lb)
+        mean_g = _g(f, q, w)
     else:
-        mean_g = integrate(lambda t: _g(f, t * p + (1.0 - t) * q, la, lb),
+        mean_g = integrate(lambda t: _g(f, t * p + (1.0 - t) * q, w),
                            0.0, 1.0, max_subdivisions=max_subdivisions).value
-    return math.exp(f.order * lb + log_ratio(pt.a, pt.b) * mean_g)
+    return math.exp(f.order * lb + w * mean_g)
 
 
 def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
@@ -177,9 +173,10 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
     diagonal limit raises DomainError.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
-    if la == lb:
+    w = la - lb
+    if w == 0.0:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
-    g0 = _g(f, t, la, lb)  # its _saturation_guard refuses a non-finite t before the test below
+    g0 = _g(f, t, w)  # its _saturation_guard refuses a non-finite t before the test below
     if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
         raise SaturationError("probe coordinates a^t not representable",
                               max(abs(t * la), abs(t * lb)))
@@ -188,10 +185,9 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
     _check_t_interval(f, t - h, t + h)
     first, second = [], []
     for hh in (0.5 * h, h):
-        up, down = _g(f, t + hh, la, lb), _g(f, t - hh, la, lb)
+        up, down = _g(f, t + hh, w), _g(f, t - hh, w)
         first.append((up - down) / (2.0 * hh))
         second.append((up - 2.0 * g0 + down) / (hh * hh))
-    w = la - lb
     g1 = (4.0 * first[0] - first[1]) / 3.0
     g_max = max(abs(g0), abs(up), abs(down))
     est2 = abs(w) * (abs(g1 - first[0]) + 32.0 * _EPS * (1.0 + g_max) / h)

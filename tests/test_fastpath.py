@@ -18,7 +18,7 @@ finite-difference Hessian over the public evaluators wherever that one
 decides, and fail the same samples.  t_derivatives, which now
 evaluates T' at the probe point once, must reproduce a copy of its
 former per-stencil form bit for bit; T'' is the central first
-difference on the T''' stencil.
+difference on the T''' stencil of the generator's log-partial e1.
 """
 
 import math
@@ -473,17 +473,14 @@ def _ref_t_derivatives_T(f, t, pt):
     """T', T'' and T''' as t_derivatives computes them.
 
     T' is t_prime.  T'' and T''' are w = ln(a/b) times the central first
-    and second differences of g = x f_x/f at the max-normalized (a^u, b^u),
-    on u = t, t +- h/2, t +- h, each with one Richardson halving.
+    and second differences of g = x f_x/f = e1(u w), the generator's
+    log-partial, on u = t, t +- h/2, t +- h, each with one Richardson halving.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
+    w = la - lb
 
     def g(u):
-        lm = max(u * la, u * lb)
-        x, y = math.exp(u * la - lm), math.exp(u * lb - lm)
-        if x == y:
-            return f.diagonal_partials[0] / f.diagonal_limit(1.0)
-        return x * f.partial_x(x, y) / f.value(x, y)
+        return f.e1(u * w)
 
     h = (2.0 ** -52) ** 0.25 * (1.0 + abs(t))
 
@@ -493,7 +490,6 @@ def _ref_t_derivatives_T(f, t, pt):
     def second(h):
         return (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h)
 
-    w = la - lb
     return (t_prime(f, t, pt), w * ((4.0 * central(0.5 * h) - central(h)) / 3.0),
             w * ((4.0 * second(0.5 * h) - second(h)) / 3.0))
 

@@ -1,5 +1,6 @@
 """Generator contracts, T-derivative machinery, the integral oracle and H_D."""
 
+import dataclasses
 import math
 import random
 
@@ -362,6 +363,7 @@ _PROBED = [(f, _MP_LN_F[f.label]) for f in builtin_generators()] + [
     (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s))
     for r, s in ((2.0, 1.0), (-2.5, -2.0), (0.5, 0.5))]
 _PROBED_IDS = [f.label for f, _ in _PROBED]
+_PROBED_F = [f for f, _ in _PROBED]
 
 # S[-2.5,-2] inputs at which ln H_f is 2.0e-10, 8.7e-14 and 2.7e-11: a
 # tolerance relative to ln H_f could not be met there within 100 panels
@@ -425,6 +427,72 @@ def test_hf_eval_within_its_estimate_of_mpmath(f, ln_f):
         res = hf_eval(f, ParamPair(p, q), MeanPoint(1.0, b))
         ref = _mp_ln_hf(mp, ln_f, p, q, b)
         assert abs(math.log(res.value) - ref) <= res.est_rel_error, (f.label, p, q, b)
+
+
+# ---------------------------------------------------------------------------
+# the log-partial kernel e1(v) = x f_x/f
+# ---------------------------------------------------------------------------
+
+# 0, the series cut 0.35 of stable's kernels, the exp cut 30 and the saturation limit 700
+_KERNEL_VS = (0.0, 1e-8, -1e-8, 0.35, -0.35, 1.0, -1.0, 30.0, -30.0, 700.0, -700.0)
+
+# (generator, mpmath ln f, the e1 rounding factor g): 1 for the catalog and on the
+# (r, s) band, (|r| + |s|)/|r - s| for the Stolarsky quotient (core._rs_kernels)
+_KERNELS = [(f, _MP_LN_F[f.label], 1.0) for f in builtin_generators()] + [
+    (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s), g)
+    for r, s, g in ((2.0, 1.0, 3.0), (1.0, -2.0, 1.0), (-2.5, -2.0, 9.0), (0.5, 0.5, 1.0))]
+
+
+@pytest.mark.parametrize("f, ln_f, g", _KERNELS, ids=[f.label for f, _, _ in _KERNELS])
+def test_e1_against_its_partials_and_mpmath(f, ln_f, g):
+    # the builtin e1 within 8 eps g max(1, |e1|) of 40-digit mpmath d/dv ln f(e^v, 1);
+    # the one derived from the partials within that plus 2 eps |e1'(v)|, the rounding
+    # of its normalized coordinate exp(-|v|), which is 1 - 1e-8 at v = 1e-8
+    mp = pytest.importorskip("mpmath")
+    derived = dataclasses.replace(f, e1=None).e1
+    ln = lambda u: ln_f(mp, mp.exp(u), mp.mpf(1))
+    with mp.workdps(40):
+        for v in _KERNEL_VS:
+            if v == 0.0 and f.diagonal_limit is None:
+                continue  # D has no diagonal limit: test_e1_of_D_at_0_is_a_domain_error
+            # every mean has x f_x/f = 1/2 on the diagonal
+            ref, slope = (mp.mpf(0.5), 0.0) if v == 0.0 else (mp.diff(ln, v), mp.diff(ln, v, 2))
+            tol = 8.0 * _EPS * g * max(1.0, abs(float(ref)))
+            assert abs(f.e1(v) - ref) <= tol, (f.label, v, f.e1(v), ref)
+            assert abs(derived(v) - ref) <= tol + 2.0 * _EPS * abs(slope), (f.label, v)
+
+
+def test_e1_of_D_at_0_is_a_domain_error():
+    f = difference_generator()
+    for e1 in (f.e1, dataclasses.replace(f, e1=None).e1):
+        with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
+            e1(0.0)
+
+
+@pytest.mark.parametrize("f", _PROBED_F, ids=_PROBED_IDS)
+def test_a_generator_without_e1_reads_its_partials(f):
+    # the documented contract, value and partials only: the oracle within 1e-11
+    # relative of the builtin kernel's, T' the same and T'' within both
+    # stencils' estimates
+    bare = dataclasses.replace(f, e1=None)
+    assert bare.e1 is not f.e1
+    for p, q, b in _same_sign_probes(63, count=10):
+        pt = MeanPoint(1.0, b)
+        got = hf_integral_oracle(bare, ParamPair(p, q), pt)
+        assert got == pytest.approx(hf_integral_oracle(f, ParamPair(p, q), pt), rel=1e-11)
+        for t in (p, q):
+            (T1, T2, _, est), (R1, R2, _, ref_est) = _t_stencil(bare, t, pt), _t_stencil(f, t, pt)
+            assert T1 == R1 and abs(T2 - R2) <= est + ref_est, (f.label, t, b)
+
+
+def test_replace_keeps_a_given_e1_and_rederives_a_derived_one():
+    # a tracer copies generators with new value and partial callables
+    for f in builtin_generators():
+        assert dataclasses.replace(f, value=lambda x, y: f.value(x, y)).e1 is f.e1
+    bare = dataclasses.replace(arithmetic_generator(), e1=None)
+    halved = dataclasses.replace(bare, partial_x=lambda x, y: 0.25)
+    assert halved.e1(1.0) == 0.5 * bare.e1(1.0)
+    assert dataclasses.replace(bare) == bare  # a derived e1 takes no part in equality
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from parmeans import (
     power_mean,
     reduction_table,
     stolarsky,
+    stolarsky_generator,
     two_param_heronian,
     two_param_identric,
 )
@@ -162,6 +163,45 @@ def test_power_mean_rejects_an_int_exponent_beyond_the_float_range():
     with pytest.raises(DomainError):
         power_mean(10 ** 400, MeanPoint(2, 6))
     assert power_mean(2, MeanPoint(2, 6)) == pytest.approx(math.sqrt(20), rel=1e-15)
+
+
+# an int of more than 4300 digits: formatting it into the DomainError message
+# raised Python's foreign ValueError for int-to-str conversion
+_HUGE = 10 ** 5000
+
+
+def test_param_pair_rejects_an_int_of_over_4300_digits():
+    with pytest.raises(DomainError, match=r"got \(<int of 16610 bits>, 1\)"):
+        ParamPair(_HUGE, 1)
+
+
+def test_generator_pair_rejects_an_int_of_over_4300_digits():
+    with pytest.raises(DomainError, match=r"got \(1, <int of 16610 bits>\)"):
+        GeneratorPair(1, -_HUGE)
+
+
+def test_mean_point_rejects_an_int_of_over_4300_digits():
+    with pytest.raises(DomainError, match="MeanPoint.a .* got <int of 16610 bits>"):
+        MeanPoint(_HUGE, 1)
+
+
+def test_power_mean_rejects_an_int_exponent_of_over_4300_digits():
+    with pytest.raises(DomainError, match="got <int of 16610 bits>"):
+        power_mean(_HUGE, MeanPoint(2, 6))
+
+
+def test_stolarsky_generator_rejects_an_int_of_over_4300_digits():
+    with pytest.raises(DomainError, match="GeneratorPair"):
+        stolarsky_generator(_HUGE, 1)
+
+
+def test_rejected_values_keep_their_repr():
+    # floats and short values print as before; a long value is cut, not printed whole
+    with pytest.raises(DomainError, match=r"got \(nan, 1\.5\)"):
+        ParamPair(math.nan, 1.5)
+    with pytest.raises(DomainError) as info:
+        ParamPair("x" * 10_000, 1)
+    assert len(str(info.value)) < 100
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "a", None])
