@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import (
+    _FLOAT_MAX,
     _KERNELS,
     _STOLARSKY,
     EvalResult,
@@ -48,12 +49,13 @@ from .core import (
     MeanPoint,
     ParamPair,
     _rs_kernels,
+    _shown,
     family_evaluator,
     family_generator_pair,
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _HD_POLE, STEP_SCALE, _check_t_interval, _t_stencil, ln_f_power, t_derivatives
+from .hgf import _HD_POLE, STEP_SCALE, _check_t_interval, _t_stencil, t_derivatives
 from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
 _EPS = 2.0 ** -52
@@ -69,7 +71,7 @@ EXCLUSION_BAND = 0.05  # grid values and pairs |p - q| within it are left out
 J_DEAD_ZONE = 1e-8
 J_HESSIAN_GRID = (0.5, 1.0, 2.0)
 J_MEAN_POINT = MeanPoint(1.0, 3.0)
-# hgf.t_prime is within T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|) of 40-digit mpmath
+# hgf's T' is within T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|) of 40-digit mpmath
 T_PRIME_ROUNDING = 256.0
 
 
@@ -109,8 +111,10 @@ class ScanSpec:
         sign = 1.0 if self.region == "positive_quadrant" else -1.0
         for axis, grid in (("p", self.p_grid), ("q", self.q_grid)):
             for v in grid:
-                if not (isinstance(v, (int, float)) and EXCLUSION_BAND < sign * v < math.inf):
-                    raise DomainError(f"{axis}-grid value {v!r} is not a finite real in the "
+                # the range test comes first: sign * v of an int beyond it raises OverflowError
+                if not (isinstance(v, (int, float)) and abs(v) <= _FLOAT_MAX
+                        and EXCLUSION_BAND < sign * v):
+                    raise DomainError(f"{axis}-grid value {_shown(v)} is not a finite real in the "
                                       f"open {self.region} beyond the exclusion band")
         if not all(isinstance(pt, MeanPoint) for pt in self.mean_points):
             raise DomainError("mean_points must all be MeanPoints")
@@ -416,18 +420,19 @@ def _with_delta(parts: tuple) -> tuple:
 
 
 def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tuple:
-    """_family_hessian's 8-tuple for ln H_f: _quotient_hessian at w = 1 with E = T and
-    E', E'' and the estimate of E'' from _t_stencil at p and q; E' also carries
+    """_family_hessian's 8-tuple for ln H_f: _quotient_hessian at w = 1 with E = k t ln b +
+    e(t w) and E', E'' and the estimate of E'' from _t_stencil at p and q; E' also carries
     T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|).  DomainError at p = q or across a pole."""
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
     if p == q:
         raise DomainError("the closed-form Hessian has no p = q form")
     at = {t: _t_stencil(f, t, pt) for t in (p, q)}
-    err1 = T_PRIME_ROUNDING * _EPS * (abs(math.log(pt.a)) + abs(math.log(pt.b))
-                                      + max(abs(at[p][0]), abs(at[q][0])))
+    la, lb = math.log(pt.a), math.log(pt.b)
+    k_lb, w, e = f.order * lb, la - lb, f.e
+    err1 = T_PRIME_ROUNDING * _EPS * (abs(la) + abs(lb) + max(abs(at[p][0]), abs(at[q][0])))
     return _with_delta(_quotient_hessian(
-        lambda t: ln_f_power(f, t, pt), lambda t: at[t][0], lambda t: at[t][1],
+        lambda t: t * k_lb + e(t * w), lambda t: at[t][0], lambda t: at[t][1],
         1.0, p, q, (0.0, err1, max(at[p][3], at[q][3]))))
 
 

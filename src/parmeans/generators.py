@@ -1,10 +1,12 @@
 """Generator functions for the two-parameter homogeneous framework.
 
 A generator is a positive, positively homogeneous f = y^k exp(e(v)), v = ln(x/y),
-on the open quadrant minus the diagonal, with first partials and its log-partial
-e1 = e' = x f_x/f, the one kernel hgf's integral oracle and T stencil read.  The
-catalog covers the arithmetic, logarithmic, identric and Heronian-sum generators,
-the absolute difference D = |x - y|, and the Stolarsky family S_{r,s} for (r, s).
+on the open quadrant minus the diagonal, with first partials.  It carries its
+kernel row: the log-kernel e(v) = ln f(e^v, 1), up to a constant, and the
+log-partial e1 = e' = x f_x/f, which are all hgf reads.  The catalog points
+them at core's stable kernels and covers the arithmetic, logarithmic, identric
+and Heronian-sum generators, the absolute difference D = |x - y|, and the
+Stolarsky family S_{r,s} for (r, s).
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from .stable import (
     exprel_logd,
     heronian_weight,
     identric_weight,
+    log_exprel,
+    log_heronian_sum,
     log_ratio,
     sigmoid,
+    softplus,
 )
-from .core import GeneratorPair, _rs_kernels
+from .core import GeneratorPair, _identric_e, _rs_kernels
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,11 @@ class GeneratorFunction:
     value, partial_x and partial_y are defined off the diagonal;
     diagonal_limit (x -> lim_{y->x} f(x, y)) is present only when that
     limit exists and is positive, in which case diagonal_partials holds
-    (f_x(1,1), f_y(1,1)) for the p = q = 0 corner.
+    (f_x(1,1), f_y(1,1)) for the p = q = 0 corner.  hgf reads only the
+    kernel row e, e1 and rounding.  An e derived from value is off by the
+    rounding of value plus 2 eps (|k| + |e1(v)|), and an e1 derived from
+    the partials by theirs plus 2 eps |e1'(v)|: the rounding of the
+    normalized coordinate exp(-|v|).
     """
 
     label: str
@@ -44,10 +53,16 @@ class GeneratorFunction:
     diagonal_partials: Optional[tuple[float, float]] = field(default=None)
     # x f_x/f at v = ln(x/y); if None, derived from the partials, anew by dataclasses.replace
     e1: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    # ln f(e^v, 1) up to a constant; if None, derived from value, anew by dataclasses.replace
+    e: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    # (g, c) of the (r, s) kernels' rounding (core._rs_kernels); (0, 0) adds nothing
+    rounding: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if getattr(self.e1, "__func__", self.e1) in (None, GeneratorFunction._partials_e1):
             object.__setattr__(self, "e1", self._partials_e1)
+        if getattr(self.e, "__func__", self.e) in (None, GeneratorFunction._value_e):
+            object.__setattr__(self, "e", self._value_e)
 
     def _partials_e1(self, v: float) -> float:
         """x f_x/f at coordinates normalized so that one equals 1."""
@@ -56,6 +71,12 @@ class GeneratorFunction:
             f1 = self.value_at_one()  # DomainError without a diagonal limit, so without partials
             return self.diagonal_partials[0] / f1
         return x * self.partial_x(x, y) / self.value(x, y)
+
+    def _value_e(self, v: float) -> float:
+        """ln f(e^v, 1) = k max(v, 0) + ln f at coordinates normalized so that one equals 1."""
+        x, y = (1.0, math.exp(-v)) if v >= 0.0 else (math.exp(v), 1.0)
+        f = self.value_at_one() if x == y else self.value(x, y)
+        return self.order * max(v, 0.0) + math.log(f)
 
     def value_at_one(self) -> float:
         """f(1, 1) through the diagonal limit; errors if absent."""
@@ -74,6 +95,7 @@ def arithmetic_generator() -> GeneratorFunction:
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
         e1=sigmoid,
+        e=softplus,
     )
 
 
@@ -99,6 +121,7 @@ def logarithmic_generator() -> GeneratorFunction:
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
         e1=exprel_logd,
+        e=log_exprel,
     )
 
 
@@ -124,11 +147,17 @@ def identric_generator() -> GeneratorFunction:
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
         e1=identric_weight,
+        e=_identric_e,
     )
 
 
 def difference_generator() -> GeneratorFunction:
     """D(x, y) = |x - y|; no positive diagonal limit."""
+    def e(v: float) -> float:
+        if v == 0.0:
+            raise DomainError("generator D has no positive diagonal limit")
+        return math.log(abs(math.expm1(v)))
+
     def e1(v: float) -> float:
         if v == 0.0:
             raise DomainError("generator D has no positive diagonal limit")
@@ -143,6 +172,7 @@ def difference_generator() -> GeneratorFunction:
         diagonal_limit=None,
         diagonal_partials=None,
         e1=e1,
+        e=e,
     )
 
 
@@ -159,14 +189,16 @@ def heronian_generator() -> GeneratorFunction:
         diagonal_limit=lambda x: 3.0 * x,
         diagonal_partials=(1.5, 1.5),
         e1=heronian_weight,
+        e=log_heronian_sum,
     )
 
 
 def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
     """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with G, G1 = G' the (r, s) kernels of
-    core's four-parameter family (band rule near r = s) and x (ln S)_x = G1(v)."""
+    core's four-parameter family (band rule near r = s), x (ln S)_x = G1(v), and
+    their rounding (g, c) as four_param_F reads it."""
     pair = GeneratorPair(r, s)  # finite reals, or DomainError
-    G, G1 = _rs_kernels(pair.r, pair.s)[:2]
+    G, G1, _, _, g, c = _rs_kernels(pair.r, pair.s)
 
     def value(x: float, y: float) -> float:
         return x if x == y else math.exp(math.log(y) + G(log_ratio(x, y)))
@@ -187,6 +219,8 @@ def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
         e1=G1,
+        e=G,
+        rounding=(g, c),
     )
 
 

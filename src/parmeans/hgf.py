@@ -1,22 +1,21 @@
 """The generic two-parameter homogeneous function H_f and its T machinery.
 
-T(t) = ln f(a^t, b^t).  The framework provides the branch-complete evaluator
-for H_f, T' in closed form with T'' and T''' from one finite-difference
-stencil of g(t) = x f_x/f = e1(t w), the generator's log-partial, the
-cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, the oracle
-exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(w int_0^1 g(tp+(1-t)q) dt), which
-integrates g alone and so delivers ln(H_f/b^k) to 1e-12 relative, and the
-difference-generator function H_D.
+T(t) = ln f(a^t, b^t).  A generator of order k is f = y^k exp(e(v)) with
+v = ln(x/y) and carries its kernel row (e, e1 = e'), so with w = ln(a/b)
+every quantity reads the row at v = t w:
 
-T' is evaluated at max-normalized coordinates (it is invariant under
-(x, y) -> (x, y)/max(x, y)), which keeps it conditioned for large
-t * ln(b/a).  A generator of order k is f = y^k exp(e(v)) with
-v = ln(x/y), so with w = ln(a/b)
+    T = k t ln b + e(t w),  T' = k ln b + w e1(t w),
+    T'' = w^2 e''(t w),     I = -e''(v)/(x y),
+    T''' = w^3 e'''(t w),   J = -(x - y) e'''(v)/(x y).
 
-    T'' = w^2 e''(t w),   I = -e''(v)/(x y),
-    T''' = w^3 e'''(t w), J = -(x - y) e'''(v)/(x y):
-
-I and J are T'' and T''' rescaled; nothing is differenced in (x, y).
+The framework provides the branch-complete evaluator for H_f, core's
+engine run on (e, e1) at the real w; T' from the row, with T'' and T'''
+from one finite-difference stencil of g(t) = e1(t w); the
+cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, which are
+T'' and T''' rescaled, so nothing is differenced in (x, y); the oracle
+exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(int_{qw}^{pw} e1 / (p - q)),
+which integrates e1 alone and so delivers ln(H_f/b^k) to 1e-12
+relative; and the difference-generator function H_D.
 """
 
 from __future__ import annotations
@@ -32,10 +31,12 @@ from .core import (
     ParamPair,
     RANGE_LIMIT,
     ZERO_TOL,
+    _FLOAT_MAX,
     _STOLARSKY,
     _branch,
     _family_ln,
-    _in_band,
+    _four_param_ln,
+    _shown,
 )
 from .errors import DomainError, SaturationError
 from .generators import GeneratorFunction
@@ -62,9 +63,10 @@ class TDerivatives:
 
 
 def _saturation_guard(t: float, w: float) -> None:
-    if not abs(t * w) <= OVERFLOW_LIMIT:
-        if not math.isfinite(t):
-            raise DomainError(f"t must be a finite real, got {t!r}")
+    """Refuse a t that is no finite real (before t w is formed) and |t w| beyond 700."""
+    if not (isinstance(t, (int, float)) and -_FLOAT_MAX <= t <= _FLOAT_MAX):
+        raise DomainError(f"t must be a finite real, got {_shown(t)}")
+    if abs(t * w) > OVERFLOW_LIMIT:
         raise SaturationError("generator argument a^t not representable", t * w)
 
 
@@ -75,44 +77,21 @@ def _check_t_interval(f: GeneratorFunction, p: float, q: float) -> None:
         raise DomainError(f"T' of generator {f.label} is undefined at t = 0 inside [{lo}, {hi}]")
 
 
-def _normalized_args(t: float, la: float, lb: float) -> tuple[float, float]:
-    """(a^t, b^t) scaled by max(a, b)^t, so one coordinate equals 1."""
-    lm = max(t * la, t * lb)
-    return math.exp(t * la - lm), math.exp(t * lb - lm)
-
-
 def t_prime(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
-    """T'(t) = (x f_x ln a + y f_y ln b)/f, evaluated scale-free."""
+    """T'(t) = k ln b + w e1(t w) by Euler's relation, w = ln(a/b)."""
     la, lb = math.log(pt.a), math.log(pt.b)
-    _saturation_guard(t, la - lb)
-    x, y = _normalized_args(t, la, lb)
-    if x == y:
-        if f.diagonal_partials is None:
-            raise DomainError(f"generator {f.label} lacks partials on the diagonal")
-        gx, gy = f.diagonal_partials
-        return (gx * la + gy * lb) / f.value_at_one()
-    return (x * f.partial_x(x, y) * la + y * f.partial_y(x, y) * lb) / f.value(x, y)
-
-
-def _g(f: GeneratorFunction, t: float, w: float) -> float:
-    """g(t) = x f_x/f at (a^t, b^t), that is e1(t w): T' = k ln b + w g by Euler's relation."""
+    w = la - lb
     _saturation_guard(t, w)
-    return f.e1(t * w)
-
-
-def ln_f_power(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
-    """T(t) = ln f(a^t, b^t), computed at normalized coordinates."""
-    la, lb = math.log(pt.a), math.log(pt.b)
-    _saturation_guard(t, la - lb)
-    lm = max(t * la, t * lb)
-    x, y = _normalized_args(t, la, lb)
-    if x == y:
-        return f.order * lm + math.log(f.value_at_one())
-    return f.order * lm + math.log(f.value(x, y))
+    return f.order * lb + w * f.e1(t * w)
 
 
 def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
-    """H_f(p, q; a, b): generic ratio, p = q, zero-parameter and diagonal branches."""
+    """H_f(p, q; a, b): core's engine on the row (e, e1) at the real w, with k ln b.
+
+    |p w| or |q w| beyond 700 is refused (a generator parameter of 1).  The
+    estimate adds the kernels' own rounding as four_param_F does, which is
+    nonzero for S_{r,s} alone.
+    """
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
     p, q = pp.p, pp.q
@@ -123,12 +102,8 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
             f"zero-parameter branch of H_f needs a positive diagonal limit; "
             f"generator {f.label} has none"
         )
-    E = lambda t: ln_f_power(f, t, pt)
-    E1 = lambda t: t_prime(f, t, pt)
-    ln, est = _family_ln((E, E1, None, 0.0), p, q, 1.0, 0.0)
-    if not _in_band(p, q):  # E = k lm + ln f: the rounding of lm = max(t ln a, t ln b)
-        est += 4.0 * _EPS * abs(f.order) * (abs(p) + abs(q)) * (
-            abs(math.log(pt.a)) + abs(math.log(pt.b))) / abs(p - q)
+    ln, est = _four_param_ln((f.e, f.e1, None, 1.0) + f.rounding, p, q,
+                             log_ratio(pt.a, pt.b), f.order * math.log(pt.b))
     return EvalResult(math.exp(ln), _branch(p, q), est)
 
 
@@ -138,10 +113,10 @@ def hf_integral_oracle(
     pt: MeanPoint,
     max_subdivisions: int = 10_000,
 ) -> float:
-    """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f, as b^k exp(w int_0^1 g).
+    """exp(int_0^1 T'(tp + (1-t)q) dt), the integral form of H_f, as b^k exp(w mean e1).
 
-    T' = k ln b + w g by Euler's relation, with w = ln(a/b) and g = x f_x/f =
-    e1(t w), so only g is integrated, to 1e-12 relative: ln(H_f/b^k) comes
+    T' = k ln b + w e1(t w) by Euler's relation, with w = ln(a/b), so only
+    e1 is integrated, over [q w, p w], to 1e-12 relative: ln(H_f/b^k) comes
     to 1e-12 relative, plus the rounding of k ln b and of the sum.
     Independent of the closed-form evaluators: the integrand is the
     generator's log-partial e1 alone, one stable kernel per node.
@@ -151,11 +126,15 @@ def hf_integral_oracle(
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
     lb, w = math.log(pt.b), log_ratio(pt.a, pt.b)
-    if p == q:
-        mean_g = _g(f, q, w)
+    _saturation_guard(p, w)  # every node lies between p w and q w
+    _saturation_guard(q, w)
+    zp, zq = p * w, q * w
+    if zp == zq:
+        mean_g = f.e1(zq)
     else:
-        mean_g = integrate(lambda t: _g(f, t * p + (1.0 - t) * q, w),
-                           0.0, 1.0, max_subdivisions=max_subdivisions).value
+        # abs_tol scales with the interval: the stopping rule of the integral over t in [0, 1]
+        mean_g = integrate(f.e1, zq, zp, abs_tol=1e-15 * abs(zp - zq),
+                           max_subdivisions=max_subdivisions).value / (zp - zq)
     return math.exp(f.order * lb + w * mean_g)
 
 
@@ -163,10 +142,11 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
                ) -> tuple[float, float, float, float]:
     """(T'(t), T''(t), T'''(t), estimated error of T'') under the checks of t_derivatives.
 
-    T' is t_prime.  T'' = w g' and T''' = w g'' come from one stencil of g,
-    free of the rounding that k ln b carries in T', at t, t +- h/2 and
-    t +- h with h = STEP_SCALE (1 + |t|): its central first and second
-    differences, each with one Richardson halving.  The estimate of T'' is
+    T' = k ln b + w g(t) is t_prime, read from the stencil's own g(t) = e1(t w).
+    T'' = w g' and T''' = w g'' come from one stencil of g, free of the
+    rounding that k ln b carries in T', at t, t +- h/2 and t +- h with
+    h = STEP_SCALE (1 + |t|): its central first and second differences,
+    each with one Richardson halving.  The estimate of T'' is
     |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h), max|g| over t and t +- h, R
     the Richardson first difference and D(h/2) the one at step h/2.  A
     stencil that reaches the pole at t = 0 of a generator without a
@@ -176,28 +156,31 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
     w = la - lb
     if w == 0.0:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
-    g0 = _g(f, t, w)  # its _saturation_guard refuses a non-finite t before the test below
+    _saturation_guard(t, w)  # refuses a t that is no finite real before the tests below
     if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
         raise SaturationError("probe coordinates a^t not representable",
                               max(abs(t * la), abs(t * lb)))
 
     h = STEP_SCALE * (1.0 + abs(t))
     _check_t_interval(f, t - h, t + h)
+    _saturation_guard(abs(t) + h, w)  # the outer nodes t +- h
+    g = f.e1
+    g0 = g(t * w)
     first, second = [], []
     for hh in (0.5 * h, h):
-        up, down = _g(f, t + hh, w), _g(f, t - hh, w)
+        up, down = g((t + hh) * w), g((t - hh) * w)
         first.append((up - down) / (2.0 * hh))
         second.append((up - 2.0 * g0 + down) / (hh * hh))
     g1 = (4.0 * first[0] - first[1]) / 3.0
     g_max = max(abs(g0), abs(up), abs(down))
     est2 = abs(w) * (abs(g1 - first[0]) + 32.0 * _EPS * (1.0 + g_max) / h)
-    return t_prime(f, t, pt), w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
+    return f.order * lb + w * g0, w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
 
 
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
     """T', T'', T''' plus I, J and C at the probe point t != 0.
 
-    T' comes from the closed form, T'' and T''' from _t_stencil.  With
+    T', T'' and T''' come from _t_stencil, which reads e1 alone.  With
     w = ln(a/b), homogeneity gives I = -T''/(w^2 x y),
     J = -(1/y - 1/x) T'''/w^3 and C = (t w)^3/(1/y - 1/x).  1/x and 1/y
     come from the logs, so x y is never formed; a field outside the

@@ -33,6 +33,7 @@ from .core import (
     _GINI,
     _HERONIAN2,
     _IDENTRIC2,
+    _FLOAT_MAX,
     _STOLARSKY,
     _arithmetic,
     _check_point,
@@ -42,6 +43,7 @@ from .core import (
     _ln_identric,
     _log_mean,
     _power_mean_exponent,
+    _shown,
     ln_identric,
 )
 from .errors import DomainError, ParMeansError
@@ -81,9 +83,10 @@ class SamplingPlan:
     def __post_init__(self):
         if not (all(type(n) is int and n >= 0 for n in (self.grid_b_count, self.random_count))
                 and all(isinstance(b, (int, float)) for b in (self.b_low, self.b_high))
-                and 0.0 < self.b_low <= self.b_high < math.inf):
-            raise DomainError(f"SamplingPlan needs integer counts >= 0 and "
-                              f"0 < b_low <= b_high < inf, got {self!r}")
+                and 0.0 < self.b_low <= self.b_high <= _FLOAT_MAX):
+            fields = ", ".join(f"{name}={_shown(v)}" for name, v in vars(self).items())
+            raise DomainError("SamplingPlan needs integer counts >= 0 and 0 < b_low <= b_high <= "
+                              f"the largest float, got SamplingPlan({fields})")
 
     @cached_property
     def _log_b_range(self) -> tuple[float, float]:

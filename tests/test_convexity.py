@@ -206,6 +206,15 @@ def test_scan_spec_rejects_bad_inputs(change):
         ScanSpec(**spec)
 
 
+@pytest.mark.parametrize("v", [10 ** 400, -10 ** 400, 10 ** 5000], ids=["1e400", "-1e400", "1e5000"])
+def test_scan_spec_refuses_a_huge_int_grid_value(v):
+    # sign * v was formed before the type test and raised OverflowError
+    for region in ("positive_quadrant", "negative_quadrant"):
+        with pytest.raises(DomainError):
+            ScanSpec(family="stolarsky", region=region, p_grid=(v,), q_grid=(0.5,),
+                     mean_points=(MeanPoint(1, 2),))
+
+
 def test_j_criterion_probes():
     rng = random.Random(23)
 

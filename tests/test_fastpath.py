@@ -472,9 +472,10 @@ def _probe_generators():
 def _ref_t_derivatives_T(f, t, pt):
     """T', T'' and T''' as t_derivatives computes them.
 
-    T' is t_prime.  T'' and T''' are w = ln(a/b) times the central first
-    and second differences of g = x f_x/f = e1(u w), the generator's
-    log-partial, on u = t, t +- h/2, t +- h, each with one Richardson halving.
+    T' = k ln b + w g(t) by Euler's relation.  T'' and T''' are w = ln(a/b)
+    times the central first and second differences of g = x f_x/f = e1(u w),
+    the generator's log-partial, on u = t, t +- h/2, t +- h, each with one
+    Richardson halving.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
     w = la - lb
@@ -490,7 +491,7 @@ def _ref_t_derivatives_T(f, t, pt):
     def second(h):
         return (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h)
 
-    return (t_prime(f, t, pt), w * ((4.0 * central(0.5 * h) - central(h)) / 3.0),
+    return (f.order * lb + w * g(t), w * ((4.0 * central(0.5 * h) - central(h)) / 3.0),
             w * ((4.0 * second(0.5 * h) - second(h)) / 3.0))
 
 
@@ -503,4 +504,5 @@ def test_t_derivatives_bit_identical_to_reference():
             der = t_derivatives(f, t, pt)
             assert (der.T1, der.T2, der.T3) == _ref_t_derivatives_T(f, t, pt), \
                 (f.label, t, pt)
+            assert t_prime(f, t, pt) == der.T1  # one T' for the stencil and t_prime
 

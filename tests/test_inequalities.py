@@ -360,6 +360,21 @@ def test_sampling_plan_rejects_bad_fields(fields):
         SamplingPlan(**fields)
 
 
+def test_sampling_plan_refuses_a_b_beyond_the_float_range():
+    # an int b_high beyond the largest float was accepted, and check_case then
+    # raised OverflowError from math.log
+    with pytest.raises(DomainError):
+        check_case(catalog()[0], SamplingPlan(b_low=2, b_high=10 ** 400,
+                                              grid_b_count=2, random_count=2))
+
+
+def test_sampling_plan_refusal_shows_a_huge_int():
+    # the message formatted the plan's repr, and str() of an int of over 4300
+    # digits raised Python's own ValueError in place of the DomainError
+    with pytest.raises(DomainError, match="<int of 16610 bits>"):
+        SamplingPlan(b_low=-10 ** 5000)
+
+
 def test_grid_b_count_zero_and_one_are_honoured():
     # n = max(2, grid_b_count) made these totals 7 and 2
     case = get_case("stolarsky_yang")
