@@ -8,19 +8,20 @@
         d2_qq = -E''(q)/d - 2 E'(q)/d^2 + 2 D/d^3
         d2_pq = (E'(p) + E'(q))/d^2 - 2 D/d^3
 
-    A family's (_family_hessian) E = e(t w), E' = w e1(t w) and
-    E'' = w^2 e2(t w) come from its kernel tuple in core, with e2
+    E = e(t w), E' = w e1(t w) and E'' = w^2 e2(t w) come from one kernel
+    row (e, e1, e2, gen_max, g, c) of core's shape, with e2
 
         stolarsky   exprel_logd2
         gini        sigmoid_d = sigma (1 - sigma)
         identric2   identric_weight_d = 2 L'' + z L''', L = log_exprel
         heronian2   heronian_weight_d, the derivative of heronian_weight
         F(.,.;r,s)  e2 of _rs_kernels(r, s), band rule inside _in_band(r, s)
-        H_D         the Stolarsky tuple plus the pole part
+        H_D         the Stolarsky row plus the pole row
                     (ln|t|, 1/t, -1/t^2) read at w = 1
+        H_f         the generator's row (_generator_hessian); the linear
+                    k t ln b of its T has no Hessian
 
-    so a point costs six kernel calls; a generator's (_generator_hessian)
-    are T, T' and T'' of hgf at w = 1.  Entries and delta carry error
+    so a point costs six kernel calls.  Entries and delta carry error
     estimates; a point is inconclusive where |d2_pp| or |delta| is within
     its estimate.  There is no p = q form.  The expected verdict comes
     from the r + s sign rule; H_D is log-convex on the positive quadrant
@@ -55,7 +56,8 @@ from .core import (
 )
 from .errors import DomainError, ParMeansError
 from .generators import GeneratorFunction
-from .hgf import _HD_POLE, STEP_SCALE, _check_t_interval, _t_stencil, t_derivatives
+from .hgf import (_HD_POLE, STEP_SCALE, _check_t_interval, _saturation_guard, _t_stencil,
+                  t_derivatives)
 from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
 _EPS = 2.0 ** -52
@@ -71,8 +73,6 @@ EXCLUSION_BAND = 0.05  # grid values and pairs |p - q| within it are left out
 J_DEAD_ZONE = 1e-8
 J_HESSIAN_GRID = (0.5, 1.0, 2.0)
 J_MEAN_POINT = MeanPoint(1.0, 3.0)
-# hgf's T' is within T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|) of 40-digit mpmath
-T_PRIME_ROUNDING = 256.0
 
 
 @dataclass(frozen=True)
@@ -350,11 +350,7 @@ def _count_verdict(tally: Tally, verdict: str, expect: str) -> None:
         tally.count(verdict == expect)
 
 
-_NO_INNER = (0.0, 0.0, 0.0)
-
-
-def _quotient_hessian(e, e1, e2, w: float, p: float, q: float,
-                      inner: tuple[float, float, float] = _NO_INNER) -> tuple:
+def _quotient_hessian(row: tuple, w: float, p: float, q: float, err2: float = 0.0) -> tuple:
     """Hessian in (p, q) of (E(p) - E(q))/(p - q), E(t) = e(t w), in closed form.
 
     With d = p - q and m the quotient, E' = w e1(t w) and E'' = w^2 e2(t w):
@@ -362,8 +358,10 @@ def _quotient_hessian(e, e1, e2, w: float, p: float, q: float,
     and d2_pq = (E'(p) + E'(q) - 2 m)/d^2.  Returns the three entries and their
     error estimates: eps times each term's magnitude over its power of |d|, as
     in core._family_ln, with the kernels' absolute floors E1_FLOOR and E2_FLOOR,
-    plus inner, the extra absolute rounding of (E, E', E'') of the (r, s) kernels.
+    plus the row's (g, c) rounding, 2 eps (g |t w| + c) in E, 2 eps g |w| in E'
+    and 16 eps g gen_max w^2 in E'', and err2, any further error of E''.
     """
+    e, e1, e2, gen_max, g, c = row
     d = p - q
     ad = abs(d)
     ep, eq = e(p * w), e(q * w)
@@ -373,9 +371,11 @@ def _quotient_hessian(e, e1, e2, w: float, p: float, q: float,
     d2_pp = (e2p - 2.0 * (e1p - m) / d) / d
     d2_qq = -(e2q + 2.0 * (e1q - m) / d) / d
     d2_pq = (e1p + e1q - 2.0 * m) / (d * d)
-    err_m = (2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) + inner[0]) / ad + _EPS * abs(m)
-    floor1 = _EPS * E1_FLOOR * abs(w) + inner[1]
-    floor2 = _EPS * E2_FLOOR * w * w + inner[2]
+    gw = g * abs(w)
+    err_m = (2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) + 2.0 * _EPS * (c + gw * (abs(p) + abs(q)))
+             ) / ad + _EPS * abs(m)
+    floor1 = _EPS * E1_FLOOR * abs(w) + 2.0 * _EPS * gw
+    floor2 = _EPS * E2_FLOOR * w * w + 16.0 * _EPS * g * gen_max * w * w + err2
     err1p, err1q = floor1 + 4.0 * _EPS * abs(e1p), floor1 + 4.0 * _EPS * abs(e1q)
     est_pp = (floor2 + 4.0 * _EPS * abs(e2p) + 2.0 * (err1p + err_m) / ad) / ad
     est_qq = (floor2 + 4.0 * _EPS * abs(e2q) + 2.0 * (err1q + err_m) / ad) / ad
@@ -387,24 +387,16 @@ def _family_hessian(family: str, gen: Optional[GeneratorPair]
                     ) -> Callable[[float, float, float], tuple]:
     """(p, q, w) -> (d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta):
     the closed-form Hessian of ln M in (p, q) of a scan family at w = ln(a/b),
-    delta and their error estimates.  H_D adds its pole part ln|t| at w = 1."""
-    if family == "four_param":
-        e, e1, e2, gen_max, g, c = _rs_kernels(gen.r, gen.s)
-
+    delta and their error estimates.  H_D adds its pole row at w = 1."""
+    if family == "hd":
         def parts(p, q, w):
-            gw = g * abs(w)
-            inner = (2.0 * _EPS * (c + gw * (abs(p) + abs(q))), 2.0 * _EPS * gw,
-                     16.0 * _EPS * g * gen_max * w * w)
-            return _quotient_hessian(e, e1, e2, w, p, q, inner)
-    elif family == "hd":
-        def parts(p, q, w):
-            return tuple(s + t for s, t in zip(_quotient_hessian(*_STOLARSKY[:3], w, p, q),
-                                               _quotient_hessian(*_HD_POLE, 1.0, p, q)))
+            return tuple(s + t for s, t in zip(_quotient_hessian(_STOLARSKY, w, p, q),
+                                               _quotient_hessian(_HD_POLE, 1.0, p, q)))
     else:
-        e, e1, e2, _ = _KERNELS[family]
+        row = _rs_kernels(gen.r, gen.s) if family == "four_param" else _KERNELS[family]
 
         def parts(p, q, w):
-            return _quotient_hessian(e, e1, e2, w, p, q)
+            return _quotient_hessian(row, w, p, q)
 
     return lambda p, q, w: _with_delta(parts(p, q, w))
 
@@ -420,20 +412,22 @@ def _with_delta(parts: tuple) -> tuple:
 
 
 def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tuple:
-    """_family_hessian's 8-tuple for ln H_f: _quotient_hessian at w = 1 with E = k t ln b +
-    e(t w) and E', E'' and the estimate of E'' from _t_stencil at p and q; E' also carries
-    T_PRIME_ROUNDING eps (|ln a| + |ln b| + |T'|).  DomainError at p = q or across a pole."""
+    """_family_hessian's 8-tuple for ln H_f: _quotient_hessian of the generator's row at
+    w = ln(a/b).  A row derived without e2 reads E'' from _t_stencil at p and q, with
+    the stencil's estimate as err2.  DomainError at p = q or across a pole."""
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
     if p == q:
         raise DomainError("the closed-form Hessian has no p = q form")
-    at = {t: _t_stencil(f, t, pt) for t in (p, q)}
-    la, lb = math.log(pt.a), math.log(pt.b)
-    k_lb, w, e = f.order * lb, la - lb, f.e
-    err1 = T_PRIME_ROUNDING * _EPS * (abs(la) + abs(lb) + max(abs(at[p][0]), abs(at[q][0])))
-    return _with_delta(_quotient_hessian(
-        lambda t: t * k_lb + e(t * w), lambda t: at[t][0], lambda t: at[t][1],
-        1.0, p, q, (0.0, err1, max(at[p][3], at[q][3]))))
+    w = log_ratio(pt.a, pt.b)
+    _saturation_guard(p, w)
+    _saturation_guard(q, w)
+    row, err2 = f.kernel, 0.0
+    if row[2] is None:
+        at = {t: _t_stencil(f, t, pt) for t in (p, q)}
+        e2 = {t * w: at[t][1] / (w * w) for t in (p, q)}.__getitem__  # the e2 of E'' = T''
+        row, err2 = row[:2] + (e2,) + row[3:], max(at[p][3], at[q][3])
+    return _with_delta(_quotient_hessian(row, w, p, q, err2))
 
 
 def scan_convexity(spec: ScanSpec) -> CheckReport:

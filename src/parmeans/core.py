@@ -8,21 +8,23 @@ E(t) = ln f(a^t, b^t) - t ln(b), the mean is
 
 with the removable singularity at p = q filled by the band rule below.
 
-Kernel tuples.  In every family E depends on t only through z = t w,
-so each is a tuple (e, e1, e2) of cancellation-free kernels from
-stable.py, with E(t) = e(t w), E'(t) = w e1(t w) and E''(t) = w^2 e2(t w):
+Kernel rows.  In every family E depends on t only through z = t w, so
+each is a row (e, e1, e2, gen_max, g, c) with E(t) = e(t w),
+E'(t) = w e1(t w), E''(t) = w^2 e2(t w), the largest |generator
+parameter| gen_max and the rounding (g, c) of kernels that are divided
+differences, (0, 0) for stable.py's own:
 
     stolarsky   e = log_exprel(z)        e1 = exprel_logd(z)     e2 = exprel_logd2(z)
     gini        e = softplus(z)          e1 = sigmoid(z)         e2 = sigmoid_d(z)
     identric2   e = z exprel_logd(z)     e1 = identric_weight(z) e2 = identric_weight_d(z)
     heronian2   e = log_heronian_sum(z)  e1 = heronian_weight(z) e2 = heronian_weight_d(z)
     F(.,.;r,s)  _rs_kernels(r, s), the divided difference in (r, s) of log_exprel(u z)
-    H_D         the Stolarsky tuple plus an exact pole term (hgf)
+    H_D         the Stolarsky row plus an exact pole term (hgf)
 
-The evaluators read (e, e1); e2 feeds the closed-form Hessian of the
-convexity scans.
+Every generator of hgf carries such a row.  e2 feeds the closed-form
+Hessian of convexity; the evaluators read the rest.
 
-Engine.  _family_ln(kernels, p, q, w, ln b) returns (ln M, estimated
+Engine.  _family_ln(row, p, q, w, ln b) returns (ln M, estimated
 error of ln M) from the point's logs w = ln(a/b) and ln b, so a caller
 that evaluates many (p, q) at one point takes the logs once.  In one
 frame it refuses exponent products |p r w| beyond 700, chooses the band,
@@ -33,12 +35,12 @@ E'((p+q)/2) and e1's absolute rounding (stable.E1_FLOOR) as the
 estimate; the same two helpers fill r = s in _rs_kernels.  Off the band
 the kernel values' rounding has an absolute floor (log_exprel near 0 is
 the log of a number near 1).  Every estimate also covers the rounding of
-ln b against the quotient.  At w = 0 the means give ln b exactly.  The
-branch tag is a function of (p, q) alone (_branch); p_eq_q tags
+ln b against the quotient, and a row with g != 0 adds its kernels'
+rounding.  At w = 0 the means give ln b exactly.  The branch tag is a
+function of (p, q) alone (_branch); p_eq_q tags
 |p - q| <= 1e-6 * (1 + |p| + |q|), zero parameters 1e-13 * scale, as E
-is smooth at 0 and needs no formula there.  hf_eval (hgf), whose E is
-not a function of t w, passes its own E(t), E'(t) with w = 1 and no
-generator parameter, which the engine applies exactly.
+is smooth at 0 and needs no formula there.  hf_eval (hgf) runs the
+engine on a generator's row at the real w, with k ln b in place of ln b.
 
 The public evaluators validate at the dataclass boundary, call the
 engine, tag the branch and exponentiate; the inequality checker reads
@@ -216,25 +218,26 @@ def _identric_e(z: float) -> float:
     return z * exprel_logd(z)
 
 
-# (e, e1, e2, max |generator parameter|) of each named family
-_STOLARSKY = (log_exprel, exprel_logd, exprel_logd2, 1.0)
-_GINI = (softplus, sigmoid, sigmoid_d, 2.0)
-_IDENTRIC2 = (_identric_e, identric_weight, identric_weight_d, 1.0)
-_HERONIAN2 = (log_heronian_sum, heronian_weight, heronian_weight_d, 1.0)
+# the kernel row (e, e1, e2, max |generator parameter|, g, c) of each named family
+_STOLARSKY = (log_exprel, exprel_logd, exprel_logd2, 1.0, 0.0, 0.0)
+_GINI = (softplus, sigmoid, sigmoid_d, 2.0, 0.0, 0.0)
+_IDENTRIC2 = (_identric_e, identric_weight, identric_weight_d, 1.0, 0.0, 0.0)
+_HERONIAN2 = (log_heronian_sum, heronian_weight, heronian_weight_d, 1.0, 0.0, 0.0)
 _KERNELS = {"stolarsky": _STOLARSKY, "gini": _GINI,
             "identric2": _IDENTRIC2, "heronian2": _HERONIAN2}
 
 
-def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float,
+def _family_ln(row: tuple, p: float, q: float, w: float, lnb: float,
                limit: float = RANGE_LIMIT) -> tuple[float, float]:
-    """The engine: (ln M, est ln error) of a kernel tuple (e, e1, e2, gen_max).
+    """The engine: (ln M, est ln error) of a kernel row (e, e1, e2, gen_max, g, c).
 
     See the module docstring.  w = log_ratio(a, b) and lnb = ln b of a
     valid point.  Rounding is monotone and sign-symmetric, so
     |max(|p|, |q|) gen_max w| is the largest exponent product |t r w| bit
-    for bit.  |ln M| is checked against limit; H_D checks its own sum.
+    for bit.  g != 0 adds the kernels' rounding (_rs_kernels): E' is read on
+    the band, E off it.  |ln M| is checked against limit; H_D checks its own sum.
     """
-    e, e1, _, gen_max = kernels
+    e, e1, _, gen_max, g, c = row
     ap, aq = abs(p), abs(q)
     worst = abs((aq if aq > ap else ap) * gen_max * w)
     if worst > OVERFLOW_LIMIT:
@@ -245,27 +248,31 @@ def _family_ln(kernels: tuple, p: float, q: float, w: float, lnb: float,
         mean, corr = _band_mean(e1, p, q, w)
         ln = lnb + w * mean
         est = abs(w) * (abs(corr) + E1_FLOOR * _EPS) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+        if g:
+            est += 2.0 * _EPS * (g * abs(w))
     else:
         ep, eq = e(p * w), e(q * w)
         ln = lnb + (ep - eq) / d
         # the 1 is the absolute rounding floor of kernels such as log_exprel near z = 0
         est = 2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) / ad + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
+        if g:
+            est += 2.0 * _EPS * ((c + g * abs(w) * (ap + aq)) / ad)
     if abs(ln) > limit:
         raise SaturationError("result magnitude outside floating range", ln, limit, "ln M")
     return ln, est
 
 
-def _family_eval(kernels: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
+def _family_eval(row: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    ln, est = _family_ln(kernels, pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
+    ln, est = _family_ln(row, pp.p, pp.q, log_ratio(pt.a, pt.b), math.log(pt.b))
     return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
 
 
 def _rs_kernels(r: float, s: float) -> tuple:
-    """(e, e1, e2, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided difference in
-    (r, s) of log_exprel(u z), by the band rule inside _in_band(r, s), e1 = e' and
-    e2 = e''.  Their rounding is about 2 eps g in e1, 2 eps (g |z| + c) in e and
+    """The kernel row (e, e1, e2, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided
+    difference in (r, s) of log_exprel(u z), by the band rule inside _in_band(r, s),
+    e1 = e' and e2 = e''.  Their rounding is about 2 eps g in e1, 2 eps (g |z| + c) in e and
     16 eps g max(|r|, |s|) in e2, from band means in (0, 1), or from kernel values
     (eps (1 + |z|) for log_exprel) over r - s.
     """
@@ -293,17 +300,6 @@ def _rs_kernels(r: float, s: float) -> tuple:
         return (r * r * exprel_logd2(r * z) - s * s * exprel_logd2(s * z)) / d
 
     return e, e1, e2, max(abs(r), abs(s)), (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
-
-
-def _four_param_ln(kernels: tuple, p: float, q: float, w: float, lnb: float
-                   ) -> tuple[float, float]:
-    """(ln F, est ln error) from _rs_kernels(r, s) and the point's logs, as _family_ln,
-    with the inner (r, s) rounding added: the (p, q) band reads E' = w e1 directly,
-    the quotient divides E's rounding by p - q."""
-    g, c = kernels[4:]
-    ln, est = _family_ln(kernels[:4], p, q, w, lnb)
-    gw = g * abs(w)
-    return ln, est + 2.0 * _EPS * (gw if _in_band(p, q) else (c + gw * (abs(p) + abs(q))) / abs(p - q))
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +453,11 @@ def two_param_heronian(pp: ParamPair, pt: MeanPoint) -> EvalResult:
 def four_param_F(pp: ParamPair, gp: GeneratorPair, pt: MeanPoint) -> EvalResult:
     """Four-parameter mean F(p, q; r, s; a, b).
 
-    The (r, s) kernels of _rs_kernels go through the shared engine, so
+    The (r, s) row of _rs_kernels goes through the shared engine, so
     r = s takes the same band rule as p = q.  est_rel_error includes the
     rounding of that inner (r, s) rule.
     """
-    if pt.a == pt.b:
-        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
-    ln, est = _four_param_ln(_rs_kernels(gp.r, gp.s), pp.p, pp.q,
-                             log_ratio(pt.a, pt.b), math.log(pt.b))
-    return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
+    return _family_eval(_rs_kernels(gp.r, gp.s), pp, pt)
 
 
 def reduction_table(pp: ParamPair, gp: GeneratorPair) -> Optional[ReductionTag]:

@@ -2,11 +2,10 @@
 
 A generator is a positive, positively homogeneous f = y^k exp(e(v)), v = ln(x/y),
 on the open quadrant minus the diagonal, with first partials.  It carries its
-kernel row: the log-kernel e(v) = ln f(e^v, 1), up to a constant, and the
-log-partial e1 = e' = x f_x/f, which are all hgf reads.  The catalog points
-them at core's stable kernels and covers the arithmetic, logarithmic, identric
-and Heronian-sum generators, the absolute difference D = |x - y|, and the
-Stolarsky family S_{r,s} for (r, s).
+kernel row (e, e1, e2, gen_max, g, c) of core's shape: e(v) = ln f(e^v, 1) up to a
+constant, e1 = e' = x f_x/f and e2 = e'', all that hgf and convexity read.  The
+catalog reuses core's rows for the arithmetic, logarithmic, identric and
+Heronian-sum generators and S_{r,s}, and has its own for D = |x - y|.
 """
 
 from __future__ import annotations
@@ -16,18 +15,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import DomainError
-from .stable import (
-    expm1_minus_z_over_z2,
-    exprel_logd,
-    heronian_weight,
-    identric_weight,
-    log_exprel,
-    log_heronian_sum,
-    log_ratio,
-    sigmoid,
-    softplus,
-)
-from .core import GeneratorPair, _identric_e, _rs_kernels
+from .stable import expm1_minus_z_over_z2, exprel_logd, identric_weight, log_ratio
+from .core import _GINI, _HERONIAN2, _IDENTRIC2, _STOLARSKY, GeneratorPair, _rs_kernels
+
+# g of a row derived from value and the partials, whose rounding is unknown: 2 eps g =
+# 256 eps on E', sized against 40-digit mpmath (L's T' reached 163 eps in 11500 probes)
+DERIVED_ROUNDING = 128.0
 
 
 @dataclass(frozen=True)
@@ -37,11 +30,12 @@ class GeneratorFunction:
     value, partial_x and partial_y are defined off the diagonal;
     diagonal_limit (x -> lim_{y->x} f(x, y)) is present only when that
     limit exists and is positive, in which case diagonal_partials holds
-    (f_x(1,1), f_y(1,1)) for the p = q = 0 corner.  hgf reads only the
-    kernel row e, e1 and rounding.  An e derived from value is off by the
-    rounding of value plus 2 eps (|k| + |e1(v)|), and an e1 derived from
-    the partials by theirs plus 2 eps |e1'(v)|: the rounding of the
-    normalized coordinate exp(-|v|).
+    (f_x(1,1), f_y(1,1)) for the p = q = 0 corner.  hgf and convexity read
+    only the kernel row.  The row derived when none is given,
+    (e, e1, None, 1, DERIVED_ROUNDING, 0), has an e off by the rounding of
+    value plus 2 eps (|k| + |e1(v)|) and an e1 off by that of the partials
+    plus 2 eps |e1'(v)|, the rounding of the normalized coordinate exp(-|v|);
+    with no e2, hgf differences e1 for T''.
     """
 
     label: str
@@ -51,18 +45,14 @@ class GeneratorFunction:
     partial_y: Callable[[float, float], float]
     diagonal_limit: Optional[Callable[[float], float]] = None
     diagonal_partials: Optional[tuple[float, float]] = field(default=None)
-    # x f_x/f at v = ln(x/y); if None, derived from the partials, anew by dataclasses.replace
-    e1: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    # ln f(e^v, 1) up to a constant; if None, derived from value, anew by dataclasses.replace
-    e: Optional[Callable[[float], float]] = field(default=None, compare=False)
-    # (g, c) of the (r, s) kernels' rounding (core._rs_kernels); (0, 0) adds nothing
-    rounding: tuple[float, float] = (0.0, 0.0)
+    # (e, e1, e2, gen_max, g, c) as core's rows; if None, derived, anew by dataclasses.replace
+    kernel: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if getattr(self.e1, "__func__", self.e1) in (None, GeneratorFunction._partials_e1):
-            object.__setattr__(self, "e1", self._partials_e1)
-        if getattr(self.e, "__func__", self.e) in (None, GeneratorFunction._value_e):
-            object.__setattr__(self, "e", self._value_e)
+        row = self.kernel  # a row derived from the callables of a replaced copy is derived anew
+        if row is None or getattr(row[0], "__func__", None) is GeneratorFunction._value_e:
+            object.__setattr__(self, "kernel", (self._value_e, self._partials_e1, None,
+                                                1.0, DERIVED_ROUNDING, 0.0))
 
     def _partials_e1(self, v: float) -> float:
         """x f_x/f at coordinates normalized so that one equals 1."""
@@ -94,8 +84,7 @@ def arithmetic_generator() -> GeneratorFunction:
         partial_y=lambda x, y: 0.5,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
-        e1=sigmoid,
-        e=softplus,
+        kernel=_GINI[:3] + (1.0,) + _GINI[4:],  # the parameter of H_A is 1, not Gini's 2
     )
 
 
@@ -120,8 +109,7 @@ def logarithmic_generator() -> GeneratorFunction:
         partial_y=partial_y,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
-        e1=exprel_logd,
-        e=log_exprel,
+        kernel=_STOLARSKY,
     )
 
 
@@ -146,13 +134,12 @@ def identric_generator() -> GeneratorFunction:
         partial_y=partial_y,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
-        e1=identric_weight,
-        e=_identric_e,
+        kernel=_IDENTRIC2,
     )
 
 
 def difference_generator() -> GeneratorFunction:
-    """D(x, y) = |x - y|; no positive diagonal limit."""
+    """D(x, y) = |x - y|; no positive diagonal limit, so each kernel refuses v = 0."""
     def e(v: float) -> float:
         if v == 0.0:
             raise DomainError("generator D has no positive diagonal limit")
@@ -163,6 +150,12 @@ def difference_generator() -> GeneratorFunction:
             raise DomainError("generator D has no positive diagonal limit")
         return 1.0 / (-math.expm1(-v))
 
+    def e2(v: float) -> float:
+        # -1/(4 sinh^2(v/2)), even in v, formed so that no term overflows
+        if v == 0.0:
+            raise DomainError("generator D has no positive diagonal limit")
+        return -math.exp(-abs(v)) / math.expm1(-abs(v)) ** 2
+
     return GeneratorFunction(
         label="D",
         order=1.0,
@@ -171,8 +164,7 @@ def difference_generator() -> GeneratorFunction:
         partial_y=lambda x, y: -math.copysign(1.0, x - y),
         diagonal_limit=None,
         diagonal_partials=None,
-        e1=e1,
-        e=e,
+        kernel=(e, e1, e2, 1.0, 0.0, 0.0),
     )
 
 
@@ -188,17 +180,17 @@ def heronian_generator() -> GeneratorFunction:
         partial_y=lambda x, y: 1.0 + 0.5 * math.sqrt(x / y),
         diagonal_limit=lambda x: 3.0 * x,
         diagonal_partials=(1.5, 1.5),
-        e1=heronian_weight,
-        e=log_heronian_sum,
+        kernel=_HERONIAN2,
     )
 
 
 def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
-    """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with G, G1 = G' the (r, s) kernels of
-    core's four-parameter family (band rule near r = s), x (ln S)_x = G1(v), and
-    their rounding (g, c) as four_param_F reads it."""
+    """S_{r,s}(x, y) = y exp(G(v)), v = ln(x/y), with the row of core's four-parameter
+    family (band rule near r = s): G, G1 = G' = x (ln S)_x, and the rest as four_param_F
+    reads it."""
     pair = GeneratorPair(r, s)  # finite reals, or DomainError
-    G, G1, _, _, g, c = _rs_kernels(pair.r, pair.s)
+    row = _rs_kernels(pair.r, pair.s)
+    G, G1 = row[:2]
 
     def value(x: float, y: float) -> float:
         return x if x == y else math.exp(math.log(y) + G(log_ratio(x, y)))
@@ -218,9 +210,7 @@ def stolarsky_generator(r: float, s: float) -> GeneratorFunction:
         partial_y=partial_y,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
-        e1=G1,
-        e=G,
-        rounding=(g, c),
+        kernel=row,
     )
 
 

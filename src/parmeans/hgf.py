@@ -1,18 +1,18 @@
 """The generic two-parameter homogeneous function H_f and its T machinery.
 
 T(t) = ln f(a^t, b^t).  A generator of order k is f = y^k exp(e(v)) with
-v = ln(x/y) and carries its kernel row (e, e1 = e'), so with w = ln(a/b)
-every quantity reads the row at v = t w:
+v = ln(x/y) and carries its kernel row (e, e1 = e', e2 = e'', gen_max, g, c),
+so with w = ln(a/b) every quantity reads the row at v = t w:
 
     T = k t ln b + e(t w),  T' = k ln b + w e1(t w),
-    T'' = w^2 e''(t w),     I = -e''(v)/(x y),
+    T'' = w^2 e2(t w),      I = -e2(v)/(x y),
     T''' = w^3 e'''(t w),   J = -(x - y) e'''(v)/(x y).
 
 The framework provides the branch-complete evaluator for H_f, core's
-engine run on (e, e1) at the real w; T' from the row, with T'' and T'''
-from one finite-difference stencil of g(t) = e1(t w); the
-cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, which are
-T'' and T''' rescaled, so nothing is differenced in (x, y); the oracle
+engine run on the row at the real w; T' and T'' from the row, with T'''
+from one central difference of e2 (of e1 for a row derived without e2);
+the cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, which
+are T'' and T''' rescaled, so nothing is differenced in (x, y); the oracle
 exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(int_{qw}^{pw} e1 / (p - q)),
 which integrates e1 alone and so delivers ln(H_f/b^k) to 1e-12
 relative; and the difference-generator function H_D.
@@ -35,7 +35,6 @@ from .core import (
     _STOLARSKY,
     _branch,
     _family_ln,
-    _four_param_ln,
     _shown,
 )
 from .errors import DomainError, SaturationError
@@ -82,15 +81,15 @@ def t_prime(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
     la, lb = math.log(pt.a), math.log(pt.b)
     w = la - lb
     _saturation_guard(t, w)
-    return f.order * lb + w * f.e1(t * w)
+    return f.order * lb + w * f.kernel[1](t * w)
 
 
 def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
-    """H_f(p, q; a, b): core's engine on the row (e, e1) at the real w, with k ln b.
+    """H_f(p, q; a, b): core's engine on the generator's row at the real w, with k ln b.
 
-    |p w| or |q w| beyond 700 is refused (a generator parameter of 1).  The
-    estimate adds the kernels' own rounding as four_param_F does, which is
-    nonzero for S_{r,s} alone.
+    |p w gen_max| or |q w gen_max| beyond 700 is refused, and the estimate
+    adds the rounding (g, c) of the row's kernels, as for every row: for
+    S_{r,s} this is four_param_F's result bit for bit.
     """
     if pt.a == pt.b:
         return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
@@ -102,8 +101,7 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
             f"zero-parameter branch of H_f needs a positive diagonal limit; "
             f"generator {f.label} has none"
         )
-    ln, est = _four_param_ln((f.e, f.e1, None, 1.0) + f.rounding, p, q,
-                             log_ratio(pt.a, pt.b), f.order * math.log(pt.b))
+    ln, est = _family_ln(f.kernel, p, q, log_ratio(pt.a, pt.b), f.order * math.log(pt.b))
     return EvalResult(math.exp(ln), _branch(p, q), est)
 
 
@@ -128,29 +126,32 @@ def hf_integral_oracle(
     lb, w = math.log(pt.b), log_ratio(pt.a, pt.b)
     _saturation_guard(p, w)  # every node lies between p w and q w
     _saturation_guard(q, w)
-    zp, zq = p * w, q * w
+    zp, zq, e1 = p * w, q * w, f.kernel[1]
     if zp == zq:
-        mean_g = f.e1(zq)
+        mean_g = e1(zq)
     else:
         # abs_tol scales with the interval: the stopping rule of the integral over t in [0, 1]
-        mean_g = integrate(f.e1, zq, zp, abs_tol=1e-15 * abs(zp - zq),
+        mean_g = integrate(e1, zq, zp, abs_tol=1e-15 * abs(zp - zq),
                            max_subdivisions=max_subdivisions).value / (zp - zq)
     return math.exp(f.order * lb + w * mean_g)
 
 
 def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
                ) -> tuple[float, float, float, float]:
-    """(T'(t), T''(t), T'''(t), estimated error of T'') under the checks of t_derivatives.
+    """(T'(t), T''(t), T'''(t), estimated error of a differenced T'') under the checks
+    of t_derivatives.
 
-    T' = k ln b + w g(t) is t_prime, read from the stencil's own g(t) = e1(t w).
-    T'' = w g' and T''' = w g'' come from one stencil of g, free of the
-    rounding that k ln b carries in T', at t, t +- h/2 and t +- h with
-    h = STEP_SCALE (1 + |t|): its central first and second differences,
-    each with one Richardson halving.  The estimate of T'' is
-    |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h), max|g| over t and t +- h, R
-    the Richardson first difference and D(h/2) the one at step h/2.  A
-    stencil that reaches the pole at t = 0 of a generator without a
-    diagonal limit raises DomainError.
+    T' = k ln b + w e1(t w) is t_prime.  The stencil's nodes are t, t +- h/2
+    and t +- h with h = STEP_SCALE (1 + |t|), and each difference takes one
+    Richardson halving.  A row with e2 gives T'' = w^2 e2(t w), exact to the
+    row's own rounding (estimate 0), and T''' = w^2 times the central first
+    difference of u -> e2(u w).  A row without e2 gives T'' = w g' and
+    T''' = w g'' from the central first and second differences of
+    g(u) = e1(u w), free of the rounding that k ln b carries in T', and
+    estimates T'' as |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h), max|g|
+    over t and t +- h, R the Richardson first difference and D(h/2) the one
+    at step h/2.  A stencil that reaches the pole at t = 0 of a generator
+    without a diagonal limit raises DomainError.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
     w = la - lb
@@ -164,8 +165,12 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
     h = STEP_SCALE * (1.0 + abs(t))
     _check_t_interval(f, t - h, t + h)
     _saturation_guard(abs(t) + h, w)  # the outer nodes t +- h
-    g = f.e1
+    _, g, e2 = f.kernel[:3]
     g0 = g(t * w)
+    T1 = f.order * lb + w * g0
+    if e2 is not None:
+        first = [(e2((t + hh) * w) - e2((t - hh) * w)) / (2.0 * hh) for hh in (0.5 * h, h)]
+        return T1, w * w * e2(t * w), w * w * ((4.0 * first[0] - first[1]) / 3.0), 0.0
     first, second = [], []
     for hh in (0.5 * h, h):
         up, down = g((t + hh) * w), g((t - hh) * w)
@@ -174,14 +179,14 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
     g1 = (4.0 * first[0] - first[1]) / 3.0
     g_max = max(abs(g0), abs(up), abs(down))
     est2 = abs(w) * (abs(g1 - first[0]) + 32.0 * _EPS * (1.0 + g_max) / h)
-    return f.order * lb + w * g0, w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
+    return T1, w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
 
 
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
     """T', T'', T''' plus I, J and C at the probe point t != 0.
 
-    T', T'' and T''' come from _t_stencil, which reads e1 alone.  With
-    w = ln(a/b), homogeneity gives I = -T''/(w^2 x y),
+    T', T'' and T''' come from _t_stencil, which reads the generator's row.
+    With w = ln(a/b), homogeneity gives I = -T''/(w^2 x y),
     J = -(1/y - 1/x) T'''/w^3 and C = (t w)^3/(1/y - 1/x).  1/x and 1/y
     come from the logs, so x y is never formed; a field outside the
     floating range raises SaturationError.
@@ -214,8 +219,9 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
     return EvalResult(math.exp(ln), _branch(pp.p, pp.q), est)
 
 
-# (E, E', E'') of H_D's pole part E(t) = ln|t|: a kernel triple read at w = 1
-_HD_POLE = (lambda t: math.log(abs(t)), lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
+# the kernel row of H_D's pole part E(t) = ln|t|, read at w = 1
+_HD_POLE = (lambda t: math.log(abs(t)), lambda t: 1.0 / t, lambda t: -1.0 / (t * t),
+            1.0, 0.0, 0.0)
 
 
 def _hd_ln(p: float, q: float, w: float, lnb: float) -> tuple[float, float]:

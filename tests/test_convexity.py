@@ -282,8 +282,8 @@ GENERATOR_FAMILIES = [
 @pytest.mark.parametrize("f, family, gen", GENERATOR_FAMILIES,
                          ids=[f.label for f, _, _ in GENERATOR_FAMILIES])
 def test_integral_hessian_within_estimates_of_the_family_hessian(f, family, gen):
-    # T, T' and the stencil's T'' of f against the kernels of the family: each
-    # entry and delta within the sum of the two estimates
+    # the generator's row at the real w against the family's: each entry and
+    # delta within the sum of the two estimates
     hessian = _family_hessian(family, gen)
     rng = random.Random(43)
     for _ in range(200):

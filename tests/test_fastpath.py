@@ -17,10 +17,12 @@ convexity scans' closed-form Hessian must reach the verdict of the
 finite-difference Hessian over the public evaluators wherever that one
 decides, and fail the same samples.  t_derivatives, which now
 evaluates T' at the probe point once, must reproduce a copy of its
-former per-stencil form bit for bit; T'' is the central first
-difference on the T''' stencil of the generator's log-partial e1.
+former per-stencil form bit for bit: T'' is read from the row's e2 and
+T''' from its central difference, or, for a row without e2, both from
+the stencil of the generator's log-partial e1.
 """
 
+import dataclasses
 import math
 import random
 
@@ -303,8 +305,8 @@ def test_check_saturation_matches_pairwise_loop():
         else:  # ln M = lnb + w/2 within a few ulps of +-709, from either side
             w = rng.uniform(-1, 1)
             lnb = rng.choice((-1, 1)) * 709.0 * (1 + rng.randint(-4, 4) * _EPS) - 0.5 * w
-        kernels = (_stub_e, _stub_e1, None, max(abs(r), abs(s)))
-        got = _engine_outcome(_family_ln, kernels, p, q, w, lnb)
+        row = (_stub_e, _stub_e1, None, max(abs(r), abs(s)), 0.0, 0.0)
+        got = _engine_outcome(_family_ln, row, p, q, w, lnb)
         assert got == _engine_outcome(_ref_stub_ln, p, q, (r, s), w, lnb), (p, q, r, s, w, lnb)
         if len(got) == 2:
             outcomes["evaluated"] += 1
@@ -472,32 +474,43 @@ def _probe_generators():
 def _ref_t_derivatives_T(f, t, pt):
     """T', T'' and T''' as t_derivatives computes them.
 
-    T' = k ln b + w g(t) by Euler's relation.  T'' and T''' are w = ln(a/b)
-    times the central first and second differences of g = x f_x/f = e1(u w),
-    the generator's log-partial, on u = t, t +- h/2, t +- h, each with one
-    Richardson halving.
+    T' = k ln b + w g(t) by Euler's relation, g = x f_x/f = e1(u w), the
+    generator's log-partial.  A row with e2 gives T'' = w^2 e2(t w) and T'''
+    as w^2 times the central first difference of e2(u w); a row without one
+    gives T'' and T''' as w times the central first and second differences
+    of g.  The nodes are u = t, t +- h/2, t +- h, and each difference takes
+    one Richardson halving.
     """
     la, lb = math.log(pt.a), math.log(pt.b)
     w = la - lb
+    _, e1, e2 = f.kernel[:3]
 
     def g(u):
-        return f.e1(u * w)
+        return e1(u * w)
 
     h = (2.0 ** -52) ** 0.25 * (1.0 + abs(t))
 
-    def central(h):
-        return (g(t + h) - g(t - h)) / (2.0 * h)
+    def central(k, h):
+        return (k(t + h) - k(t - h)) / (2.0 * h)
 
     def second(h):
         return (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h)
 
-    return (f.order * lb + w * g(t), w * ((4.0 * central(0.5 * h) - central(h)) / 3.0),
+    T1 = f.order * lb + w * g(t)
+    if e2 is not None:
+        def g2(u):
+            return e2(u * w)
+
+        return T1, w * w * g2(t), w * w * ((4.0 * central(g2, 0.5 * h) - central(g2, h)) / 3.0)
+    return (T1, w * ((4.0 * central(g, 0.5 * h) - central(g, h)) / 3.0),
             w * ((4.0 * second(0.5 * h) - second(h)) / 3.0))
 
 
 def test_t_derivatives_bit_identical_to_reference():
     rng = random.Random(14)
-    for f in _probe_generators():
+    # the catalog's rows have e2; a row derived from value and the partials has none
+    derived = [dataclasses.replace(f, kernel=None) for f in builtin_generators()]
+    for f in _probe_generators() + derived:
         for _ in range(12):
             t = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 5.0)
             pt = MeanPoint(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-2, 2.5))

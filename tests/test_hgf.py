@@ -31,7 +31,9 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
+from parmeans.convexity import _generator_hessian
 from parmeans.hgf import _t_stencil, t_prime
+from parmeans.stable import E2_FLOOR
 
 
 def all_generators():
@@ -243,11 +245,18 @@ _MP_LN_F = {
 }
 
 
+def _t2_rounding(f, t, w):
+    """The row's own rounding of T'' = w^2 e2(t w): w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max)."""
+    _, _, e2, gen_max, g, _ = f.kernel
+    return w * w * _EPS * (E2_FLOOR + 4.0 * abs(e2(t * w)) + 16.0 * g * gen_max)
+
+
 @pytest.mark.parametrize("f", builtin_generators(), ids=lambda f: f.label)
 def test_T2_I_and_J_sign_against_mpmath(f):
-    # T'' within its stencil estimate and 1e-2 relative, and I within 1e-2, of
-    # 40-digit derivatives of ln f, and the sign of J right at every probe; I
-    # and J are differentiated in (x, y), not through T
+    # against 40-digit derivatives of ln f: T'' = w^2 e2(t w) within 1e-2 relative
+    # and within the row's own rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max),
+    # T''' within 1e-5 relative, I within 1e-2, and the sign of J right at every
+    # probe; I and J are differentiated in (x, y), not through T
     mp = pytest.importorskip("mpmath")
     ln_f = _MP_LN_F[f.label]
     rng = random.Random(31)
@@ -262,9 +271,10 @@ def test_T2_I_and_J_sign_against_mpmath(f):
             I = mp.diff(lnf, (x, y), (1, 1))
             J = (x - y) * (I + x * mp.diff(lnf, (x, y), (2, 1)))
             where = (f.label, t, b)
-            T2 = mp.diff(T, t, 2)
+            T2, T3 = mp.diff(T, t, 2), mp.diff(T, t, 3)
             assert abs(der.T2 / T2 - 1) <= 1e-2, where
-            assert abs(der.T2 - T2) <= _t_stencil(f, t, MeanPoint(1.0, b))[3], where
+            assert abs(der.T2 - T2) <= _t2_rounding(f, t, -math.log(b)), where
+            assert abs(der.T3 / T3 - 1) <= 1e-5, where
             assert abs(der.I_val / I - 1) <= 1e-2, where
             assert (der.J_val > 0) == (J > 0) and der.J_val != 0, where
 
@@ -431,6 +441,57 @@ def test_hf_eval_within_its_estimate_of_mpmath(f, ln_f):
         assert abs(math.log(res.value) - ref) <= res.est_rel_error, (f.label, p, q, b)
 
 
+def _mp_hessian(mp, ln_f, p, q, b):
+    """40-digit (d2_pp, d2_qq, d2_pq, delta) of ln H_f in (p, q) at a = 1."""
+    with mp.workdps(40):
+        B = mp.mpf(b)
+
+        def ln_h(P, Q):
+            return (ln_f(mp, mp.mpf(1), B ** P) - ln_f(mp, mp.mpf(1), B ** Q)) / (P - Q)
+
+        x = (mp.mpf(p), mp.mpf(q))
+        d2_pp, d2_qq, d2_pq = (mp.diff(ln_h, x, n) for n in ((2, 0), (0, 2), (1, 1)))
+        return d2_pp, d2_qq, d2_pq, d2_pp * d2_qq - d2_pq ** 2
+
+
+# the catalog, S_{r,s} off, on and just beside the (r, s) band, and rows derived
+# from value and the partials (no e2, and g = DERIVED_ROUNDING for their unknown rounding)
+_HESSIAN_PROBED = _PROBED + [(stolarsky_generator(r, s), _mp_ln_stolarsky(r, s))
+                             for r, s in ((1.002, 1.0), (-1.0, -1.0015))]
+_HESSIAN_PROBED += [(dataclasses.replace(f, kernel=None), ln_f) for f, ln_f in _HESSIAN_PROBED[:6]]
+_HESSIAN_IDS = [f.label + ("" if f.kernel[2] else "-derived") for f, _ in _HESSIAN_PROBED]
+
+
+@pytest.mark.parametrize("f, ln_f", _HESSIAN_PROBED, ids=_HESSIAN_IDS)
+def test_generator_hessian_within_its_estimate_of_mpmath(f, ln_f):
+    # every entry of the closed-form Hessian of ln H_f, and delta, within its own
+    # estimate of 40-digit mpmath; near the (r, s) band the inner rounding grows
+    # like (|r| + |s|)/|r - s|, which the row's g carries
+    mp = pytest.importorskip("mpmath")
+    probes = [(p, q, b) for p, q, b in _same_sign_probes(65, count=44) if abs(p - q) >= 0.05]
+    for p, q, b in probes:
+        got = _generator_hessian(f, ParamPair(p, q), MeanPoint(1.0, b))
+        ref = _mp_hessian(mp, ln_f, p, q, b)
+        for i in range(4):
+            assert abs(got[i] - ref[i]) <= got[4 + i], (f.label, i, p, q, b)
+
+
+def test_hf_eval_of_S_refuses_where_four_param_F_does():
+    # one row per (r, s): the exponent products |t r w| of the generator are
+    # four_param_F's, so both refuse at (400, 1) for (2, 1), and both evaluate
+    # (1000, 1) for (0.5, 0.25), bit for bit
+    pt = MeanPoint(math.e, 1.0)
+    pp = ParamPair(400.0, 1.0)
+    with pytest.raises(SaturationError):
+        four_param_F(pp, GeneratorPair(2.0, 1.0), pt)
+    with pytest.raises(SaturationError):
+        hf_eval(stolarsky_generator(2.0, 1.0), pp, pt)
+    pp = ParamPair(1000.0, 1.0)
+    ref = four_param_F(pp, GeneratorPair(0.5, 0.25), pt)
+    assert ref.value == pytest.approx(2.712, abs=1e-3)
+    assert hf_eval(stolarsky_generator(0.5, 0.25), pp, pt) == ref
+
+
 # ---------------------------------------------------------------------------
 # the log-partial kernel e1(v) = x f_x/f
 # ---------------------------------------------------------------------------
@@ -451,7 +512,7 @@ def test_e1_against_its_partials_and_mpmath(f, ln_f, g):
     # the one derived from the partials within that plus 2 eps |e1'(v)|, the rounding
     # of its normalized coordinate exp(-|v|), which is 1 - 1e-8 at v = 1e-8
     mp = pytest.importorskip("mpmath")
-    derived = dataclasses.replace(f, e1=None).e1
+    e1, derived = f.kernel[1], dataclasses.replace(f, kernel=None).kernel[1]
     ln = lambda u: ln_f(mp, mp.exp(u), mp.mpf(1))
     with mp.workdps(40):
         for v in _KERNEL_VS:
@@ -460,13 +521,13 @@ def test_e1_against_its_partials_and_mpmath(f, ln_f, g):
             # every mean has x f_x/f = 1/2 on the diagonal
             ref, slope = (mp.mpf(0.5), 0.0) if v == 0.0 else (mp.diff(ln, v), mp.diff(ln, v, 2))
             tol = 8.0 * _EPS * g * max(1.0, abs(float(ref)))
-            assert abs(f.e1(v) - ref) <= tol, (f.label, v, f.e1(v), ref)
+            assert abs(e1(v) - ref) <= tol, (f.label, v, e1(v), ref)
             assert abs(derived(v) - ref) <= tol + 2.0 * _EPS * abs(slope), (f.label, v)
 
 
 def test_e1_of_D_at_0_is_a_domain_error():
     f = difference_generator()
-    for e1 in (f.e1, dataclasses.replace(f, e1=None).e1):
+    for e1 in (f.kernel[1], dataclasses.replace(f, kernel=None).kernel[1]):
         with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
             e1(0.0)
 
@@ -474,33 +535,35 @@ def test_e1_of_D_at_0_is_a_domain_error():
 @pytest.mark.parametrize("f", _PROBED_F, ids=_PROBED_IDS)
 def test_a_generator_without_e1_reads_its_partials(f):
     # the documented contract, value and partials only: the oracle within 1e-11
-    # relative of the builtin kernel's, T'' within both stencils' estimates, and
+    # relative of the builtin kernel's, T'' within the stencil's estimate plus the
+    # builtin row's own rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max), and
     # T' = k ln b + w e1(t w) within |w| times the two e1's tolerances of
     # test_e1_against_its_partials_and_mpmath, 16 eps g max(1, |e1|) + 2 eps |e1'|
     # with e1' = T''/w^2, plus the rounding of the sum
-    bare = dataclasses.replace(f, e1=None)
-    assert bare.e1 is not f.e1
-    g = max(1.0, f.rounding[0])
+    bare = dataclasses.replace(f, kernel=None)
+    assert bare.kernel[1] is not f.kernel[1] and bare.kernel[2] is None
+    e1, g = f.kernel[1], f.kernel[4]
     for p, q, b in _same_sign_probes(63, count=10):
         pt = MeanPoint(1.0, b)
         got = hf_integral_oracle(bare, ParamPair(p, q), pt)
         assert got == pytest.approx(hf_integral_oracle(f, ParamPair(p, q), pt), rel=1e-11)
         w = -math.log(b)
         for t in (p, q):
-            (T1, T2, _, est), (R1, R2, _, ref_est) = _t_stencil(bare, t, pt), _t_stencil(f, t, pt)
-            e1_tol = 16.0 * _EPS * g * max(1.0, abs(f.e1(t * w))) + 2.0 * _EPS * abs(R2) / w ** 2
+            (T1, T2, _, est), (R1, R2, _, _) = _t_stencil(bare, t, pt), _t_stencil(f, t, pt)
+            e1_tol = (16.0 * _EPS * max(1.0, g) * max(1.0, abs(e1(t * w)))
+                      + 2.0 * _EPS * abs(R2) / w ** 2)
             assert abs(T1 - R1) <= abs(w) * e1_tol + 2.0 * _EPS * abs(R1), (f.label, t, b)
-            assert abs(T2 - R2) <= est + ref_est, (f.label, t, b)
+            assert abs(T2 - R2) <= est + _t2_rounding(f, t, w), (f.label, t, b)
 
 
 def test_replace_keeps_a_given_e1_and_rederives_a_derived_one():
     # a tracer copies generators with new value and partial callables
     for f in builtin_generators():
-        assert dataclasses.replace(f, value=lambda x, y: f.value(x, y)).e1 is f.e1
-    bare = dataclasses.replace(arithmetic_generator(), e1=None)
+        assert dataclasses.replace(f, value=lambda x, y: f.value(x, y)).kernel is f.kernel
+    bare = dataclasses.replace(arithmetic_generator(), kernel=None)
     halved = dataclasses.replace(bare, partial_x=lambda x, y: 0.25)
-    assert halved.e1(1.0) == 0.5 * bare.e1(1.0)
-    assert dataclasses.replace(bare) == bare  # a derived e1 takes no part in equality
+    assert halved.kernel[1](1.0) == 0.5 * bare.kernel[1](1.0)
+    assert dataclasses.replace(bare) == bare  # a derived row takes no part in equality
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +581,9 @@ def test_e_against_its_value_and_mpmath(f, ln_f, g):
     # for the catalog); the one derived from value within that plus 2 eps (|k| + |e1|),
     # the rounding of its normalized coordinate exp(-|v|)
     mp = pytest.importorskip("mpmath")
-    derived = dataclasses.replace(f, e=None).e
-    assert derived is not f.e
-    c = f.rounding[1]
+    e, derived = f.kernel[0], dataclasses.replace(f, kernel=None).kernel[0]
+    assert derived is not e
+    c = f.kernel[5]
     const = _E_CONST.get(f.label, 0.0)
     ln = lambda u: ln_f(mp, mp.exp(u), mp.mpf(1))
     with mp.workdps(40):
@@ -530,7 +593,7 @@ def test_e_against_its_value_and_mpmath(f, ln_f, g):
             # at v = 0 the quotients of ln_f are 0/0: every mean has f(1, 1) = 1, He 3
             ref = ln(mp.mpf(v)) if v != 0.0 else mp.log(f.diagonal_limit(1.0))
             tol = 8.0 * _EPS * (max(1.0, abs(float(ref))) + g * abs(v) + c)
-            assert abs(f.e(v) - const - ref) <= tol, (f.label, v, f.e(v), ref)
+            assert abs(e(v) - const - ref) <= tol, (f.label, v, e(v), ref)
             slope = 0.5 if v == 0.0 else abs(float(mp.diff(ln, v)))
             assert abs(derived(v) - ref) <= tol + 2.0 * _EPS * (abs(f.order) + slope), (f.label, v)
 
@@ -538,7 +601,7 @@ def test_e_against_its_value_and_mpmath(f, ln_f, g):
 def test_e_of_D_at_0_is_a_domain_error():
     # a DomainError of its own, not the ValueError of math.log(0)
     f = difference_generator()
-    for e in (f.e, dataclasses.replace(f, e=None).e):
+    for e in (f.kernel[0], dataclasses.replace(f, kernel=None).kernel[0]):
         with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
             e(0.0)
 
@@ -547,11 +610,11 @@ def test_replace_keeps_a_given_e_and_rederives_a_derived_one():
     # a tracer copies generators with new value and partial callables
     for f in builtin_generators() + [stolarsky_generator(2.0, 1.0)]:
         copy = dataclasses.replace(f, value=lambda x, y: f.value(x, y))
-        assert copy.e is f.e and copy.rounding == f.rounding
-    bare = dataclasses.replace(arithmetic_generator(), e=None)
+        assert copy.kernel is f.kernel
+    bare = dataclasses.replace(arithmetic_generator(), kernel=None)
     doubled = dataclasses.replace(bare, value=lambda x, y: x + y)
-    assert doubled.e(1.0) == pytest.approx(bare.e(1.0) + math.log(2.0), rel=1e-15)
-    assert dataclasses.replace(bare) == bare  # a derived e takes no part in equality
+    assert doubled.kernel[0](1.0) == pytest.approx(bare.kernel[0](1.0) + math.log(2.0), rel=1e-15)
+    assert dataclasses.replace(bare) == bare  # a derived row takes no part in equality
 
 
 def _bit_identity_probes(seed, count=60):
