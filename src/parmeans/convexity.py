@@ -21,7 +21,9 @@
         H_f         the generator's row (_generator_hessian); the linear
                     k t ln b of its T has no Hessian
 
-    so a point costs six kernel calls.  Entries and delta carry error
+    A scan reads the row's three kernels once per distinct grid value and
+    mean point (a node, cached by _family_hessian's closure), H_D's pole row
+    once per grid value, and none per pair.  Entries and delta carry error
     estimates; a point is inconclusive where |d2_pp| or |delta| is within
     its estimate.  There is no p = q form.  The expected verdict comes
     from the r + s sign rule; H_D is log-convex on the positive quadrant
@@ -350,8 +352,16 @@ def _count_verdict(tally: Tally, verdict: str, expect: str) -> None:
         tally.count(verdict == expect)
 
 
-def _quotient_hessian(row: tuple, w: float, p: float, q: float, err2: float = 0.0) -> tuple:
-    """Hessian in (p, q) of (E(p) - E(q))/(p - q), E(t) = e(t w), in closed form.
+def _hessian_node(row: tuple, w: float, t: float) -> tuple:
+    """(E, E', E'') = (e(t w), w e1(t w), w^2 e2(t w)): the node stage of _quotient_hessian."""
+    v = t * w
+    return row[0](v), w * row[1](v), w * w * row[2](v)
+
+
+def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_q: tuple,
+                  err2: float = 0.0) -> tuple:
+    """Hessian in (p, q) of (E(p) - E(q))/(p - q), E(t) = e(t w), in closed form,
+    from the nodes (E, E', E'') at p and q (_hessian_node).
 
     With d = p - q and m the quotient, E' = w e1(t w) and E'' = w^2 e2(t w):
     d2_pp = (E''(p) - 2 (E'(p) - m)/d)/d, d2_qq = -(E''(q) + 2 (E'(q) - m)/d)/d
@@ -361,13 +371,12 @@ def _quotient_hessian(row: tuple, w: float, p: float, q: float, err2: float = 0.
     plus the row's (g, c) rounding, 2 eps (g |t w| + c) in E, 2 eps g |w| in E'
     and 16 eps g gen_max w^2 in E'', and err2, any further error of E''.
     """
-    e, e1, e2, gen_max, g, c = row
+    gen_max, g, c = row[3:]
+    ep, e1p, e2p = node_p
+    eq, e1q, e2q = node_q
     d = p - q
     ad = abs(d)
-    ep, eq = e(p * w), e(q * w)
     m = (ep - eq) / d
-    e1p, e1q = w * e1(p * w), w * e1(q * w)
-    e2p, e2q = w * w * e2(p * w), w * w * e2(q * w)
     d2_pp = (e2p - 2.0 * (e1p - m) / d) / d
     d2_qq = -(e2q + 2.0 * (e1q - m) / d) / d
     d2_pq = (e1p + e1q - 2.0 * m) / (d * d)
@@ -383,22 +392,50 @@ def _quotient_hessian(row: tuple, w: float, p: float, q: float, err2: float = 0.
     return d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq
 
 
+def _quotient_hessian(row: tuple, w: float, p: float, q: float, err2: float = 0.0) -> tuple:
+    """_pair_hessian of the row's nodes at p and q, each read afresh."""
+    return _pair_hessian(row, w, p, q, _hessian_node(row, w, p), _hessian_node(row, w, q), err2)
+
+
+def _node_reader(row: tuple) -> Callable[[float, float], tuple]:
+    """(t, w) -> _hessian_node(row, w, t), memoised by (w, t).
+
+    A node whose kernel raises is not stored, and one at a zero t w is read
+    afresh, as the key would merge the signed zeros that its E' may keep.
+    """
+    nodes: dict = {}
+
+    def node(t: float, w: float) -> tuple:
+        if not t * w:
+            return _hessian_node(row, w, t)
+        key = (w, t)
+        found = nodes.get(key)
+        if found is None:
+            found = nodes[key] = _hessian_node(row, w, t)
+        return found
+
+    return node
+
+
 def _family_hessian(family: str, gen: Optional[GeneratorPair]
                     ) -> Callable[[float, float, float], tuple]:
     """(p, q, w) -> (d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta):
     the closed-form Hessian of ln M in (p, q) of a scan family at w = ln(a/b),
-    delta and their error estimates.  H_D adds its pole row at w = 1."""
+    delta and their error estimates.  H_D adds its pole row at w = 1.  The
+    closure reads each node (row, w, t) once, so a grid of n values costs
+    n nodes per mean point, not two per pair."""
     if family == "hd":
-        def parts(p, q, w):
-            return tuple(s + t for s, t in zip(_quotient_hessian(_STOLARSKY, w, p, q),
-                                               _quotient_hessian(_HD_POLE, 1.0, p, q)))
-    else:
-        row = _rs_kernels(gen.r, gen.s) if family == "four_param" else _KERNELS[family]
+        stolarsky, pole = _node_reader(_STOLARSKY), _node_reader(_HD_POLE)
 
-        def parts(p, q, w):
-            return _quotient_hessian(row, w, p, q)
+        def hessian(p, q, w):
+            return _with_delta(tuple(s + t for s, t in zip(
+                _pair_hessian(_STOLARSKY, w, p, q, stolarsky(p, w), stolarsky(q, w)),
+                _pair_hessian(_HD_POLE, 1.0, p, q, pole(p, 1.0), pole(q, 1.0)))))
+        return hessian
 
-    return lambda p, q, w: _with_delta(parts(p, q, w))
+    row = _rs_kernels(gen.r, gen.s) if family == "four_param" else _KERNELS[family]
+    node = _node_reader(row)
+    return lambda p, q, w: _with_delta(_pair_hessian(row, w, p, q, node(p, w), node(q, w)))
 
 
 def _with_delta(parts: tuple) -> tuple:
@@ -414,7 +451,8 @@ def _with_delta(parts: tuple) -> tuple:
 def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tuple:
     """_family_hessian's 8-tuple for ln H_f: _quotient_hessian of the generator's row at
     w = ln(a/b).  A row derived without e2 reads E'' from _t_stencil at p and q, with
-    the stencil's estimate as err2.  DomainError at p = q or across a pole."""
+    the stencil's estimate as err2, or E'' = 0 at w = 0, as for every row.
+    DomainError at p = q or across a pole."""
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
     if p == q:
@@ -423,8 +461,11 @@ def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tu
     _saturation_guard(p, w)
     _saturation_guard(q, w)
     row, err2 = f.kernel, 0.0
-    if row[2] is None:
-        at = {t: _t_stencil(f, t, pt) for t in (p, q)}
+    if row[2] is None and w == 0.0:  # E'' = w^2 e2 is 0, as for a row with e2
+        row = row[:2] + (lambda v: 0.0,) + row[3:]
+    elif row[2] is None:
+        la, lb = math.log(pt.a), math.log(pt.b)
+        at = {t: _t_stencil(f, t, la, lb) for t in (p, q)}
         e2 = {t * w: at[t][1] / (w * w) for t in (p, q)}.__getitem__  # the e2 of E'' = T''
         row, err2 = row[:2] + (e2,) + row[3:], max(at[p][3], at[q][3])
     return _with_delta(_quotient_hessian(row, w, p, q, err2))
@@ -435,7 +476,8 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
 
     Every grid point is evaluated once through the public evaluator, whose
     errors fail the sample, then its Hessian of ln M is read from the
-    family's kernels (_family_hessian).  A point is inconclusive when
+    family's kernels (_family_hessian), whose nodes each grid value reads
+    once per mean point.  A point is inconclusive when
     |d2_pp| or |delta| is within its error estimate; the margin is the
     smaller of the directional d2_pp and delta, each over its estimate.
     Any exception fails its sample, not the scan.
@@ -456,12 +498,11 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                     skipped += 1
                     continue
                 pq = ParamPair(sign * abs(p), sign * abs(q))
-                where = {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q}
                 try:
                     ev(pq, pt)
                     d2_pp, _, _, delta, est_pp, _, _, est_delta = hessian(pq.p, pq.q, w)
                 except Exception as exc:
-                    tally.error(exc, where)
+                    tally.error(exc, {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q})
                     continue
                 verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
                 observed[verdict] = observed.get(verdict, 0) + 1
@@ -469,8 +510,10 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
                     tally.count(True)
                     continue
                 directional = d2_pp if expect == VERDICT_CONVEX else -d2_pp
-                tally.margin(min(directional / est_pp, delta / est_delta),
-                             {**where, "d2_pp": d2_pp, "delta": delta, "verdict": verdict})
+                margin = min(directional / est_pp, delta / est_delta)
+                if margin < tally.worst_margin:
+                    tally.margin(margin, {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q,
+                                          "d2_pp": d2_pp, "delta": delta, "verdict": verdict})
                 _count_verdict(tally, verdict, expect)
     notes = f"observed={observed}; skipped_near_diagonal={skipped}"
     if expect is None:

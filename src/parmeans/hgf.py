@@ -136,10 +136,10 @@ def hf_integral_oracle(
     return math.exp(f.order * lb + w * mean_g)
 
 
-def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
+def _t_stencil(f: GeneratorFunction, t: float, la: float, lb: float
                ) -> tuple[float, float, float, float]:
     """(T'(t), T''(t), T'''(t), estimated error of a differenced T'') under the checks
-    of t_derivatives.
+    of t_derivatives, at the point of logs la = ln a and lb = ln b.
 
     T' = k ln b + w e1(t w) is t_prime.  The stencil's nodes are t, t +- h/2
     and t +- h with h = STEP_SCALE (1 + |t|), and each difference takes one
@@ -153,7 +153,6 @@ def _t_stencil(f: GeneratorFunction, t: float, pt: MeanPoint
     at step h/2.  A stencil that reaches the pole at t = 0 of a generator
     without a diagonal limit raises DomainError.
     """
-    la, lb = math.log(pt.a), math.log(pt.b)
     w = la - lb
     if w == 0.0:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
@@ -193,8 +192,8 @@ def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives
     """
     if t == 0.0:
         raise DomainError("J and C are singular at t = 0")
-    T1, T2, T3, _ = _t_stencil(f, t, pt)
     la, lb = math.log(pt.a), math.log(pt.b)
+    T1, T2, T3, _ = _t_stencil(f, t, la, lb)
     w = la - lb
     inv_x, inv_y = math.exp(-t * la), math.exp(-t * lb)
     d = -inv_y * math.expm1(-t * w)  # 1/y - 1/x
@@ -204,8 +203,7 @@ def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives
     for name, v in (("I", I_val), ("J", J_val), ("C", C_val)):
         if not math.isfinite(v):
             raise SaturationError(f"{name} outside the floating range", v, None, name)
-    return TDerivatives(t=t, x=pt.a ** t, y=pt.b ** t, T1=T1, T2=T2, T3=T3,
-                        I_val=I_val, J_val=J_val, C_val=C_val)
+    return TDerivatives(t, pt.a ** t, pt.b ** t, T1, T2, T3, I_val, J_val, C_val)
 
 
 def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:

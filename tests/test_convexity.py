@@ -1,5 +1,6 @@
 """Hessian certification, midpoint tests, grid scans and the J criterion."""
 
+import dataclasses
 import math
 import random
 
@@ -503,3 +504,16 @@ def test_closed_form_hessian_is_inconclusive_at_a_equal_b_and_near_it():
                     q_grid=(0.2, 0.35), mean_points=(MeanPoint(1.0, 1.001),))
     report = scan_convexity(spec)
     assert (report.inconclusive, report.failed) == (2, 0)
+
+
+@pytest.mark.parametrize("f", [arithmetic_generator(), logarithmic_generator(),
+                               identric_generator(), heronian_generator()],
+                         ids=lambda f: f.label)
+def test_integral_hessian_of_a_derived_row_at_a_equal_b_is_zero(f):
+    # E'' = w^2 e2 is 0 at w = 0 for every row, so a row derived without e2
+    # needs no stencil there and reads the zero Hessian, as the builtin row does
+    bare = dataclasses.replace(f, kernel=None)
+    assert bare.kernel[2] is None
+    for pp in (ParamPair(1, 2), ParamPair(-0.5, -3.0)):
+        for pt in (MeanPoint(3, 3), MeanPoint(0.25, 0.25)):
+            assert integral_hessian(bare, pp, pt) == integral_hessian(f, pp, pt) == (0.0,) * 4

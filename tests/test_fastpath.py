@@ -29,6 +29,7 @@ import random
 import pytest
 
 from parmeans import (
+    DomainError,
     GeneratorPair,
     MeanPoint,
     ParamPair,
@@ -464,6 +465,69 @@ def test_scan_convexity_matches_public_evaluator_path(family):
                 errors += 1
     assert errors > 0 and fd_decided > 0
 
+
+
+SCAN_POINTS = (MeanPoint(1.0, 4.0), MeanPoint(2.5, 0.01), MeanPoint(3.0, 3.0),
+               MeanPoint(1e-150, 1e150))
+
+
+def _hessian_or_error(hessian, p, q, w):
+    """The closure's 8-tuple as float hex strings, so signed zeros count, or its error."""
+    try:
+        return [x.hex() for x in hessian(p, q, w)]
+    except ParMeansError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+def test_family_hessian_reused_closure_bit_identical_to_fresh(family):
+    # the closure reads each node (row, w, t) once and keeps it for later pairs:
+    # every pair of the scan grid gets the fresh closure's 8-tuple bit for bit
+    name, gen = SCAN_FAMILIES[family]
+    grid = (0.2, 0.5, 1.0, 2.0, 3.5)
+    reused = convexity._family_hessian(name, gen)
+    compared = 0
+    for sign in (1.0, -1.0):
+        for pt in SCAN_POINTS:
+            w = log_ratio(pt.a, pt.b)
+            for p in grid:
+                for q in grid:
+                    if abs(p - q) <= convexity.EXCLUSION_BAND:
+                        continue
+                    fresh = convexity._family_hessian(name, gen)
+                    assert _hessian_or_error(reused, sign * p, sign * q, w) == \
+                        _hessian_or_error(fresh, sign * p, sign * q, w), (sign * p, sign * q, pt)
+                    compared += 1
+    assert compared == 2 * len(SCAN_POINTS) * 20
+
+
+def test_scan_fails_only_the_samples_that_read_a_raising_node(monkeypatch):
+    # gini's e2 raises at one grid node: each pair that reads the node fails with
+    # its message, as the node is never stored, and the rest of the scan decides
+    bad, pt = 1.0, MeanPoint(1.0, 10.0)
+    w = log_ratio(pt.a, pt.b)
+    e, e1, e2, *rest = convexity._KERNELS["gini"]
+    raised = []
+
+    def e2_refusing(v):
+        if v == bad * w:
+            raised.append(v)
+            raise DomainError(f"e2 refused at node {bad}")
+        return e2(v)
+
+    grid = (0.2, 0.5, 1.0, 2.0, 3.5)
+    spec = ScanSpec(family="gini", region="positive_quadrant", p_grid=grid, q_grid=grid,
+                    mean_points=(pt,))
+    clean = scan_convexity(spec)
+    assert clean.failed == 0
+    monkeypatch.setitem(convexity._KERNELS, "gini", (e, e1, e2_refusing, *rest))
+    rep = scan_convexity(spec)
+    reading = 2 * (len(grid) - 1)  # the pairs (bad, q) and (p, bad)
+    assert len(raised) == reading
+    assert (rep.total, rep.failed, rep.passed + rep.inconclusive) == \
+        (clean.total, reading, clean.total - reading)
+    assert rep.worst_witness["error"] == f"e2 refused at node {bad}"
+    assert bad in (rep.worst_witness["p"], rep.worst_witness["q"])
 
 def _probe_generators():
     return builtin_generators() + [stolarsky_generator(2.0, 1.0),

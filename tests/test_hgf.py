@@ -549,7 +549,8 @@ def test_a_generator_without_e1_reads_its_partials(f):
         assert got == pytest.approx(hf_integral_oracle(f, ParamPair(p, q), pt), rel=1e-11)
         w = -math.log(b)
         for t in (p, q):
-            (T1, T2, _, est), (R1, R2, _, _) = _t_stencil(bare, t, pt), _t_stencil(f, t, pt)
+            (T1, T2, _, est), (R1, R2, _, _) = (_t_stencil(bare, t, 0.0, math.log(b)),
+                                                _t_stencil(f, t, 0.0, math.log(b)))
             e1_tol = (16.0 * _EPS * max(1.0, g) * max(1.0, abs(e1(t * w)))
                       + 2.0 * _EPS * abs(R2) / w ** 2)
             assert abs(T1 - R1) <= abs(w) * e1_tol + 2.0 * _EPS * abs(R1), (f.label, t, b)
