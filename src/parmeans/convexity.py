@@ -9,7 +9,7 @@
         d2_pq = (E'(p) + E'(q))/d^2 - 2 D/d^3
 
     E = e(t w), E' = w e1(t w) and E'' = w^2 e2(t w) come from one kernel
-    row (e, e1, e2, gen_max, g, c) of core's shape, with e2
+    row (e, e1, e2, e3, gen_max, g, c) of core's shape, with e2
 
         stolarsky   exprel_logd2
         gini        sigmoid_d = sigma (1 - sigma)
@@ -17,7 +17,7 @@
         heronian2   heronian_weight_d, the derivative of heronian_weight
         F(.,.;r,s)  e2 of _rs_kernels(r, s), band rule inside _in_band(r, s)
         H_D         the Stolarsky row plus the pole row
-                    (ln|t|, 1/t, -1/t^2) read at w = 1
+                    (ln|t|, 1/t, -1/t^2, 2/t^3) read at w = 1
         H_f         the generator's row (_generator_hessian); the linear
                     k t ln b of its T has no Hessian
 
@@ -371,7 +371,7 @@ def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_
     plus the row's (g, c) rounding, 2 eps (g |t w| + c) in E, 2 eps g |w| in E'
     and 16 eps g gen_max w^2 in E'', and err2, any further error of E''.
     """
-    gen_max, g, c = row[3:]
+    gen_max, g, c = row[4:]
     ep, e1p, e2p = node_p
     eq, e1q, e2q = node_q
     d = p - q
@@ -450,7 +450,7 @@ def _with_delta(parts: tuple) -> tuple:
 
 def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tuple:
     """_family_hessian's 8-tuple for ln H_f: _quotient_hessian of the generator's row at
-    w = ln(a/b).  A row derived without e2 reads E'' from _t_stencil at p and q, with
+    w = log_ratio(a, b).  A row derived without e2 reads E'' from _t_stencil at p and q, with
     the stencil's estimate as err2, or E'' = 0 at w = 0, as for every row.
     DomainError at p = q or across a pole."""
     p, q = pp.p, pp.q
@@ -464,8 +464,8 @@ def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tu
     if row[2] is None and w == 0.0:  # E'' = w^2 e2 is 0, as for a row with e2
         row = row[:2] + (lambda v: 0.0,) + row[3:]
     elif row[2] is None:
-        la, lb = math.log(pt.a), math.log(pt.b)
-        at = {t: _t_stencil(f, t, la, lb) for t in (p, q)}
+        lb = math.log(pt.b)
+        at = {t: _t_stencil(f, t, w, lb) for t in (p, q)}
         e2 = {t * w: at[t][1] / (w * w) for t in (p, q)}.__getitem__  # the e2 of E'' = T''
         row, err2 = row[:2] + (e2,) + row[3:], max(at[p][3], at[q][3])
     return _with_delta(_quotient_hessian(row, w, p, q, err2))

@@ -9,20 +9,25 @@ E(t) = ln f(a^t, b^t) - t ln(b), the mean is
 with the removable singularity at p = q filled by the band rule below.
 
 Kernel rows.  In every family E depends on t only through z = t w, so
-each is a row (e, e1, e2, gen_max, g, c) with E(t) = e(t w),
-E'(t) = w e1(t w), E''(t) = w^2 e2(t w), the largest |generator
-parameter| gen_max and the rounding (g, c) of kernels that are divided
-differences, (0, 0) for stable.py's own:
+each is a row (e, e1, e2, e3, gen_max, g, c) with E(t) = e(t w),
+E'(t) = w e1(t w), E''(t) = w^2 e2(t w), E'''(t) = w^3 e3(t w), the
+largest |generator parameter| gen_max and the rounding (g, c) of kernels
+that are divided differences, (0, 0) for stable.py's own:
 
     stolarsky   e = log_exprel(z)        e1 = exprel_logd(z)     e2 = exprel_logd2(z)
+                e3 = exprel_logd3(z)
     gini        e = softplus(z)          e1 = sigmoid(z)         e2 = sigmoid_d(z)
+                e3 = sigmoid_d2(z)
     identric2   e = z exprel_logd(z)     e1 = identric_weight(z) e2 = identric_weight_d(z)
+                e3 = identric_weight_d2(z)
     heronian2   e = log_heronian_sum(z)  e1 = heronian_weight(z) e2 = heronian_weight_d(z)
+                e3 = heronian_weight_d2(z)
     F(.,.;r,s)  _rs_kernels(r, s), the divided difference in (r, s) of log_exprel(u z)
     H_D         the Stolarsky row plus an exact pole term (hgf)
 
 Every generator of hgf carries such a row.  e2 feeds the closed-form
-Hessian of convexity; the evaluators read the rest.
+Hessian of convexity, e3 the T''' of hgf.t_derivatives; the evaluators
+read e and e1.
 
 Engine.  _family_ln(row, p, q, w, ln b) returns (ln M, estimated
 error of ln M) from the point's logs w = ln(a/b) and ln b, so a caller
@@ -58,17 +63,23 @@ from typing import Callable, Optional
 from .errors import DomainError, SaturationError
 from .stable import (
     E1_FLOOR,
+    LOGD3_CUT,
+    expm1_logd3,
     exprel_logd,
     exprel_logd2,
+    exprel_logd3,
     heronian_weight,
     heronian_weight_d,
+    heronian_weight_d2,
     identric_weight,
     identric_weight_d,
+    identric_weight_d2,
     log_exprel,
     log_heronian_sum,
     log_ratio,
     sigmoid,
     sigmoid_d,
+    sigmoid_d2,
     softplus,
 )
 
@@ -218,18 +229,19 @@ def _identric_e(z: float) -> float:
     return z * exprel_logd(z)
 
 
-# the kernel row (e, e1, e2, max |generator parameter|, g, c) of each named family
-_STOLARSKY = (log_exprel, exprel_logd, exprel_logd2, 1.0, 0.0, 0.0)
-_GINI = (softplus, sigmoid, sigmoid_d, 2.0, 0.0, 0.0)
-_IDENTRIC2 = (_identric_e, identric_weight, identric_weight_d, 1.0, 0.0, 0.0)
-_HERONIAN2 = (log_heronian_sum, heronian_weight, heronian_weight_d, 1.0, 0.0, 0.0)
+# the kernel row (e, e1, e2, e3, max |generator parameter|, g, c) of each named family
+_STOLARSKY = (log_exprel, exprel_logd, exprel_logd2, exprel_logd3, 1.0, 0.0, 0.0)
+_GINI = (softplus, sigmoid, sigmoid_d, sigmoid_d2, 2.0, 0.0, 0.0)
+_IDENTRIC2 = (_identric_e, identric_weight, identric_weight_d, identric_weight_d2, 1.0, 0.0, 0.0)
+_HERONIAN2 = (log_heronian_sum, heronian_weight, heronian_weight_d, heronian_weight_d2,
+              1.0, 0.0, 0.0)
 _KERNELS = {"stolarsky": _STOLARSKY, "gini": _GINI,
             "identric2": _IDENTRIC2, "heronian2": _HERONIAN2}
 
 
 def _family_ln(row: tuple, p: float, q: float, w: float, lnb: float,
                limit: float = RANGE_LIMIT) -> tuple[float, float]:
-    """The engine: (ln M, est ln error) of a kernel row (e, e1, e2, gen_max, g, c).
+    """The engine: (ln M, est ln error) of a kernel row (e, e1, e2, e3, gen_max, g, c).
 
     See the module docstring.  w = log_ratio(a, b) and lnb = ln b of a
     valid point.  Rounding is monotone and sign-symmetric, so
@@ -237,7 +249,7 @@ def _family_ln(row: tuple, p: float, q: float, w: float, lnb: float,
     for bit.  g != 0 adds the kernels' rounding (_rs_kernels): E' is read on
     the band, E off it.  |ln M| is checked against limit; H_D checks its own sum.
     """
-    e, e1, _, gen_max, g, c = row
+    e, e1, _, _, gen_max, g, c = row
     ap, aq = abs(p), abs(q)
     worst = abs((aq if aq > ap else ap) * gen_max * w)
     if worst > OVERFLOW_LIMIT:
@@ -270,11 +282,14 @@ def _family_eval(row: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:
 
 
 def _rs_kernels(r: float, s: float) -> tuple:
-    """The kernel row (e, e1, e2, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided
+    """The kernel row (e, e1, e2, e3, max(|r|, |s|), g, c) of ln S_{r,s}: e is the divided
     difference in (r, s) of log_exprel(u z), by the band rule inside _in_band(r, s),
-    e1 = e' and e2 = e''.  Their rounding is about 2 eps g in e1, 2 eps (g |z| + c) in e and
-    16 eps g max(|r|, |s|) in e2, from band means in (0, 1), or from kernel values
-    (eps (1 + |z|) for log_exprel) over r - s.
+    e1 = e', e2 = e'' and e3 = e'''.  Their rounding is about 2 eps g in e1, 2 eps (g |z| + c)
+    in e, 16 eps g max(|r|, |s|) in e2 and 16 eps g max(|r|, |s|)^3 in e3, from band means
+    in (0, 1), or from kernel values (eps (1 + |z|) for log_exprel) over r - s.  Off the band
+    the -2/z^3 parts of r^3 exprel_logd3(r z) and s^3 exprel_logd3(s z) are equal, so where
+    both |r z| and |s z| reach exprel_logd3's cut, and that -2/z^3 would swamp the
+    difference, e3 differences expm1_logd3 = exprel_logd3 + 2/z^3 instead.
     """
     if _in_band(r, s):
         def e(z: float) -> float:
@@ -286,7 +301,10 @@ def _rs_kernels(r: float, s: float) -> tuple:
         def e2(z: float) -> float:
             return _band_mean(lambda u: u * identric_weight_d(u * z), r, s, 1.0)[0]
 
-        return e, e1, e2, max(abs(r), abs(s)), 1.0, 0.0
+        def e3(z: float) -> float:
+            return _band_mean(lambda u: u * u * identric_weight_d2(u * z), r, s, 1.0)[0]
+
+        return e, e1, e2, e3, max(abs(r), abs(s)), 1.0, 0.0
 
     d = r - s
 
@@ -299,7 +317,12 @@ def _rs_kernels(r: float, s: float) -> tuple:
     def e2(z: float) -> float:
         return (r * r * exprel_logd2(r * z) - s * s * exprel_logd2(s * z)) / d
 
-    return e, e1, e2, max(abs(r), abs(s)), (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
+    def e3(z: float) -> float:
+        rz, sz = r * z, s * z
+        k3 = expm1_logd3 if min(abs(rz), abs(sz)) >= LOGD3_CUT else exprel_logd3
+        return (r * r * r * k3(rz) - s * s * s * k3(sz)) / d
+
+    return e, e1, e2, e3, max(abs(r), abs(s)), (abs(r) + abs(s)) / abs(d), 4.0 / abs(d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 A generator is a positive, positively homogeneous f = y^k exp(e(v)), v = ln(x/y),
 on the open quadrant minus the diagonal, with first partials.  It carries its
-kernel row (e, e1, e2, gen_max, g, c) of core's shape: e(v) = ln f(e^v, 1) up to a
-constant, e1 = e' = x f_x/f and e2 = e'', all that hgf and convexity read.  The
-catalog reuses core's rows for the arithmetic, logarithmic, identric and
+kernel row (e, e1, e2, e3, gen_max, g, c) of core's shape: e(v) = ln f(e^v, 1) up to
+a constant, e1 = e' = x f_x/f, e2 = e'' and e3 = e''', all that hgf and convexity
+read.  The catalog reuses core's rows for the arithmetic, logarithmic, identric and
 Heronian-sum generators and S_{r,s}, and has its own for D = |x - y|.
 """
 
@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import DomainError
-from .stable import expm1_minus_z_over_z2, exprel_logd, identric_weight, log_ratio
+from .errors import DomainError, SaturationError
+from .stable import expm1_logd3, expm1_minus_z_over_z2, exprel_logd, identric_weight, log_ratio
 from .core import _GINI, _HERONIAN2, _IDENTRIC2, _STOLARSKY, GeneratorPair, _rs_kernels
 
 # g of a row derived from value and the partials, whose rounding is unknown: 2 eps g =
@@ -32,10 +32,10 @@ class GeneratorFunction:
     limit exists and is positive, in which case diagonal_partials holds
     (f_x(1,1), f_y(1,1)) for the p = q = 0 corner.  hgf and convexity read
     only the kernel row.  The row derived when none is given,
-    (e, e1, None, 1, DERIVED_ROUNDING, 0), has an e off by the rounding of
+    (e, e1, None, None, 1, DERIVED_ROUNDING, 0), has an e off by the rounding of
     value plus 2 eps (|k| + |e1(v)|) and an e1 off by that of the partials
     plus 2 eps |e1'(v)|, the rounding of the normalized coordinate exp(-|v|);
-    with no e2, hgf differences e1 for T''.
+    with no e2 and e3, hgf differences e1 for T'' and T'''.
     """
 
     label: str
@@ -45,13 +45,13 @@ class GeneratorFunction:
     partial_y: Callable[[float, float], float]
     diagonal_limit: Optional[Callable[[float], float]] = None
     diagonal_partials: Optional[tuple[float, float]] = field(default=None)
-    # (e, e1, e2, gen_max, g, c) as core's rows; if None, derived, anew by dataclasses.replace
+    # (e, e1, e2, e3, gen_max, g, c) as core's rows; if None, derived, anew by dataclasses.replace
     kernel: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         row = self.kernel  # a row derived from the callables of a replaced copy is derived anew
         if row is None or getattr(row[0], "__func__", None) is GeneratorFunction._value_e:
-            object.__setattr__(self, "kernel", (self._value_e, self._partials_e1, None,
+            object.__setattr__(self, "kernel", (self._value_e, self._partials_e1, None, None,
                                                 1.0, DERIVED_ROUNDING, 0.0))
 
     def _partials_e1(self, v: float) -> float:
@@ -84,7 +84,7 @@ def arithmetic_generator() -> GeneratorFunction:
         partial_y=lambda x, y: 0.5,
         diagonal_limit=lambda x: x,
         diagonal_partials=(0.5, 0.5),
-        kernel=_GINI[:3] + (1.0,) + _GINI[4:],  # the parameter of H_A is 1, not Gini's 2
+        kernel=_GINI[:4] + (1.0,) + _GINI[5:],  # the parameter of H_A is 1, not Gini's 2
     )
 
 
@@ -154,7 +154,16 @@ def difference_generator() -> GeneratorFunction:
         # -1/(4 sinh^2(v/2)), even in v, formed so that no term overflows
         if v == 0.0:
             raise DomainError("generator D has no positive diagonal limit")
-        return -math.exp(-abs(v)) / math.expm1(-abs(v)) ** 2
+        d2 = math.expm1(-abs(v)) ** 2
+        if not d2:
+            raise SaturationError("e2 of generator D outside the floating range", v, None, "v")
+        return -math.exp(-abs(v)) / d2
+
+    def e3(v: float) -> float:
+        # cosh(v/2)/(4 sinh^3(v/2)), odd in v
+        if v == 0.0:
+            raise DomainError("generator D has no positive diagonal limit")
+        return expm1_logd3(v)
 
     return GeneratorFunction(
         label="D",
@@ -164,7 +173,7 @@ def difference_generator() -> GeneratorFunction:
         partial_y=lambda x, y: -math.copysign(1.0, x - y),
         diagonal_limit=None,
         diagonal_partials=None,
-        kernel=(e, e1, e2, 1.0, 0.0, 0.0),
+        kernel=(e, e1, e2, e3, 1.0, 0.0, 0.0),
     )
 
 

@@ -1,21 +1,22 @@
 """The generic two-parameter homogeneous function H_f and its T machinery.
 
 T(t) = ln f(a^t, b^t).  A generator of order k is f = y^k exp(e(v)) with
-v = ln(x/y) and carries its kernel row (e, e1 = e', e2 = e'', gen_max, g, c),
-so with w = ln(a/b) every quantity reads the row at v = t w:
+v = ln(x/y) and carries its kernel row (e, e1 = e', e2 = e'', e3 = e''',
+gen_max, g, c), so with w = ln(a/b) every quantity reads the row at v = t w:
 
     T = k t ln b + e(t w),  T' = k ln b + w e1(t w),
     T'' = w^2 e2(t w),      I = -e2(v)/(x y),
-    T''' = w^3 e'''(t w),   J = -(x - y) e'''(v)/(x y).
+    T''' = w^3 e3(t w),     J = -(x - y) e3(v)/(x y).
 
 The framework provides the branch-complete evaluator for H_f, core's
-engine run on the row at the real w; T' and T'' from the row, with T'''
-from one central difference of e2 (of e1 for a row derived without e2);
+engine run on the row at the real w; T', T'' and T''' from the row, three
+kernel calls (a row derived without e2 and e3 differences e1 instead);
 the cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, which
 are T'' and T''' rescaled, so nothing is differenced in (x, y); the oracle
 exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(int_{qw}^{pw} e1 / (p - q)),
 which integrates e1 alone and so delivers ln(H_f/b^k) to 1e-12
-relative; and the difference-generator function H_D.
+relative; and the difference-generator function H_D.  w is always
+log_ratio(a, b), never ln a - ln b, which cancels near a = b.
 """
 
 from __future__ import annotations
@@ -78,10 +79,9 @@ def _check_t_interval(f: GeneratorFunction, p: float, q: float) -> None:
 
 def t_prime(f: GeneratorFunction, t: float, pt: MeanPoint) -> float:
     """T'(t) = k ln b + w e1(t w) by Euler's relation, w = ln(a/b)."""
-    la, lb = math.log(pt.a), math.log(pt.b)
-    w = la - lb
+    w = log_ratio(pt.a, pt.b)
     _saturation_guard(t, w)
-    return f.order * lb + w * f.kernel[1](t * w)
+    return f.order * math.log(pt.b) + w * f.kernel[1](t * w)
 
 
 def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
@@ -136,40 +136,25 @@ def hf_integral_oracle(
     return math.exp(f.order * lb + w * mean_g)
 
 
-def _t_stencil(f: GeneratorFunction, t: float, la: float, lb: float
+def _t_stencil(f: GeneratorFunction, t: float, w: float, lb: float
                ) -> tuple[float, float, float, float]:
-    """(T'(t), T''(t), T'''(t), estimated error of a differenced T'') under the checks
-    of t_derivatives, at the point of logs la = ln a and lb = ln b.
+    """(T'(t), T''(t), T'''(t), estimated error of T'') of a row without e2 and e3,
+    at the point of logs w = log_ratio(a, b) != 0 and lb = ln b.
 
-    T' = k ln b + w e1(t w) is t_prime.  The stencil's nodes are t, t +- h/2
-    and t +- h with h = STEP_SCALE (1 + |t|), and each difference takes one
-    Richardson halving.  A row with e2 gives T'' = w^2 e2(t w), exact to the
-    row's own rounding (estimate 0), and T''' = w^2 times the central first
-    difference of u -> e2(u w).  A row without e2 gives T'' = w g' and
-    T''' = w g'' from the central first and second differences of
-    g(u) = e1(u w), free of the rounding that k ln b carries in T', and
-    estimates T'' as |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h), max|g|
-    over t and t +- h, R the Richardson first difference and D(h/2) the one
-    at step h/2.  A stencil that reaches the pole at t = 0 of a generator
+    T' = k ln b + w g(t) is t_prime, with g(u) = e1(u w).  T'' = w g' and
+    T''' = w g'' come from the central first and second differences of g,
+    free of the rounding that k ln b carries in T', on the nodes t, t +- h/2
+    and t +- h with h = STEP_SCALE (1 + |t|), each with one Richardson
+    halving.  The estimate of T'' is |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h),
+    max|g| over t and t +- h, R the Richardson first difference and D(h/2) the
+    one at step h/2.  A stencil that reaches the pole at t = 0 of a generator
     without a diagonal limit raises DomainError.
     """
-    w = la - lb
-    if w == 0.0:
-        raise DomainError("t_derivatives requires ln(a/b) != 0")
-    _saturation_guard(t, w)  # refuses a t that is no finite real before the tests below
-    if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
-        raise SaturationError("probe coordinates a^t not representable",
-                              max(abs(t * la), abs(t * lb)))
-
     h = STEP_SCALE * (1.0 + abs(t))
     _check_t_interval(f, t - h, t + h)
     _saturation_guard(abs(t) + h, w)  # the outer nodes t +- h
-    _, g, e2 = f.kernel[:3]
+    g = f.kernel[1]
     g0 = g(t * w)
-    T1 = f.order * lb + w * g0
-    if e2 is not None:
-        first = [(e2((t + hh) * w) - e2((t - hh) * w)) / (2.0 * hh) for hh in (0.5 * h, h)]
-        return T1, w * w * e2(t * w), w * w * ((4.0 * first[0] - first[1]) / 3.0), 0.0
     first, second = [], []
     for hh in (0.5 * h, h):
         up, down = g((t + hh) * w), g((t - hh) * w)
@@ -178,23 +163,35 @@ def _t_stencil(f: GeneratorFunction, t: float, la: float, lb: float
     g1 = (4.0 * first[0] - first[1]) / 3.0
     g_max = max(abs(g0), abs(up), abs(down))
     est2 = abs(w) * (abs(g1 - first[0]) + 32.0 * _EPS * (1.0 + g_max) / h)
-    return T1, w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
+    return f.order * lb + w * g0, w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
 
 
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
     """T', T'', T''' plus I, J and C at the probe point t != 0.
 
-    T', T'' and T''' come from _t_stencil, which reads the generator's row.
-    With w = ln(a/b), homogeneity gives I = -T''/(w^2 x y),
-    J = -(1/y - 1/x) T'''/w^3 and C = (t w)^3/(1/y - 1/x).  1/x and 1/y
-    come from the logs, so x y is never formed; a field outside the
-    floating range raises SaturationError.
+    With w = log_ratio(a, b) and v = t w, a row with e3 gives
+    T' = k ln b + w e1(v), T'' = w^2 e2(v) and T''' = w^3 e3(v), three kernel
+    calls; a row derived without e2 and e3 takes _t_stencil.  Homogeneity gives
+    I = -T''/(w^2 x y), J = -(1/y - 1/x) T'''/w^3 and C = (t w)^3/(1/y - 1/x).
+    1/x and 1/y come from the logs, so x y is never formed; a field outside
+    the floating range raises SaturationError.
     """
     if t == 0.0:
         raise DomainError("J and C are singular at t = 0")
+    w = log_ratio(pt.a, pt.b)
+    if w == 0.0:
+        raise DomainError("t_derivatives requires ln(a/b) != 0")
+    _saturation_guard(t, w)  # refuses a t that is no finite real before the tests below
     la, lb = math.log(pt.a), math.log(pt.b)
-    T1, T2, T3, _ = _t_stencil(f, t, la, lb)
-    w = la - lb
+    if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
+        raise SaturationError("probe coordinates a^t not representable",
+                              max(abs(t * la), abs(t * lb)))
+    _, e1, e2, e3 = f.kernel[:4]
+    if e3 is None:
+        T1, T2, T3, _ = _t_stencil(f, t, w, lb)
+    else:
+        v = t * w
+        T1, T2, T3 = f.order * lb + w * e1(v), w * w * e2(v), w * w * w * e3(v)
     inv_x, inv_y = math.exp(-t * la), math.exp(-t * lb)
     d = -inv_y * math.expm1(-t * w)  # 1/y - 1/x
     I_val = -(T2 / (w * w)) * inv_x * inv_y
@@ -219,7 +216,7 @@ def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:
 
 # the kernel row of H_D's pole part E(t) = ln|t|, read at w = 1
 _HD_POLE = (lambda t: math.log(abs(t)), lambda t: 1.0 / t, lambda t: -1.0 / (t * t),
-            1.0, 0.0, 0.0)
+            lambda t: 2.0 / (t * t * t), 1.0, 0.0, 0.0)
 
 
 def _hd_ln(p: float, q: float, w: float, lnb: float) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import math
 # relative while the direct formulas are still cancellation-free.
 _SERIES_CUT = 0.35
 _EXP_CUT = 30.0
-_LOGD3_CUT = 1.5  # exprel_logd3's own cut: its direct form cancels 113x here, its series to z^31 does not
+LOGD3_CUT = 1.5  # exprel_logd3's own cut: its direct form cancels 113x here, its series to z^31 does not
 
 # Absolute rounding floors, in eps, of the first- and second-derivative
 # kernels over all z (seen against 60-digit mpmath): just above the series
@@ -94,7 +94,7 @@ def exprel_logd2(z: float) -> float:
 def exprel_logd3(z: float) -> float:
     """Third derivative of log_exprel: -2/z^3 + cosh(z/2)/(4 sinh^3(z/2))."""
     az = abs(z)
-    if az < _LOGD3_CUT:
+    if az < LOGD3_CUT:
         z2 = z * z
         return z * (
             -1.0 / 120.0
@@ -120,6 +120,17 @@ def exprel_logd3(z: float) -> float:
     return -2.0 / (z * z * z) + 1.0 / (4.0 * s * s * math.tanh(0.5 * z))
 
 
+def expm1_logd3(z: float) -> float:
+    """Third derivative of ln|expm1(z)|: cosh(z/2)/(4 sinh^3(z/2)) = u (1 + u)/(1 - u)^3
+    with u = e^-|z|, odd in z, with a pole at z = 0 and +-inf where |z| < 2e-103 puts it
+    beyond the float range.  exprel_logd3(z) = expm1_logd3(z) - 2/z^3."""
+    az = abs(z)
+    u = math.exp(-az)
+    d = -math.expm1(-az)
+    r = u * (1.0 + u) / d / d / d  # one division at a time overflows to inf, never by 0
+    return r if z > 0.0 else -r
+
+
 def softplus(z: float) -> float:
     """ln(1 + e^z) without overflow."""
     if z > _EXP_CUT:
@@ -141,6 +152,15 @@ def sigmoid_d(z: float) -> float:
     """sigmoid'(z) = sigmoid(z) sigmoid(-z), the logistic density; even in z."""
     u = math.exp(-abs(z))
     return u / ((1.0 + u) * (1.0 + u))
+
+
+def sigmoid_d2(z: float) -> float:
+    """sigmoid''(z) = -sign(z) u (1 - u)/(1 + u)^3 with u = e^-|z|; odd in z."""
+    az = abs(z)
+    u = math.exp(-az)
+    s = 1.0 + u
+    r = u * math.expm1(-az) / (s * s * s)
+    return r if z > 0.0 else -r
 
 
 def log_heronian_sum(z: float) -> float:
@@ -166,6 +186,16 @@ def heronian_weight_d(z: float) -> float:
     u = math.exp(-0.5 * abs(z))
     s = 1.0 + u + u * u
     return u * (1.0 + 4.0 * u + u * u) / (4.0 * s * s)
+
+
+def heronian_weight_d2(z: float) -> float:
+    """heronian_weight''(z) = -sign(z) u (1 - u)(1 + 8u + 8u^2 + u^3) / (8 (1 + u + u^2)^3)
+    with u = e^(-|z|/2); odd in z."""
+    az = 0.5 * abs(z)
+    u = math.exp(-az)
+    s = 1.0 + u + u * u
+    r = u * math.expm1(-az) * (1.0 + u * (8.0 + u * (8.0 + u))) / (8.0 * s * s * s)
+    return r if z > 0.0 else -r
 
 
 def expm1_minus_z_over_z2(z: float) -> float:
@@ -194,3 +224,37 @@ def identric_weight(v: float) -> float:
 def identric_weight_d(v: float) -> float:
     """identric_weight'(v) = 2 exprel_logd2(v) + v exprel_logd3(v)."""
     return 2.0 * exprel_logd2(v) + v * exprel_logd3(v)
+
+
+def identric_weight_d2(v: float) -> float:
+    """identric_weight''(v) = 3 L'''(v) + v L''''(v), L = log_exprel, odd in v, with the
+    -6/v^3 of 3 L''' and the +6/v^3 of v L'''' cancelled in closed form: with u = e^-|v| and
+    v > 0 it is u (3 (1 - u)(1 + u) - v (1 + 4u + u^2))/(1 - u)^4.  Below exprel_logd3's
+    cut, where that cancels, its series, whose coefficients are 2k times those of
+    exprel_logd3 at v^(2k-3)."""
+    av = abs(v)
+    if av < LOGD3_CUT:
+        v2 = v * v
+        return v * (
+            -1.0 / 30.0
+            + v2 * (1.0 / 252.0
+            + v2 * (-1.0 / 3600.0
+            + v2 * (1.0 / 66528.0
+            + v2 * (-691.0 / 990662400.0
+            + v2 * (1.0 / 34214400.0
+            + v2 * (-3617.0 / 3175780608000.0
+            + v2 * (43867.0 / 1043524145664000.0
+            + v2 * (-174611.0 / 117376851271680000.0
+            + v2 * (77683.0 / 1526093077856256000.0
+            + v2 * (-236364091.0 / 139478272128766771200000.0
+            + v2 * (657931.0 / 11931700033331527680000.0
+            + v2 * (-3392780147.0 / 1927821819671136829440000000.0
+            + v2 * (1723168255201.0 / 31190077653778327929303859200000.0
+            + v2 * (-7709321041217.0 / 4509298616807247996817244160000000.0
+            + v2 * (151628697551.0 / 2902178348533384523903139840000000.0)))))))))))))))
+        )
+    u = math.exp(-av)
+    d = -math.expm1(-av)
+    d2 = d * d
+    r = u * (3.0 * d * (1.0 + u) - av * (1.0 + u * (4.0 + u))) / (d2 * d2)
+    return r if v > 0.0 else -r

@@ -15,11 +15,10 @@ same verdicts as a slow path through the public evaluators, one case at
 a time and with the catalog on its shared sample streams.  The
 convexity scans' closed-form Hessian must reach the verdict of the
 finite-difference Hessian over the public evaluators wherever that one
-decides, and fail the same samples.  t_derivatives, which now
-evaluates T' at the probe point once, must reproduce a copy of its
-former per-stencil form bit for bit: T'' is read from the row's e2 and
-T''' from its central difference, or, for a row without e2, both from
-the stencil of the generator's log-partial e1.
+decides, and fail the same samples.  t_derivatives must reproduce a
+copy of its formulas bit for bit: T'' and T''' are read from the row's
+e2 and e3, or, for a row without them, both from the stencil of the
+generator's log-partial e1.
 """
 
 import dataclasses
@@ -306,7 +305,7 @@ def test_check_saturation_matches_pairwise_loop():
         else:  # ln M = lnb + w/2 within a few ulps of +-709, from either side
             w = rng.uniform(-1, 1)
             lnb = rng.choice((-1, 1)) * 709.0 * (1 + rng.randint(-4, 4) * _EPS) - 0.5 * w
-        row = (_stub_e, _stub_e1, None, max(abs(r), abs(s)), 0.0, 0.0)
+        row = (_stub_e, _stub_e1, None, None, max(abs(r), abs(s)), 0.0, 0.0)
         got = _engine_outcome(_family_ln, row, p, q, w, lnb)
         assert got == _engine_outcome(_ref_stub_ln, p, q, (r, s), w, lnb), (p, q, r, s, w, lnb)
         if len(got) == 2:
@@ -538,41 +537,38 @@ def _probe_generators():
 def _ref_t_derivatives_T(f, t, pt):
     """T', T'' and T''' as t_derivatives computes them.
 
-    T' = k ln b + w g(t) by Euler's relation, g = x f_x/f = e1(u w), the
-    generator's log-partial.  A row with e2 gives T'' = w^2 e2(t w) and T'''
-    as w^2 times the central first difference of e2(u w); a row without one
+    With w = log_ratio(a, b), T' = k ln b + w g(t) by Euler's relation,
+    g = x f_x/f = e1(u w), the generator's log-partial.  A row with e3 gives
+    T'' = w^2 e2(t w) and T''' = w^3 e3(t w); a row derived without e2 and e3
     gives T'' and T''' as w times the central first and second differences
-    of g.  The nodes are u = t, t +- h/2, t +- h, and each difference takes
-    one Richardson halving.
+    of g, on the nodes u = t, t +- h/2, t +- h, each with one Richardson
+    halving.
     """
-    la, lb = math.log(pt.a), math.log(pt.b)
-    w = la - lb
-    _, e1, e2 = f.kernel[:3]
+    w = log_ratio(pt.a, pt.b)
+    lb = math.log(pt.b)
+    _, e1, e2, e3 = f.kernel[:4]
 
     def g(u):
         return e1(u * w)
 
+    T1 = f.order * lb + w * g(t)
+    if e3 is not None:
+        return T1, w * w * e2(t * w), w * w * w * e3(t * w)
     h = (2.0 ** -52) ** 0.25 * (1.0 + abs(t))
 
-    def central(k, h):
-        return (k(t + h) - k(t - h)) / (2.0 * h)
+    def central(h):
+        return (g(t + h) - g(t - h)) / (2.0 * h)
 
     def second(h):
         return (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h)
 
-    T1 = f.order * lb + w * g(t)
-    if e2 is not None:
-        def g2(u):
-            return e2(u * w)
-
-        return T1, w * w * g2(t), w * w * ((4.0 * central(g2, 0.5 * h) - central(g2, h)) / 3.0)
-    return (T1, w * ((4.0 * central(g, 0.5 * h) - central(g, h)) / 3.0),
+    return (T1, w * ((4.0 * central(0.5 * h) - central(h)) / 3.0),
             w * ((4.0 * second(0.5 * h) - second(h)) / 3.0))
 
 
 def test_t_derivatives_bit_identical_to_reference():
     rng = random.Random(14)
-    # the catalog's rows have e2; a row derived from value and the partials has none
+    # the catalog's rows have e2 and e3; a row derived from value and the partials has neither
     derived = [dataclasses.replace(f, kernel=None) for f in builtin_generators()]
     for f in _probe_generators() + derived:
         for _ in range(12):

@@ -215,13 +215,36 @@ def test_t_derivatives_domain_errors():
 
 @pytest.mark.parametrize("t", [1e-5, -1e-5, 1e-4])
 def test_t_derivatives_refuse_a_stencil_across_the_pole_of_D(t):
-    # T' of D has a pole at t = 0 inside [t - h, t + h]; the stencil across it
-    # returned T'' = +3.45e8 at t = 1e-5, where the true value is about -1.0e10
+    # T' of D has a pole at t = 0.  The builtin row reads T'' = w^2 e2(t w) and
+    # T''' = w^3 e3(t w) at t alone, within 1e-12 relative of 40-digit mpmath.
+    # A row derived from value and the partials differences e1 over [t - h, t + h],
+    # across the pole, and refuses: that stencil returned T'' = +3.45e8 at
+    # t = 1e-5, where the true value is about -1.0e10
+    mp = pytest.importorskip("mpmath")
+    pt = MeanPoint(1, 3)
+    der = t_derivatives(difference_generator(), t, pt)
+    with mp.workdps(40):
+        T = lambda u: mp.log(abs(1 - mp.mpf(3) ** u))
+        T2, T3 = mp.diff(T, t, 2), mp.diff(T, t, 3)
+    assert abs(der.T2 / T2 - 1) <= 1e-12 and abs(der.T3 / T3 - 1) <= 1e-12, (der, T2, T3)
     with pytest.raises(DomainError):
-        t_derivatives(difference_generator(), t, MeanPoint(1, 3))
+        t_derivatives(dataclasses.replace(difference_generator(), kernel=None), t, pt)
     # A has no pole there
-    der = t_derivatives(arithmetic_generator(), t, MeanPoint(1, 3))
+    der = t_derivatives(arithmetic_generator(), t, pt)
     assert math.isfinite(der.T2) and math.isfinite(der.T3)
+
+
+@pytest.mark.parametrize("t", [1e-120, 1e-170, -1e-300])
+def test_D_saturates_where_its_kernels_leave_the_float_range(t):
+    # near its pole e2 of D is about -1/v^2 and e3 about 2/v^3: a v = t w whose
+    # powers underflow gives SaturationError, not the ZeroDivisionError of a
+    # squared or cubed 1 - e^-|v|
+    f = difference_generator()
+    with pytest.raises(SaturationError):
+        t_derivatives(f, t, MeanPoint(1, 3))
+    if abs(t) < 1e-154:  # e2 itself leaves the range, which the Hessian reads
+        with pytest.raises(SaturationError):
+            integral_hessian(f, ParamPair(t, math.copysign(1.0, t)), MeanPoint(1, 3))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -245,20 +268,41 @@ _MP_LN_F = {
 }
 
 
+def _mp_ln_stolarsky(r, s):
+    """mpmath ln S_{r,s}(x, y)."""
+    def ln_s(mp, x, y):
+        R, S = mp.mpf(r), mp.mpf(s)
+        if r == s:  # ln S_{r,r} = ln y + v e^(rv)/expm1(rv) - 1/r, v = ln(x/y)
+            v = mp.log(x / y)
+            return mp.log(y) + v * mp.exp(R * v) / mp.expm1(R * v) - 1 / R
+        return mp.log(S * (x ** R - y ** R) / (R * (x ** S - y ** S))) / (R - S)
+    return ln_s
+
+
 def _t2_rounding(f, t, w):
     """The row's own rounding of T'' = w^2 e2(t w): w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max)."""
-    _, _, e2, gen_max, g, _ = f.kernel
+    _, _, e2, _, gen_max, g, _ = f.kernel
     return w * w * _EPS * (E2_FLOOR + 4.0 * abs(e2(t * w)) + 16.0 * g * gen_max)
 
 
-@pytest.mark.parametrize("f", builtin_generators(), ids=lambda f: f.label)
-def test_T2_I_and_J_sign_against_mpmath(f):
-    # against 40-digit derivatives of ln f: T'' = w^2 e2(t w) within 1e-2 relative
-    # and within the row's own rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max),
-    # T''' within 1e-5 relative, I within 1e-2, and the sign of J right at every
-    # probe; I and J are differentiated in (x, y), not through T
+# (generator, mpmath ln f, the relative bound on T''', whether T'' and I are bounded
+# relative): the catalog, and S_{r,s} off, on and just beside the (r, s) band, whose
+# e3 differences two kernels over r - s.  Off the band e2 differences
+# r^2 exprel_logd2(r z) and s^2 exprel_logd2(s z), whose equal 1/z^2 parts leave
+# only its absolute rounding at large |z| (T'' = -0.0 against -1.4e-17 at S[-2.5,-2])
+_T_PROBED = [(f, _MP_LN_F[f.label], 1e-12, True) for f in builtin_generators()] + [
+    (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s), 1e-9, r == s)
+    for r, s in ((2.0, 1.0), (-2.5, -2.0), (0.5, 0.5), (1.002, 1.0), (-1.0, -1.0015))]
+
+
+@pytest.mark.parametrize("f, ln_f, tol3, relative2", _T_PROBED,
+                         ids=[f.label for f, *_ in _T_PROBED])
+def test_T2_I_and_J_sign_against_mpmath(f, ln_f, tol3, relative2):
+    # against 40-digit derivatives of ln f: T'' = w^2 e2(t w) within the row's own
+    # rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max), and where relative2 within
+    # 1e-2 relative, as is I; T''' = w^3 e3(t w) within tol3 relative, and the sign
+    # of J right at every probe; I and J are differentiated in (x, y), not through T
     mp = pytest.importorskip("mpmath")
-    ln_f = _MP_LN_F[f.label]
     rng = random.Random(31)
     with mp.workdps(40):
         for _ in range(120):
@@ -272,11 +316,41 @@ def test_T2_I_and_J_sign_against_mpmath(f):
             J = (x - y) * (I + x * mp.diff(lnf, (x, y), (2, 1)))
             where = (f.label, t, b)
             T2, T3 = mp.diff(T, t, 2), mp.diff(T, t, 3)
-            assert abs(der.T2 / T2 - 1) <= 1e-2, where
             assert abs(der.T2 - T2) <= _t2_rounding(f, t, -math.log(b)), where
-            assert abs(der.T3 / T3 - 1) <= 1e-5, where
-            assert abs(der.I_val / I - 1) <= 1e-2, where
+            assert abs(der.T3 / T3 - 1) <= tol3, where
+            if relative2:
+                assert abs(der.T2 / T2 - 1) <= 1e-2, where
+                assert abs(der.I_val / I - 1) <= 1e-2, where
             assert (der.J_val > 0) == (J > 0) and der.J_val != 0, where
+
+
+def test_t_derivatives_and_hessians_read_w_from_log_ratio():
+    # w = ln a - ln b cancels near a = b: it put T'' of A at t = 1 5.5e-5 relative off
+    # at a = 1e5, b = a (1 + 3e-11), and it read w = 0 at a = 1e300 with b one ulp
+    # above, where t_derivatives and the Hessian of a derived row raised DomainError.
+    # w = log_ratio(a, b) puts T'' and T''' within 1e-13 relative of 80-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    f = arithmetic_generator()
+    tiny = MeanPoint(1e300, math.nextafter(1e300, 2e300))
+    for pt in (MeanPoint(1e5, 1e5 * (1 + 3e-11)), MeanPoint(3.0, 3.0 * (1 + 1e-6)), tiny):
+        der = t_derivatives(f, 1.0, pt)
+        with mp.workdps(80):
+            A, B = mp.mpf(pt.a), mp.mpf(pt.b)
+            T = lambda u: mp.log((A ** u + B ** u) / 2)
+            T2, T3 = mp.diff(T, 1, 2), mp.diff(T, 1, 3)
+        assert abs(der.T2 / T2 - 1) <= 1e-13 and abs(der.T3 / T3 - 1) <= 1e-13, (pt, der)
+        assert t_prime(f, 1.0, pt) == der.T1
+    # a row derived from value and the partials reads the same w: its Hessian
+    # agrees with the builtin row's within both estimates
+    pp = ParamPair(1.0, 2.0)
+    for f in builtin_generators():
+        if f.diagonal_limit is None:
+            continue  # D: no derived e1 at v = 0, which a one-ulp w reaches
+        bare = dataclasses.replace(f, kernel=None)
+        got, ref = _generator_hessian(bare, pp, tiny), _generator_hessian(f, pp, tiny)
+        assert integral_hessian(bare, pp, tiny) == got[:4]
+        for i in range(4):
+            assert abs(got[i] - ref[i]) <= got[4 + i] + ref[4 + i], (f.label, i)
 
 
 def test_t_derivatives_far_from_one_is_finite_or_saturates():
@@ -357,17 +431,6 @@ def test_oracle_rejects_difference_generator_across_zero():
 
 
 _EPS = 2.0 ** -52
-
-
-def _mp_ln_stolarsky(r, s):
-    """mpmath ln S_{r,s}(x, y)."""
-    def ln_s(mp, x, y):
-        R, S = mp.mpf(r), mp.mpf(s)
-        if r == s:  # ln S_{r,r} = ln y + v e^(rv)/expm1(rv) - 1/r, v = ln(x/y)
-            v = mp.log(x / y)
-            return mp.log(y) + v * mp.exp(R * v) / mp.expm1(R * v) - 1 / R
-        return mp.log(S * (x ** R - y ** R) / (R * (x ** S - y ** S))) / (R - S)
-    return ln_s
 
 
 # the builtin generators and the benchmark's Stolarsky generators, each with its mpmath ln f
@@ -542,15 +605,16 @@ def test_a_generator_without_e1_reads_its_partials(f):
     # with e1' = T''/w^2, plus the rounding of the sum
     bare = dataclasses.replace(f, kernel=None)
     assert bare.kernel[1] is not f.kernel[1] and bare.kernel[2] is None
-    e1, g = f.kernel[1], f.kernel[4]
+    e1, g = f.kernel[1], f.kernel[5]
     for p, q, b in _same_sign_probes(63, count=10):
         pt = MeanPoint(1.0, b)
         got = hf_integral_oracle(bare, ParamPair(p, q), pt)
         assert got == pytest.approx(hf_integral_oracle(f, ParamPair(p, q), pt), rel=1e-11)
         w = -math.log(b)
         for t in (p, q):
-            (T1, T2, _, est), (R1, R2, _, _) = (_t_stencil(bare, t, 0.0, math.log(b)),
-                                                _t_stencil(f, t, 0.0, math.log(b)))
+            T1, T2, _, est = _t_stencil(bare, t, w, math.log(b))
+            ref = t_derivatives(f, t, pt)
+            R1, R2 = ref.T1, ref.T2
             e1_tol = (16.0 * _EPS * max(1.0, g) * max(1.0, abs(e1(t * w)))
                       + 2.0 * _EPS * abs(R2) / w ** 2)
             assert abs(T1 - R1) <= abs(w) * e1_tol + 2.0 * _EPS * abs(R1), (f.label, t, b)
@@ -584,7 +648,7 @@ def test_e_against_its_value_and_mpmath(f, ln_f, g):
     mp = pytest.importorskip("mpmath")
     e, derived = f.kernel[0], dataclasses.replace(f, kernel=None).kernel[0]
     assert derived is not e
-    c = f.kernel[5]
+    c = f.kernel[6]
     const = _E_CONST.get(f.label, 0.0)
     ln = lambda u: ln_f(mp, mp.exp(u), mp.mpf(1))
     with mp.workdps(40):

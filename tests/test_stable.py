@@ -8,19 +8,23 @@ import random
 import pytest
 
 from parmeans.stable import (
+    expm1_logd3,
     expm1_minus_z_over_z2,
     exprel_logd,
     exprel_logd2,
     exprel_logd3,
     heronian_weight,
     heronian_weight_d,
+    heronian_weight_d2,
     identric_weight,
     identric_weight_d,
+    identric_weight_d2,
     log_exprel,
     log_heronian_sum,
     log_ratio,
     sigmoid,
     sigmoid_d,
+    sigmoid_d2,
     softplus,
 )
 
@@ -200,7 +204,7 @@ def test_rs_kernels_e2_against_mpmath(r, s):
     mp = pytest.importorskip("mpmath")
     from parmeans.core import _rs_kernels
 
-    e2, gen_max, g = (_rs_kernels(r, s)[i] for i in (2, 3, 4))
+    e2, gen_max, g = (_rs_kernels(r, s)[i] for i in (2, 4, 5))
     rng = random.Random(54)
     for _ in range(60):
         z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, math.log10(700.0 / gen_max))
@@ -212,3 +216,90 @@ def test_rs_kernels_e2_against_mpmath(r, s):
             else:
                 ref = (R ** 2 * l2r - S ** 2 * _mp_kernels(mp, S * z)[0]) / (R - S)
         assert abs(e2(z) - float(ref)) <= 16.0 * EPS * g * gen_max, z
+
+
+# -- the third-derivative kernels e3 of the kernel rows ----------------------------
+
+def _log_spaced_z():
+    """|z| log-spaced from 1e-8 to 700, 12 a decade, and a sweep across exprel_logd3's
+    cut 1.5, either sign."""
+    zs = [10.0 ** (-8.0 + k * (math.log10(700.0) + 8.0) / 126) for k in range(127)]
+    zs += [1.5 + k * 1e-3 for k in range(-25, 26)]
+    return zs + [-z for z in zs]
+
+
+def _mp_identric_weight_d2(mp, z):
+    """(3 L''' + z L'''', the magnitude of the terms of its direct form) at z."""
+    x = mp.mpf(z) / 2
+    sh, ch = mp.sinh(x), mp.cosh(x)
+    return (3 * ch * sh - x * (3 + 2 * sh ** 2)) / (4 * sh ** 4), \
+        abs(3 * ch * sh + x * (3 + 2 * sh ** 2)) / (4 * sh ** 4)
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (sigmoid_d2, lambda mp, z: (lambda s: s * (1 - s) * (1 - 2 * s))(1 / (1 + mp.exp(-z)))),
+    (heronian_weight_d2, lambda mp, z: mp.diff(
+        lambda t: (mp.exp(t) + mp.exp(t / 2) / 2) / (1 + mp.exp(t / 2) + mp.exp(t)), z, 2)),
+    (expm1_logd3, lambda mp, z: mp.cosh(z / 2) / (4 * mp.sinh(z / 2) ** 3)),
+], ids=["sigmoid_d2", "heronian_weight_d2", "expm1_logd3"])
+def test_odd_third_derivative_kernels_against_mpmath(kernel, reference):
+    # products of e^-|z|, 1 - e^-|z| by expm1 and sums of positive terms:
+    # a few eps relative, down to e^-700
+    mp = pytest.importorskip("mpmath")
+    for z in _log_spaced_z():
+        with mp.workdps(60 + int(abs(z) / 2.3)):
+            ref = reference(mp, mp.mpf(z))
+        assert abs(kernel(z) - float(ref)) <= 4.0 * EPS * float(abs(ref)), z
+    assert kernel(-2.0) == -kernel(2.0)
+
+
+def test_identric_weight_d2_against_mpmath():
+    # the series is accurate relative to the value, below exprel_logd3's cut; the
+    # closed form, whose -6/z^3 and 6/z^3 are cancelled exactly, to a few eps of
+    # its two terms above it, 128 eps relative everywhere and 1e-13 relative for
+    # |z| in [5, 700] (the naive 3 L''' + z L'''' was 1.8e-11 off at z = 22)
+    mp = pytest.importorskip("mpmath")
+    for z in _log_spaced_z():
+        with mp.workdps(60 + int(abs(z) / 2.3)):
+            ref, terms = _mp_identric_weight_d2(mp, z)
+        err = abs(identric_weight_d2(z) - float(ref))
+        assert err <= 4.0 * EPS * float(abs(ref) if abs(z) < 1.5 else terms), z
+        assert err <= 128.0 * EPS * float(abs(ref)), z
+        if abs(z) >= 5.0 and abs(ref) > 1e-290:
+            assert err <= 1e-13 * float(abs(ref)), z
+    assert identric_weight_d2(0.0) == 0.0
+
+
+@pytest.mark.parametrize("r, s", [(0.7, 0.7), (1.3, 1.3004), (-2.0, -1.999999),
+                                  (2.5, -1.0), (-2.0, 0.5), (1.0, 1.002), (-2.5, -2.0)],
+                         ids=["r_eq_s", "band", "band_1e-6", "off_rs_pos", "off_rs_neg",
+                              "off_near_band", "off_same_sign"])
+def test_rs_kernels_e3_against_mpmath(r, s):
+    # e3 of F(.,.;r,s) is the (r, s) divided difference of u^3 L'''(u z): at r = s
+    # r^2 (3 L''' + r z L'''')(r z).  Within 16 eps g max(|r|, |s|)^3 of it, and
+    # within 1e-13 relative for |z| in [5, 700/max(|r|, |s|)]: there the band rule's
+    # own 3-node mean is the reference inside the band, whose quadrature error is
+    # the band rule's, not the kernel's (2e-11 at |(r - s) z| = 0.2)
+    mp = pytest.importorskip("mpmath")
+    from parmeans.core import _GL_NODE, _in_band, _rs_kernels
+
+    e3, gen_max, g = (_rs_kernels(r, s)[i] for i in (3, 4, 5))
+    m, h = 0.5 * (r + s), 0.5 * (r - s) * _GL_NODE  # the band rule's nodes, as floats
+    for z in _log_spaced_z():
+        if abs(z) * gen_max > 700.0:
+            continue
+        R, S = mp.mpf(r), mp.mpf(s)
+        with mp.workdps(60 + int(abs(z) * gen_max / 2.3)):
+            l3 = lambda u: _mp_kernels(mp, u * z)[1]
+            if r == s:
+                ref = R ** 2 * _mp_identric_weight_d2(mp, R * z)[0]
+            else:
+                ref = (R ** 3 * l3(R) - S ** 3 * l3(S)) / (R - S)
+            rule = ref
+            if r != s and _in_band(r, s):
+                k = lambda u: mp.mpf(u) ** 2 * _mp_identric_weight_d2(mp, mp.mpf(u) * z)[0]
+                rule = (5 * k(m - h) + 8 * k(m) + 5 * k(m + h)) / 18
+        got = e3(z)
+        assert abs(got - float(ref)) <= 16.0 * EPS * g * gen_max ** 3, z
+        if abs(z) >= 5.0 and abs(rule) > 1e-290:
+            assert abs(got - float(rule)) <= 1e-13 * float(abs(rule)), z
