@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     _FLOAT_MAX,
@@ -77,8 +77,7 @@ J_HESSIAN_GRID = (0.5, 1.0, 2.0)
 J_MEAN_POINT = MeanPoint(1.0, 3.0)
 
 
-@dataclass(frozen=True)
-class HessianReport:
+class HessianReport(NamedTuple):
     d2_pp: float
     d2_qq: float
     d2_pq: float

@@ -64,6 +64,7 @@ from .errors import DomainError, SaturationError
 from .stable import (
     E1_FLOOR,
     LOGD3_CUT,
+    expm1_logd2,
     expm1_logd3,
     exprel_logd,
     exprel_logd2,
@@ -287,9 +288,10 @@ def _rs_kernels(r: float, s: float) -> tuple:
     e1 = e', e2 = e'' and e3 = e'''.  Their rounding is about 2 eps g in e1, 2 eps (g |z| + c)
     in e, 16 eps g max(|r|, |s|) in e2 and 16 eps g max(|r|, |s|)^3 in e3, from band means
     in (0, 1), or from kernel values (eps (1 + |z|) for log_exprel) over r - s.  Off the band
-    the -2/z^3 parts of r^3 exprel_logd3(r z) and s^3 exprel_logd3(s z) are equal, so where
-    both |r z| and |s z| reach exprel_logd3's cut, and that -2/z^3 would swamp the
-    difference, e3 differences expm1_logd3 = exprel_logd3 + 2/z^3 instead.
+    the 1/z^2 parts of r^2 exprel_logd2(r z) and s^2 exprel_logd2(s z) are equal, as are the
+    -2/z^3 parts of r^3 exprel_logd3(r z) and s^3 exprel_logd3(s z), so where both |r z| and
+    |s z| reach exprel_logd3's cut, and those parts would swamp the difference, e2 differences
+    expm1_logd2 = exprel_logd2 - 1/z^2 and e3 expm1_logd3 = exprel_logd3 + 2/z^3 instead.
     """
     if _in_band(r, s):
         def e(z: float) -> float:
@@ -315,7 +317,9 @@ def _rs_kernels(r: float, s: float) -> tuple:
         return (r * exprel_logd(r * z) - s * exprel_logd(s * z)) / d
 
     def e2(z: float) -> float:
-        return (r * r * exprel_logd2(r * z) - s * s * exprel_logd2(s * z)) / d
+        rz, sz = r * z, s * z
+        k2 = expm1_logd2 if min(abs(rz), abs(sz)) >= LOGD3_CUT else exprel_logd2
+        return (r * r * k2(rz) - s * s * k2(sz)) / d
 
     def e3(z: float) -> float:
         rz, sz = r * z, s * z

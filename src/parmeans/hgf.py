@@ -17,12 +17,18 @@ exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(int_{qw}^{pw} e1 / (p - q)),
 which integrates e1 alone and so delivers ln(H_f/b^k) to 1e-12
 relative; and the difference-generator function H_D.  w is always
 log_ratio(a, b), never ln a - ln b, which cancels near a = b.
+
+TDerivatives is a typing.NamedTuple, as are quadrature.QuadratureResult and
+convexity.HessianReport: records that validate nothing and are only read
+back, so they are built at tuple cost on the probe path.  Each keeps its
+field names and order, its fields cannot be set (AttributeError), and it
+unpacks and compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BRANCH_DIAGONAL,
@@ -47,8 +53,7 @@ _EPS = 2.0 ** -52
 STEP_SCALE = _EPS ** 0.25  # the package's one finite-difference step at x is STEP_SCALE (1 + |x|)
 
 
-@dataclass(frozen=True)
-class TDerivatives:
+class TDerivatives(NamedTuple):
     """T-derivative bundle at one probe point t."""
 
     t: float
@@ -91,17 +96,17 @@ def hf_eval(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> EvalResult:
     adds the rounding (g, c) of the row's kernels, as for every row: for
     S_{r,s} this is four_param_F's result bit for bit.
     """
-    if pt.a == pt.b:
-        return EvalResult(pt.a, BRANCH_DIAGONAL, 0.0)
+    a, b = pt.a, pt.b
+    if a == b:
+        return EvalResult(a, BRANCH_DIAGONAL, 0.0)
     p, q = pp.p, pp.q
-    scale = 1.0 + abs(p) + abs(q)
-    needs_diagonal = min(abs(p), abs(q)) <= ZERO_TOL * scale
-    if needs_diagonal and f.diagonal_limit is None:
+    # only a generator without a diagonal limit (D) pays for the zero-parameter test
+    if f.diagonal_limit is None and min(abs(p), abs(q)) <= ZERO_TOL * (1.0 + abs(p) + abs(q)):
         raise DomainError(
             f"zero-parameter branch of H_f needs a positive diagonal limit; "
             f"generator {f.label} has none"
         )
-    ln, est = _family_ln(f.kernel, p, q, log_ratio(pt.a, pt.b), f.order * math.log(pt.b))
+    ln, est = _family_ln(f.kernel, p, q, log_ratio(a, b), f.order * math.log(b))
     return EvalResult(math.exp(ln), _branch(p, q), est)
 
 
@@ -178,29 +183,33 @@ def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives
     """
     if t == 0.0:
         raise DomainError("J and C are singular at t = 0")
-    w = log_ratio(pt.a, pt.b)
+    a, b = pt.a, pt.b
+    w = log_ratio(a, b)
     if w == 0.0:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
-    _saturation_guard(t, w)  # refuses a t that is no finite real before the tests below
-    la, lb = math.log(pt.a), math.log(pt.b)
-    if max(abs(t * la), abs(t * lb)) > OVERFLOW_LIMIT:
-        raise SaturationError("probe coordinates a^t not representable",
-                              max(abs(t * la), abs(t * lb)))
-    _, e1, e2, e3 = f.kernel[:4]
+    _saturation_guard(t, w)  # refuses a t that is no finite real before t ln a is formed
+    lb = math.log(b)
+    ta, tb = t * math.log(a), t * lb
+    if abs(ta) > OVERFLOW_LIMIT or abs(tb) > OVERFLOW_LIMIT:
+        raise SaturationError("probe coordinates a^t not representable", max(abs(ta), abs(tb)))
+    kernel = f.kernel
+    e3 = kernel[3]
     if e3 is None:
         T1, T2, T3, _ = _t_stencil(f, t, w, lb)
     else:
         v = t * w
-        T1, T2, T3 = f.order * lb + w * e1(v), w * w * e2(v), w * w * w * e3(v)
-    inv_x, inv_y = math.exp(-t * la), math.exp(-t * lb)
+        T1, T2, T3 = f.order * lb + w * kernel[1](v), w * w * kernel[2](v), w * w * w * e3(v)
+    inv_x, inv_y = math.exp(-ta), math.exp(-tb)
     d = -inv_y * math.expm1(-t * w)  # 1/y - 1/x
     I_val = -(T2 / (w * w)) * inv_x * inv_y
     J_val = -d * (T3 / (w * w * w))
     C_val = (t * w) ** 3 / d
-    for name, v in (("I", I_val), ("J", J_val), ("C", C_val)):
-        if not math.isfinite(v):
-            raise SaturationError(f"{name} outside the floating range", v, None, name)
-    return TDerivatives(t, pt.a ** t, pt.b ** t, T1, T2, T3, I_val, J_val, C_val)
+    # x - x is 0 for a finite x and NaN for an infinite or NaN one
+    if (I_val - I_val) + (J_val - J_val) + (C_val - C_val) != 0.0:
+        for name, bad in (("I", I_val), ("J", J_val), ("C", C_val)):
+            if not math.isfinite(bad):
+                raise SaturationError(f"{name} outside the floating range", bad, None, name)
+    return TDerivatives(t, a ** t, b ** t, T1, T2, T3, I_val, J_val, C_val)
 
 
 def hd_eval(pp: ParamPair, pt: MeanPoint) -> EvalResult:

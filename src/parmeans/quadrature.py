@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureError
 
@@ -38,8 +37,7 @@ _WG = (
 _WG_CENTER = 0.417959183673469387755102040816327
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     subdivisions: int

@@ -120,6 +120,15 @@ def exprel_logd3(z: float) -> float:
     return -2.0 / (z * z * z) + 1.0 / (4.0 * s * s * math.tanh(0.5 * z))
 
 
+def expm1_logd2(z: float) -> float:
+    """Second derivative of ln|expm1(z)|: -1/(4 sinh^2(z/2)) = -u/(1 - u)^2 with u = e^-|z|,
+    even in z, with a pole at z = 0 and -inf where |z| < 7.5e-155 puts it beyond the float
+    range.  exprel_logd2(z) = expm1_logd2(z) + 1/z^2."""
+    az = abs(z)
+    d = -math.expm1(-az)
+    return -math.exp(-az) / d / d  # one division at a time overflows to inf, never by 0
+
+
 def expm1_logd3(z: float) -> float:
     """Third derivative of ln|expm1(z)|: cosh(z/2)/(4 sinh^3(z/2)) = u (1 + u)/(1 - u)^3
     with u = e^-|z|, odd in z, with a pole at z = 0 and +-inf where |z| < 2e-103 puts it

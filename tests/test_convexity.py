@@ -57,6 +57,19 @@ def test_hessian_delta_is_consistent_by_construction():
     assert rep.delta == rep.d2_pp * rep.d2_qq - rep.d2_pq ** 2
 
 
+def test_hessian_report_is_a_named_tuple_with_the_dataclass_fields():
+    # the former frozen dataclass's fields in its order, with classify kept; a field
+    # cannot be set, and the report unpacks as (d2_pp, d2_qq, d2_pq, delta, verdict)
+    assert HessianReport._fields == ("d2_pp", "d2_qq", "d2_pq", "delta", "verdict")
+    rep = hessian_logF(family_evaluator("gini"), ParamPair(1, 2), MeanPoint(1, 10))
+    d2_pp, d2_qq, d2_pq, delta, verdict = rep
+    assert (d2_pp, d2_qq, d2_pq, delta, verdict) == (rep.d2_pp, rep.d2_qq, rep.d2_pq,
+                                                     rep.delta, rep.verdict)
+    assert verdict == HessianReport.classify(d2_pp, delta, 0.0, 0.0) == VERDICT_CONCAVE
+    with pytest.raises(AttributeError):
+        rep.verdict = VERDICT_CONVEX
+
+
 def test_verdict_stability_under_step_halving(monkeypatch):
     rng = random.Random(21)
     stol = family_evaluator("stolarsky")

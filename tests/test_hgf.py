@@ -31,8 +31,9 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
+from parmeans import hgf
 from parmeans.convexity import _generator_hessian
-from parmeans.hgf import _t_stencil, t_prime
+from parmeans.hgf import TDerivatives, _t_stencil, t_prime
 from parmeans.stable import E2_FLOOR
 
 
@@ -285,23 +286,22 @@ def _t2_rounding(f, t, w):
     return w * w * _EPS * (E2_FLOOR + 4.0 * abs(e2(t * w)) + 16.0 * g * gen_max)
 
 
-# (generator, mpmath ln f, the relative bound on T''', whether T'' and I are bounded
-# relative): the catalog, and S_{r,s} off, on and just beside the (r, s) band, whose
-# e3 differences two kernels over r - s.  Off the band e2 differences
-# r^2 exprel_logd2(r z) and s^2 exprel_logd2(s z), whose equal 1/z^2 parts leave
-# only its absolute rounding at large |z| (T'' = -0.0 against -1.4e-17 at S[-2.5,-2])
-_T_PROBED = [(f, _MP_LN_F[f.label], 1e-12, True) for f in builtin_generators()] + [
-    (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s), 1e-9, r == s)
+# (generator, mpmath ln f, the relative bound on T'''): the catalog, and S_{r,s} off,
+# on and just beside the (r, s) band, whose e2 and e3 difference two kernels over r - s.
+# Off the band, where both |r z| and |s z| reach LOGD3_CUT, e2 differences expm1_logd2,
+# free of the equal 1/z^2 parts of exprel_logd2 that left T'' only its absolute
+# rounding (T'' = -0.0 against -1.4e-17 at S[-2.5,-2] when e2 differenced those)
+_T_PROBED = [(f, _MP_LN_F[f.label], 1e-12) for f in builtin_generators()] + [
+    (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s), 1e-9)
     for r, s in ((2.0, 1.0), (-2.5, -2.0), (0.5, 0.5), (1.002, 1.0), (-1.0, -1.0015))]
 
 
-@pytest.mark.parametrize("f, ln_f, tol3, relative2", _T_PROBED,
-                         ids=[f.label for f, *_ in _T_PROBED])
-def test_T2_I_and_J_sign_against_mpmath(f, ln_f, tol3, relative2):
+@pytest.mark.parametrize("f, ln_f, tol3", _T_PROBED, ids=[f.label for f, *_ in _T_PROBED])
+def test_T2_I_and_J_sign_against_mpmath(f, ln_f, tol3):
     # against 40-digit derivatives of ln f: T'' = w^2 e2(t w) within the row's own
-    # rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max), and where relative2 within
-    # 1e-2 relative, as is I; T''' = w^3 e3(t w) within tol3 relative, and the sign
-    # of J right at every probe; I and J are differentiated in (x, y), not through T
+    # rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max) and within 1e-2 relative,
+    # as is I; T''' = w^3 e3(t w) within tol3 relative, and the sign of J right at
+    # every probe; I and J are differentiated in (x, y), not through T
     mp = pytest.importorskip("mpmath")
     rng = random.Random(31)
     with mp.workdps(40):
@@ -318,9 +318,8 @@ def test_T2_I_and_J_sign_against_mpmath(f, ln_f, tol3, relative2):
             T2, T3 = mp.diff(T, t, 2), mp.diff(T, t, 3)
             assert abs(der.T2 - T2) <= _t2_rounding(f, t, -math.log(b)), where
             assert abs(der.T3 / T3 - 1) <= tol3, where
-            if relative2:
-                assert abs(der.T2 / T2 - 1) <= 1e-2, where
-                assert abs(der.I_val / I - 1) <= 1e-2, where
+            assert abs(der.T2 / T2 - 1) <= 1e-2, where
+            assert abs(der.I_val / I - 1) <= 1e-2, where
             assert (der.J_val > 0) == (J > 0) and der.J_val != 0, where
 
 
@@ -351,6 +350,43 @@ def test_t_derivatives_and_hessians_read_w_from_log_ratio():
         assert integral_hessian(bare, pp, tiny) == got[:4]
         for i in range(4):
             assert abs(got[i] - ref[i]) <= got[4 + i] + ref[4 + i], (f.label, i)
+
+
+def test_t_derivatives_record_is_a_named_tuple_with_the_dataclass_fields():
+    # the former frozen dataclass's fields in its order; a field cannot be set, and the
+    # record unpacks and compares equal to the plain tuple of its fields
+    assert TDerivatives._fields == ("t", "x", "y", "T1", "T2", "T3", "I_val", "J_val", "C_val")
+    der = t_derivatives(logarithmic_generator(), 1.7, MeanPoint(1.0, 37.0))
+    t, x, y, *_ = der
+    assert (t, x, y) == (1.7, 1.0, 37.0 ** 1.7)
+    assert der == tuple(getattr(der, name) for name in TDerivatives._fields)
+    with pytest.raises(AttributeError):
+        der.T2 = 0.0
+
+
+class _SubnormalExpm1:
+    """hgf's math with an expm1 that returns the least subnormal, so 1/y - 1/x vanishes."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def expm1(v):
+        return 5e-324
+
+
+def test_a_non_finite_I_J_or_C_raises_saturation_naming_it(monkeypatch):
+    # I = -T''/(w^2 x y) leaves the float range where x y underflows
+    with pytest.raises(SaturationError, match="^I outside the floating range"):
+        t_derivatives(logarithmic_generator(), 1.0, MeanPoint(math.exp(-690), math.exp(-680)))
+    # T''' = w^3 e3(v) of D overflows at v = 8e-155, where I = -e2(v) is still finite
+    with pytest.raises(SaturationError, match="^J outside the floating range"):
+        t_derivatives(difference_generator(), 8e-154, MeanPoint(1.0, math.exp(-0.1)))
+    # C = (t w)^3/(1/y - 1/x) stays finite on every point the guards admit: a vanishing
+    # 1/y - 1/x stands in for one that does not
+    monkeypatch.setattr(hgf, "math", _SubnormalExpm1())
+    with pytest.raises(SaturationError, match="^C outside the floating range"):
+        t_derivatives(logarithmic_generator(), 1.0, MeanPoint(3.0, 1.0))
 
 
 def test_t_derivatives_far_from_one_is_finite_or_saturates():
@@ -705,6 +741,19 @@ def test_hf_eval_is_the_family_evaluator_bit_for_bit(f, family):
     # the same kernel row through the same engine: value, branch and estimate
     for pp, pt in _bit_identity_probes(41):
         assert hf_eval(f, pp, pt) == family(pp, pt), (f.label, pp, pt)
+
+
+@pytest.mark.parametrize("pp", [ParamPair(0.0, 0.0), ParamPair(1.0, 0.0), ParamPair(0.0, -2.0),
+                                ParamPair(1e-14, 1.0)])
+def test_hf_eval_refuses_zero_parameters_only_for_D(pp):
+    # a zero parameter, to 1e-13 (1 + |p| + |q|), needs the positive diagonal limit D
+    # lacks; A, L, I, He and S_{r,s} evaluate it, as their family evaluators bit for bit
+    pt = MeanPoint(4.0, 2.0)
+    with pytest.raises(DomainError, match="^zero-parameter branch of H_f needs a positive "
+                                          "diagonal limit; generator D has none$"):
+        hf_eval(difference_generator(), pp, pt)
+    for f, family in _FAMILY_ROUTES:
+        assert hf_eval(f, pp, pt) == family(pp, pt), (f.label, pp)
 
 
 def test_hf_eval_of_D_agrees_with_hd_eval_within_both_estimates():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from parmeans import DomainError, QuadratureError, integrate
+from parmeans import DomainError, QuadratureError, QuadratureResult, integrate
 
 
 def test_polynomial_exactness():
@@ -83,3 +83,16 @@ def test_non_finite_result_is_a_quadrature_error(rule, f):
     # a NaN integrand stopped integrate after one panel and returned NaN
     with pytest.raises(QuadratureError):
         rule(f, 0.0, 1.0)
+
+
+def test_result_is_a_named_tuple_with_the_dataclass_fields():
+    # the former frozen dataclass's fields in its order; a field cannot be set, and
+    # the result unpacks as (value, error_estimate, subdivisions)
+    assert QuadratureResult._fields == ("value", "error_estimate", "subdivisions")
+    res = integrate(math.exp, 0.0, 1.0)
+    value, error_estimate, subdivisions = res
+    assert (value, error_estimate, subdivisions) == (res.value, res.error_estimate,
+                                                     res.subdivisions)
+    assert integrate(math.exp, 1.0, 1.0) == (0.0, 0.0, 0)
+    with pytest.raises(AttributeError):
+        res.value = 0.0

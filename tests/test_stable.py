@@ -8,6 +8,7 @@ import random
 import pytest
 
 from parmeans.stable import (
+    expm1_logd2,
     expm1_logd3,
     expm1_minus_z_over_z2,
     exprel_logd,
@@ -195,14 +196,16 @@ def test_even_weight_derivatives_against_mpmath(kernel, reference):
 
 
 @pytest.mark.parametrize("r, s", [(0.7, 0.7), (1.3, 1.3004), (-2.0, -1.999999),
-                                  (2.5, -1.0), (-2.0, 0.5), (1.0, 1.002)],
+                                  (2.5, -1.0), (-2.0, 0.5), (1.0, 1.002), (-2.5, -2.0)],
                          ids=["r_eq_s", "band", "band_1e-6", "off_rs_pos", "off_rs_neg",
-                              "off_near_band"])
+                              "off_near_band", "off_same_sign"])
 def test_rs_kernels_e2_against_mpmath(r, s):
     # e2 of F(.,.;r,s) is the (r, s) divided difference of u^2 L''(u z): at r = s
-    # r (2 L'' + r z L''')(r z); within 16 eps g max(|r|, |s|) (see _rs_kernels)
+    # r (2 L'' + r z L''')(r z); within 16 eps g max(|r|, |s|) (see _rs_kernels), and
+    # off the band within 1e-13 relative for |z| >= 5, where it differences expm1_logd2
+    # (exprel_logd2's equal 1/z^2 parts left it 1e228 relative off at S(1, 1.002))
     mp = pytest.importorskip("mpmath")
-    from parmeans.core import _rs_kernels
+    from parmeans.core import _in_band, _rs_kernels
 
     e2, gen_max, g = (_rs_kernels(r, s)[i] for i in (2, 4, 5))
     rng = random.Random(54)
@@ -216,6 +219,8 @@ def test_rs_kernels_e2_against_mpmath(r, s):
             else:
                 ref = (R ** 2 * l2r - S ** 2 * _mp_kernels(mp, S * z)[0]) / (R - S)
         assert abs(e2(z) - float(ref)) <= 16.0 * EPS * g * gen_max, z
+        if abs(z) >= 5.0 and not _in_band(r, s):
+            assert abs(e2(z) - float(ref)) <= 1e-13 * float(abs(ref)), z
 
 
 # -- the third-derivative kernels e3 of the kernel rows ----------------------------
@@ -251,6 +256,22 @@ def test_odd_third_derivative_kernels_against_mpmath(kernel, reference):
             ref = reference(mp, mp.mpf(z))
         assert abs(kernel(z) - float(ref)) <= 4.0 * EPS * float(abs(ref)), z
     assert kernel(-2.0) == -kernel(2.0)
+
+
+def test_expm1_logd2_against_mpmath():
+    # -u/(1 - u)^2 with u = e^-|z| and 1 - u by expm1, one division at a time: a few
+    # eps relative from |z| = 1e-8 down to e^-700, even in z, and exprel_logd2 less
+    # 1/z^2; -inf only where -1/z^2 itself leaves the float range
+    mp = pytest.importorskip("mpmath")
+    for z in _log_spaced_z():
+        with mp.workdps(40):
+            ref = -1 / (4 * mp.sinh(mp.mpf(z) / 2) ** 2)
+        assert abs(expm1_logd2(z) - float(ref)) <= 4.0 * EPS * float(abs(ref)), z
+        assert expm1_logd2(-z) == expm1_logd2(z), z
+    for z in (0.5, 1.5, 5.0, 30.0):
+        assert expm1_logd2(z) + 1.0 / (z * z) == pytest.approx(exprel_logd2(z), rel=1e-14)
+    assert expm1_logd2(7.5e-155) == pytest.approx(-1.0 / 7.5e-155 / 7.5e-155, rel=1e-15)
+    assert expm1_logd2(7.4e-155) == -math.inf
 
 
 def test_identric_weight_d2_against_mpmath():
