@@ -47,9 +47,18 @@ function of (p, q) alone (_branch); p_eq_q tags
 is smooth at 0 and needs no formula there.  hf_eval (hgf) runs the
 engine on a generator's row at the real w, with k ln b in place of ln b.
 
+_family_ln_column(row, ps, qs, ws, lnbs) is the same engine over
+columns: the same tests and float operations, so bit-identical ln M,
+NaN where _family_ln raises, and no estimate.  The inequality checker
+reads each mean term through it as one column over a block of samples,
+paying one frame per block where the kernels of one term cost about as
+much as a frame.  Single calls keep _family_ln, which is cheaper for
+one value; tests hold the two bit for bit equal.
+
 The public evaluators validate at the dataclass boundary, call the
 engine, tag the branch and exponentiate; the inequality checker reads
-ln M from it directly, with no dataclass and no exp/log round trip.
+ln M from the column engine directly, with no dataclass and no exp/log
+round trip.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, SaturationError
 from .stable import (
@@ -195,7 +204,7 @@ class ReductionTag:
 
 def _in_band(x: float, y: float) -> bool:
     """|x - y| <= 1e-3, or <= 1e-6 (1 + |x| + |y|): the divided difference takes the
-    band rule.  _family_ln makes the same test inline."""
+    band rule.  _family_ln and _family_ln_column make the same test inline."""
     d = abs(x - y)
     return d <= MIDPOINT_BAND or d <= SINGULAR_DELTA * (1.0 + abs(x) + abs(y))
 
@@ -273,6 +282,34 @@ def _family_ln(row: tuple, p: float, q: float, w: float, lnb: float,
     if abs(ln) > limit:
         raise SaturationError("result magnitude outside floating range", ln, limit, "ln M")
     return ln, est
+
+
+def _family_ln_column(row: tuple, ps: Iterable[float], qs: Iterable[float],
+                      ws: Iterable[float], lnbs: Iterable[float]) -> list[float]:
+    """The engine over columns: _family_ln(row, p, q, w, ln b)[0] for each
+    (p, q, w, ln b) of the zipped columns, NaN where it raises, with no estimate.
+
+    The same saturation test, band rule, quotient and range test in the same
+    float operations, so every value is bit-identical.  One frame serves a
+    block of samples; a single value costs more here than from _family_ln.
+    """
+    e, e1, _, _, gen_max, _, _ = row
+    nan = math.nan
+    out = []
+    put = out.append
+    for p, q, w, lnb in zip(ps, qs, ws, lnbs):
+        ap, aq = abs(p), abs(q)
+        if abs((aq if aq > ap else ap) * gen_max * w) > OVERFLOW_LIMIT:
+            put(nan)
+            continue
+        d = p - q
+        ad = abs(d)
+        if ad <= MIDPOINT_BAND or ad <= SINGULAR_DELTA * (1.0 + ap + aq):  # _in_band(p, q), inline
+            ln = lnb + w * _band_mean(e1, p, q, w)[0]
+        else:
+            ln = lnb + (e(p * w) - e(q * w)) / d
+        put(nan if abs(ln) > RANGE_LIMIT else ln)
+    return out
 
 
 def _family_eval(row: tuple, pp: ParamPair, pt: MeanPoint) -> EvalResult:

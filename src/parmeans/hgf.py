@@ -172,7 +172,7 @@ def _t_stencil(f: GeneratorFunction, t: float, w: float, lb: float
 
 
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
-    """T', T'', T''' plus I, J and C at the probe point t != 0.
+    """T', T'', T''' plus I, J and C at a probe point t with t ln(a/b) != 0 in floats.
 
     With w = log_ratio(a, b) and v = t w, a row with e3 gives
     T' = k ln b + w e1(v), T'' = w^2 e2(v) and T''' = w^3 e3(v), three kernel
@@ -188,6 +188,8 @@ def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives
     if w == 0.0:
         raise DomainError("t_derivatives requires ln(a/b) != 0")
     _saturation_guard(t, w)  # refuses a t that is no finite real before t ln a is formed
+    if t * w == 0.0:
+        raise DomainError(f"J and C are singular where t ln(a/b) underflows to 0, at t = {t!r}")
     lb = math.log(b)
     ta, tb = t * math.log(a), t * lb
     if abs(ta) > OVERFLOW_LIMIT or abs(tb) > OVERFLOW_LIMIT:

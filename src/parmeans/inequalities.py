@@ -5,16 +5,20 @@ ln(lhs/rhs)-style, bracketed by optional lower/upper bounds, so the
 violation slack 1e-11 * (1 + |value| + |bound|) is scale free.  The
 cases read three sample streams: the generalized (r, s) cases, the two
 double inequalities and the six (a, b)-only cases.  A stream maps a
-sample and its logs to the tuple of its cases' log values, plus any
-per-sample bound, and evaluates each mean term once per sample.  A term
-whose evaluator refuses the sample is NaN, and a NaN value or bound
-makes the sample inconclusive for the cases that read it.
+block of samples and their logs to one row per sample: the tuple of its
+cases' log values, plus any per-sample bound.  It reads each mean term
+as a column over the block, one core._family_ln_column call per term,
+so the engine's frame is paid once per block rather than once per
+sample and term.  A term whose evaluator refuses a sample is NaN there,
+and a NaN value or bound makes the sample inconclusive for the cases
+that read it.
 Generalized (r, s) cases are asserted only on the log-concavity region
 r, s >= 0 with r + s > 0; samples outside it are scanned in report-only
 mode.  The double-estimation case between 16 sqrt(2)/(9e) and 1 is
 report-only as well: its bracket is recorded rather than enforced.
-check_cases tallies all cases of a stream in one pass over its samples;
-check_case is its one-case call.
+check_cases tallies all cases of a stream in one pass over its samples,
+BLOCK samples at a time, so no stream is ever held whole; check_case is
+its one-case call.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .core import (
     _arithmetic,
     _check_point,
     _family_ln,
+    _family_ln_column,
     _geometric,
     _heronian,
     _ln_identric,
@@ -96,19 +101,24 @@ class SamplingPlan:
 class SampleStream:
     """The samples that a group of cases shares, and the cases' log values at each.
 
-    values(sample, w, ln b) returns the tuple of the cases' log values,
-    plus any per-sample bound, with each mean term read once; a term
-    whose helper raises a ParMeansError is NaN there (_ln_M, _or_nan), and an
-    error values raises makes the sample inconclusive for every case.
-    grid gives the structured samples and draw one random sample; every
-    sample carries the mean arguments "a" and "b".  region, where set,
-    marks the samples on which an asserted case's violation counts as a
-    failure.
+    values(samples, ws, lnbs) takes a block of valid samples and their
+    logs w = ln(a/b) and ln b, as three equal-length lists, and returns
+    one row per sample: the tuple of the cases' log values, plus any
+    per-sample bound.  Each mean term is read once per sample, as one
+    column over the block (_family_ln_column); a term whose evaluator
+    refuses a sample is NaN there (_family_ln_column, _or_nan), so a
+    sample the stream cannot evaluate gets NaN entries and the built-in
+    streams never raise.  A stream that does raise a ParMeansError for a
+    block is read again one sample at a time, and a sample whose
+    one-sample block raises is inconclusive for every case.  grid gives
+    the structured samples and draw one random sample; every sample
+    carries the mean arguments "a" and "b".  region, where set, marks the
+    samples on which an asserted case's violation counts as a failure.
     """
 
     __slots__ = ("values", "grid", "draw", "region")
 
-    def __init__(self, values: Callable[[Sample, float, float], tuple],
+    def __init__(self, values: Callable[[list[Sample], list[float], list[float]], list[tuple]],
                  grid: Callable[[SamplingPlan], list[Sample]],
                  draw: Callable[[random.Random, SamplingPlan], Sample],
                  region: Optional[Callable[[Sample], bool]] = None):
@@ -145,12 +155,17 @@ class InequalityCase:
         region = self.stream.region
         return self.asserted and (region is None or region(s))
 
+    def _row(self, s: Sample) -> tuple:
+        """The stream's row at s, from a one-sample block."""
+        w, lnb = _logs(s)
+        return self.stream.values([s], [w], [lnb])[0]
+
     def log_value(self, s: Sample) -> float:
-        return self.stream.values(s, *_logs(s))[self.slot]
+        return self._row(s)[self.slot]
 
     def log_upper(self, s: Sample) -> float | None:
         if isinstance(self.upper, Slot):
-            return self.stream.values(s, *_logs(s))[self.upper]
+            return self._row(s)[self.upper]
         return self.upper
 
 
@@ -170,8 +185,10 @@ def _or_nan(helper: Callable[..., float], *args: float) -> float:
 
 
 # The two-parameter families and the power mean are read in log space
-# straight from the core engine, fed with the sample's logs.  The streams
-# name the helpers at call time, so a patched helper takes effect.
+# straight from the core engine, fed with the sample's logs: the streams
+# by columns (_family_ln_column), the named reductions one term at a time
+# (_ln_M).  The streams name the helpers at call time, so a patched helper
+# takes effect.
 
 def _ln_M(kernels: tuple, p: float, q: float, w: float, lnb: float) -> float:
     """ln M of a core kernel tuple at (p, q), or NaN where the engine refuses it."""
@@ -275,46 +292,60 @@ def _double_draw(rng: random.Random, plan: SamplingPlan) -> Sample:
 
 # -- the three sample streams ------------------------------------------------
 
-def _rs_values(x: Sample, w: float, lnb: float) -> tuple[float, ...]:
-    """gen_lin, gen_jia_cao, gen_sandor, new_ineq_1, new_ineq_2: six family means."""
-    r, s = x["r"], x["s"]
-    S = _ln_M(_STOLARSKY, r, s, w, lnb)
-    G3 = _ln_M(_GINI, r / 3, s / 3, w, lnb)
-    He = _ln_M(_HERONIAN2, r / 2, s / 2, w, lnb)
-    I = _ln_M(_IDENTRIC2, r, s, w, lnb)
-    return (S - G3,
-            S - He,
-            I - _ln_M(_STOLARSKY, 2 * r, 2 * s, w, lnb),
-            S - 4.0 * He + 3.0 * G3,
-            I - 5.0 * _ln_M(_GINI, 2 * r / 5, 2 * s / 5, w, lnb) + 4.0 * He)
+def _rs_values(xs: list[Sample], ws: list[float], lnbs: list[float]) -> list[tuple]:
+    """gen_lin, gen_jia_cao, gen_sandor, new_ineq_1, new_ineq_2: six family columns."""
+    rs, ss = [x["r"] for x in xs], [x["s"] for x in xs]
+    S = _family_ln_column(_STOLARSKY, rs, ss, ws, lnbs)
+    G3 = _family_ln_column(_GINI, [r / 3 for r in rs], [s / 3 for s in ss], ws, lnbs)
+    He = _family_ln_column(_HERONIAN2, [r / 2 for r in rs], [s / 2 for s in ss], ws, lnbs)
+    I = _family_ln_column(_IDENTRIC2, rs, ss, ws, lnbs)
+    S2 = _family_ln_column(_STOLARSKY, [2 * r for r in rs], [2 * s for s in ss], ws, lnbs)
+    G5 = _family_ln_column(_GINI, [2 * r / 5 for r in rs], [2 * s / 5 for s in ss], ws, lnbs)
+    return [(st - g3, st - he, i - s2, st - 4.0 * he + 3.0 * g3, i - 5.0 * g5 + 4.0 * he)
+            for st, g3, he, i, s2, g5 in zip(S, G3, He, I, S2, G5)]
 
 
-def _double_values(x: Sample, w: float, lnb: float) -> tuple[float, float, float]:
+def _double_values(xs: list[Sample], ws: list[float], lnbs: list[float]) -> list[tuple]:
     """stolarsky_double, gini_double and their common upper bound a/L1 + b/L2 - 1/Lb."""
-    alpha = x["alpha"]
-    beta = 1.0 - alpha
-    p1, q1, p2, q2 = x["p1"], x["q1"], x["p2"], x["q2"]
-    pb, qb = alpha * p1 + beta * p2, alpha * q1 + beta * q2
-    return (_ln_M(_STOLARSKY, pb, qb, w, lnb) - alpha * _ln_M(_STOLARSKY, p1, q1, w, lnb)
-            - beta * _ln_M(_STOLARSKY, p2, q2, w, lnb),
-            _ln_M(_GINI, pb, qb, w, lnb) - alpha * _ln_M(_GINI, p1, q1, w, lnb)
-            - beta * _ln_M(_GINI, p2, q2, w, lnb),
-            alpha / _log_mean(p1, q1) + beta / _log_mean(p2, q2) - 1.0 / _log_mean(pb, qb))
+    alphas = [x["alpha"] for x in xs]
+    betas = [1.0 - alpha for alpha in alphas]
+    p1s, q1s = [x["p1"] for x in xs], [x["q1"] for x in xs]
+    p2s, q2s = [x["p2"] for x in xs], [x["q2"] for x in xs]
+    pbs = [alpha * p1 + beta * p2 for alpha, beta, p1, p2 in zip(alphas, betas, p1s, p2s)]
+    qbs = [alpha * q1 + beta * q2 for alpha, beta, q1, q2 in zip(alphas, betas, q1s, q2s)]
+    Sb = _family_ln_column(_STOLARSKY, pbs, qbs, ws, lnbs)
+    S1 = _family_ln_column(_STOLARSKY, p1s, q1s, ws, lnbs)
+    S2 = _family_ln_column(_STOLARSKY, p2s, q2s, ws, lnbs)
+    Gb = _family_ln_column(_GINI, pbs, qbs, ws, lnbs)
+    G1 = _family_ln_column(_GINI, p1s, q1s, ws, lnbs)
+    G2 = _family_ln_column(_GINI, p2s, q2s, ws, lnbs)
+    return [(sb - alpha * s1 - beta * s2,
+             gb - alpha * g1 - beta * g2,
+             alpha / _log_mean(p1, q1) + beta / _log_mean(p2, q2) - 1.0 / _log_mean(pb, qb))
+            for alpha, beta, p1, q1, p2, q2, pb, qb, sb, s1, s2, gb, g1, g2
+            in zip(alphas, betas, p1s, q1s, p2s, q2s, pbs, qbs, Sb, S1, S2, Gb, G1, G2)]
 
 
-def _ab_values(x: Sample, w: float, lnb: float) -> tuple[float, ...]:
+def _ab_values(xs: list[Sample], ws: list[float], lnbs: list[float]) -> list[tuple]:
     """stolarsky_yang, sandor_yang, new_est_1, new_est_2_i, new_est_2_z, new_est_3."""
-    a, b = x["a"], x["b"]
-    I = _ln_identric(w, lnb)
-    A = _or_nan(_ln_A, 2.0 / 3.0, w, lnb)
-    He = math.log(_heronian(a, b))
-    Z = _ln_M(_GINI, 1.0, 1.0, w, lnb)
-    return (I - A,
-            A - He,
-            I + 2.0 * He - 3.0 * A,
-            I - 0.5 * (_ln_M(_STOLARSKY, 1.2, 1.2, w, lnb) + _ln_M(_STOLARSKY, 0.8, 0.8, w, lnb)),
-            Z - 0.5 * (_ln_M(_GINI, 1.2, 1.2, w, lnb) + _ln_M(_GINI, 0.8, 0.8, w, lnb)),
-            Z - math.log(2.0 * _arithmetic(a, b) - _geometric(a, b)))
+    def column(kernels: tuple, t: float) -> list[float]:
+        return _family_ln_column(kernels, itertools.repeat(t), itertools.repeat(t), ws, lnbs)
+
+    rows = []
+    for x, w, lnb, Z, s12, s08, g12, g08 in zip(xs, ws, lnbs, column(_GINI, 1.0),
+                                                column(_STOLARSKY, 1.2), column(_STOLARSKY, 0.8),
+                                                column(_GINI, 1.2), column(_GINI, 0.8)):
+        a, b = x["a"], x["b"]
+        I = _ln_identric(w, lnb)
+        A = _or_nan(_ln_A, 2.0 / 3.0, w, lnb)
+        He = math.log(_heronian(a, b))
+        rows.append((I - A,
+                     A - He,
+                     I + 2.0 * He - 3.0 * A,
+                     I - 0.5 * (s12 + s08),
+                     Z - 0.5 * (g12 + g08),
+                     Z - math.log(2.0 * _arithmetic(a, b) - _geometric(a, b))))
+    return rows
 
 
 _RS = SampleStream(_rs_values, _rs_grid, _rs_draw, _rs_assert)
@@ -373,13 +404,14 @@ def catalog() -> list[InequalityCase]:
 
 
 SLACK_COEFF = 1e-11
+BLOCK = 256  # samples per stream block: the engine frames amortize, the memory stays flat
 
 
 class _CaseTally(Tally):
     """One case's Tally, plus its report-only margin, observed log extremes
-    and out-of-region violation count.  value, lower and upper index the
-    sample's row; add() is the checker's hot loop, so it counts through
-    the Tally's fields directly."""
+    and out-of-region violation count.  value, lower and upper index a
+    sample's row; add() is the checker's hot loop, one loop per case over
+    a block's rows, so it counts through the Tally's fields directly."""
 
     __slots__ = ("case", "asserted", "value", "lower", "upper", "report_margin",
                  "report_witness", "sup", "inf", "arg_sup", "out_of_region_violations")
@@ -407,33 +439,36 @@ class _CaseTally(Tally):
         return (-math.inf if lower is None or isinstance(lower, Slot) else lower,
                 math.inf if upper is None or isinstance(upper, Slot) else upper)
 
-    def add(self, row: tuple, s: Sample, in_region: bool) -> None:
-        """Count the case at one valid sample, from the sample's row."""
-        val, lo, hi = row[self.value], row[self.lower], row[self.upper]
-        below, above = val - lo, hi - val
-        if below != below or above != above:  # NaN: a refused term or bound
-            self.inconclusive += 1
-            return
-        if val > self.sup:
-            self.sup, self.arg_sup = val, dict(s)
-        if val < self.inf:
-            self.inf = val
-        margin = below if below < above else above
-        violated = margin < 0.0 and (below < -SLACK_COEFF * (1.0 + abs(val) + abs(lo))
-                                     or above < -SLACK_COEFF * (1.0 + abs(val) + abs(hi)))
-        if in_region and self.asserted:
-            if margin < self.worst_margin:
-                self.worst_margin, self.worst_witness = margin, dict(s)
-            if violated:
-                self.failed += 1
+    def add(self, rows: list[tuple], samples: list[Sample], inside: list[bool]) -> None:
+        """Count the case at a block's valid samples, in order, from their rows;
+        inside holds each sample's region test."""
+        value, lower, upper, asserted = self.value, self.lower, self.upper, self.asserted
+        for row, s, in_region in zip(rows, samples, inside):
+            val, lo, hi = row[value], row[lower], row[upper]
+            below, above = val - lo, hi - val
+            if below != below or above != above:  # NaN: a refused term or bound
+                self.inconclusive += 1
+                continue
+            if val > self.sup:
+                self.sup, self.arg_sup = val, dict(s)
+            if val < self.inf:
+                self.inf = val
+            margin = below if below < above else above
+            violated = margin < 0.0 and (below < -SLACK_COEFF * (1.0 + abs(val) + abs(lo))
+                                         or above < -SLACK_COEFF * (1.0 + abs(val) + abs(hi)))
+            if in_region and asserted:
+                if margin < self.worst_margin:
+                    self.worst_margin, self.worst_witness = margin, dict(s)
+                if violated:
+                    self.failed += 1
+                else:
+                    self.passed += 1
             else:
                 self.passed += 1
-        else:
-            self.passed += 1
-            if violated:
-                self.out_of_region_violations += 1
-            if margin < self.report_margin:
-                self.report_margin, self.report_witness = margin, dict(s)
+                if violated:
+                    self.out_of_region_violations += 1
+                if margin < self.report_margin:
+                    self.report_margin, self.report_witness = margin, dict(s)
 
     def result(self) -> tuple[CheckReport, SupremumRecord]:
         if self.worst_margin == math.inf:  # nothing asserted: report the report-only margin
@@ -456,15 +491,16 @@ def check_cases(cases: Sequence[InequalityCase], plan: SamplingPlan = SamplingPl
     """Evaluate cases on their streams' structured grids plus random samples.
 
     The cases of one stream are tallied in one pass over its samples: the
-    grid, then plan.random_count draws from Random(plan.seed), each
-    sample validated, its logs taken and each of its mean terms read
-    once.  A sample fails a case when either bracket side is violated by
-    more than SLACK_COEFF * (1 + |value| + |bound|) in log scale.  An
-    invalid (a, b) makes the sample inconclusive for the whole stream; a
-    NaN value or bound, that is a refused term, for the cases reading it.
-    The observed extremes are kept in log scale and exponentiated once.
-    Returns one (report, record) per case, in order, each as check_case
-    gives it.
+    grid, then plan.random_count draws from Random(plan.seed), taken BLOCK
+    at a time.  Each sample is validated and its logs taken once, and the
+    stream reads each mean term once per sample, as a column over the
+    block's valid samples.  A sample fails a case when either bracket side
+    is violated by more than SLACK_COEFF * (1 + |value| + |bound|) in log
+    scale.  An invalid (a, b) makes the sample inconclusive for the whole
+    stream; a NaN value or bound, that is a refused term, for the cases
+    reading it.  The observed extremes are kept in log scale and
+    exponentiated once.  Returns one (report, record) per case, in order,
+    each as check_case gives it.
     """
     tallies = [_CaseTally(case) for case in cases]
     streams: dict[SampleStream, list[_CaseTally]] = {}
@@ -473,21 +509,51 @@ def check_cases(cases: Sequence[InequalityCase], plan: SamplingPlan = SamplingPl
     for stream, group in streams.items():
         # a sample's row: each case's two constant bounds, then the stream's tuple
         consts = sum((tally.place(2 * i, 2 * len(group)) for i, tally in enumerate(group)), ())
-        values, draw, region = stream.values, stream.draw, stream.region
+        draw, region = stream.draw, stream.region
         rng = random.Random(plan.seed)
         draws = (draw(rng, plan) for _ in range(plan.random_count))
-        for s in itertools.chain(stream.grid(plan), draws):
-            try:
-                _check_point(s["a"], s["b"])
-                row = consts + values(s, *_logs(s))
-            except ParMeansError:
-                for tally in group:
-                    tally.undecided()
-                continue
-            in_region = region is None or region(s)
+        samples = itertools.chain(stream.grid(plan), draws)
+        while block := list(itertools.islice(samples, BLOCK)):
+            valid, ws, lnbs = [], [], []
+            for s in block:
+                try:
+                    _check_point(s["a"], s["b"])
+                    w, lnb = _logs(s)
+                except ParMeansError:
+                    for tally in group:
+                        tally.undecided()
+                    continue
+                valid.append(s)
+                ws.append(w)
+                lnbs.append(lnb)
+            valid, rows = _stream_rows(stream.values, group, valid, ws, lnbs)
+            rows = [consts + row for row in rows]
+            inside = [True] * len(valid) if region is None else [region(s) for s in valid]
             for tally in group:
-                tally.add(row, s, in_region)
+                tally.add(rows, valid, inside)
     return [tally.result() for tally in tallies]
+
+
+def _stream_rows(values: Callable[[list[Sample], list[float], list[float]], list[tuple]],
+                 group: list[_CaseTally], samples: list[Sample], ws: list[float],
+                 lnbs: list[float]) -> tuple[list[Sample], list[tuple]]:
+    """(samples, rows) of a block of valid samples from a stream's values; a
+    block that values refuses is read one sample at a time, and each sample it
+    refuses alone is dropped and counted inconclusive for every case of the group."""
+    try:
+        return samples, values(samples, ws, lnbs)
+    except ParMeansError:
+        pass
+    kept, rows = [], []
+    for s, w, lnb in zip(samples, ws, lnbs):
+        try:
+            rows.append(values([s], [w], [lnb])[0])
+        except ParMeansError:
+            for tally in group:
+                tally.undecided()
+            continue
+        kept.append(s)
+    return kept, rows
 
 
 def check_case(case: InequalityCase, plan: SamplingPlan = SamplingPlan()

@@ -9,8 +9,9 @@ estimate, with the rounding of ln b and the kernels' absolute rounding
 floor in every estimate.  F(p,q;r,s) is written out as the divided
 difference in (p, q) of its (r, s) divided difference, with no exchange
 of the two pairs.  The public
-evaluators must reproduce it bit for bit, and the
-inequality checker, which reads ln M from the fast path, must reach the
+evaluators must reproduce it bit for bit, the column engine must equal
+the engine bit for bit (NaN where it raises), and the
+inequality checker, which reads ln M from the column engine, must reach the
 same verdicts as a slow path through the public evaluators, one case at
 a time and with the catalog on its shared sample streams.  The
 convexity scans' closed-form Hessian must reach the verdict of the
@@ -53,7 +54,15 @@ from parmeans import (
     two_param_identric,
 )
 from parmeans import convexity, inequalities
-from parmeans.core import _GINI, _HERONIAN2, _IDENTRIC2, _STOLARSKY, _family_ln
+from parmeans.core import (
+    _GINI,
+    _HERONIAN2,
+    _IDENTRIC2,
+    _STOLARSKY,
+    _family_ln,
+    _family_ln_column,
+    _rs_kernels,
+)
 from parmeans.hgf import t_prime
 from parmeans.stable import (
     exprel_logd,
@@ -286,9 +295,30 @@ def _ref_stub_ln(p, q, gens, w, lnb):
     return ln, est
 
 
+def _column_outcomes(row, inputs):
+    """_family_ln_column over the (p, q, w, ln b) inputs as one column, each entry
+    checked against _family_ln: its ln M bit for bit, or NaN exactly where it raises
+    SaturationError.  Returns the number of entries that raised."""
+    ps, qs, ws, lnbs = zip(*inputs)
+    column = _family_ln_column(row, ps, qs, ws, lnbs)
+    assert len(column) == len(inputs)
+    raised = 0
+    for got, args in zip(column, inputs):
+        try:
+            ln = _family_ln(row, *args)[0]
+        except SaturationError:
+            assert math.isnan(got), args
+            raised += 1
+            continue
+        assert got.hex() == ln.hex(), args
+    return raised
+
+
 def test_check_saturation_matches_pairwise_loop():
     # the engine's two refusals, the exponent product beyond 700 and |ln M| beyond
-    # 709, each sampled within a few ulps of its limit from either side
+    # 709, each sampled within a few ulps of its limit from either side; the column
+    # engine agrees with it on every draw (each draw has its own stub row, so a
+    # one-element column)
     rng = random.Random(13)
     outcomes = {"saturated": 0, "out_of_range": 0, "evaluated": 0}
     for i in range(6000):
@@ -308,11 +338,55 @@ def test_check_saturation_matches_pairwise_loop():
         row = (_stub_e, _stub_e1, None, None, max(abs(r), abs(s)), 0.0, 0.0)
         got = _engine_outcome(_family_ln, row, p, q, w, lnb)
         assert got == _engine_outcome(_ref_stub_ln, p, q, (r, s), w, lnb), (p, q, r, s, w, lnb)
+        assert _column_outcomes(row, [(p, q, w, lnb)]) == (len(got) == 3)
         if len(got) == 2:
             outcomes["evaluated"] += 1
         else:
             outcomes["saturated" if got[2] == 700.0 else "out_of_range"] += 1
     assert all(n > 100 for n in outcomes.values()), outcomes
+
+
+ENGINE_ROWS = {
+    "stolarsky": _STOLARSKY,
+    "gini": _GINI,
+    "identric2": _IDENTRIC2,
+    "heronian2": _HERONIAN2,
+    "rs_off_band": _rs_kernels(2.5, -1.0),
+    "rs_on_band": _rs_kernels(0.7, 0.7 + 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_ROWS))
+def test_column_engine_matches_the_engine_on_each_named_row(name):
+    # one column per kind of input, on a real kernel row: p == q, the absolute
+    # 1e-3 band edge, the relative 1e-6 (1 + |p| + |q|) edge, and the 700 and
+    # 709 limits, each within a few ulps of the edge from either side
+    row = ENGINE_ROWS[name]
+    gen_max = row[4]
+    rng = random.Random(21)
+
+    def ulps():
+        return 1 + rng.randint(-4, 4) * _EPS
+
+    kinds = {kind: [] for kind in ("p_eq_q", "band_edge", "relative_edge", "limit_700",
+                                   "limit_709")}
+    for _ in range(300):
+        p, w, lnb = rng.uniform(-20, 20), rng.uniform(-3, 3), rng.uniform(-5, 5)
+        sign = rng.choice((-1, 1))
+        kinds["p_eq_q"].append((p, p, w, lnb))
+        kinds["band_edge"].append((p, p + sign * 1e-3 * ulps(), w, lnb))
+        big = rng.choice((-1, 1)) * rng.uniform(600, 5000)  # 1e-6 (1 + 2|p|) > 1e-3
+        kinds["relative_edge"].append((big, big + sign * 1e-6 * (1.0 + 2.0 * abs(big)) * ulps(),
+                                       rng.uniform(-0.1, 0.1) / gen_max, lnb))
+        q = rng.choice((p, p + rng.uniform(-2e-3, 2e-3), rng.uniform(-20, 20)))
+        kinds["limit_700"].append((p, q, sign * 700.0 / (max(abs(p), abs(q)) * gen_max) * ulps(),
+                                   lnb))
+        quotient = _family_ln(row, p, q, w, 0.0)[0]
+        kinds["limit_709"].append((p, q, w, sign * 709.0 * ulps() - quotient))
+    raised = {kind: _column_outcomes(row, inputs) for kind, inputs in kinds.items()}
+    assert raised["p_eq_q"] == raised["band_edge"] == raised["relative_edge"] == 0
+    for kind in ("limit_700", "limit_709"):
+        assert 0 < raised[kind] < len(kinds[kind]), (kind, raised)
 
 
 # -- check_case against a slow path through the public evaluators --------------
@@ -323,37 +397,42 @@ def test_check_saturation_matches_pairwise_loop():
 ])
 def test_check_case_matches_public_evaluator_path(plan, monkeypatch):
     fast = {case.case_id: check_case(case, plan) for case in catalog()}
-    # the helpers get the sample's logs, not the sample: the stand-ins
-    # evaluate at the (a, b) of the sample whose logs were taken last
+    # the helpers get the samples' logs, not the samples: the stand-ins
+    # evaluate at the (a, b) whose logs they were given
     current = {}
+    points = {}
     take_logs = inequalities._logs
 
     def recording_logs(s):
-        current.update(a=s["a"], b=s["b"])
-        return take_logs(s)
+        logs = take_logs(s)
+        assert points.setdefault(logs, (s["a"], s["b"])) == (s["a"], s["b"])
+        return logs
 
-    def point():
+    def point(w, lnb):
         current["reads"] += 1
-        return MeanPoint(current["a"], current["b"])
+        return MeanPoint(*points[w, lnb])
 
     monkeypatch.setattr(inequalities, "_logs", recording_logs)
-    # the family terms through the public evaluator of their kernel tuple,
-    # NaN where it refuses, as the engine's term helper
+    # the family columns through the public evaluator of their kernel tuple,
+    # one term at a time, NaN where it refuses, as the column engine
     evaluators = {_STOLARSKY: stolarsky, _GINI: gini,
                   _IDENTRIC2: two_param_identric, _HERONIAN2: two_param_heronian}
     families_read = set()
 
-    def slow_ln_M(kernels, p, q, w, lnb):
+    def slow_column(kernels, ps, qs, ws, lnbs):
         evaluator = evaluators[kernels]
         families_read.add(evaluator.__name__)
-        try:
-            return math.log(evaluator(ParamPair(p, q), point()).value)
-        except ParMeansError:
-            return math.nan
+        out = []
+        for p, q, w, lnb in zip(ps, qs, ws, lnbs):
+            try:
+                out.append(math.log(evaluator(ParamPair(p, q), point(w, lnb)).value))
+            except ParMeansError:
+                out.append(math.nan)
+        return out
 
-    monkeypatch.setattr(inequalities, "_ln_M", slow_ln_M)
+    monkeypatch.setattr(inequalities, "_family_ln_column", slow_column)
     monkeypatch.setattr(inequalities, "_ln_A",
-                        lambda t, w, lnb: math.log(power_mean(t, point())))
+                        lambda t, w, lnb: math.log(power_mean(t, point(w, lnb))))
     # one case at a time, and all cases on their shared sample streams,
     # each through the stand-ins
     current["reads"] = 0

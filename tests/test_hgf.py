@@ -214,6 +214,13 @@ def test_t_derivatives_domain_errors():
         t_derivatives(arithmetic_generator(), 1.0, MeanPoint(4, 4))
 
 
+def test_t_derivatives_refuses_a_t_w_that_underflows_to_zero():
+    # t w = 5e-324 ln(1/1.5) underflows to 0: 1/y - 1/x was 0 and C = 0**3 / 0
+    # raised a bare ZeroDivisionError
+    with pytest.raises(DomainError, match="underflows to 0"):
+        t_derivatives(logarithmic_generator(), 5e-324, MeanPoint(1.0, 1.5))
+
+
 @pytest.mark.parametrize("t", [1e-5, -1e-5, 1e-4])
 def test_t_derivatives_refuse_a_stencil_across_the_pole_of_D(t):
     # T' of D has a pole at t = 0.  The builtin row reads T'' = w^2 e2(t w) and

@@ -198,14 +198,15 @@ def test_special_reductions():
 
 
 def test_check_case_counts_saturation_as_inconclusive():
-    # a stream that saturates makes the sample inconclusive, neither passed nor failed
+    # a stream that saturates makes the sample inconclusive, neither passed nor failed;
+    # a block that holds such a sample is read again one sample at a time
     from parmeans import SaturationError
     from parmeans.inequalities import InequalityCase, SampleStream
 
-    def exploding(sample, w, lnb):
-        if sample["b"] > 10.0:
+    def exploding(samples, ws, lnbs):
+        if any(sample["b"] > 10.0 for sample in samples):
             raise SaturationError("synthetic overflow", 1234.0)
-        return (-0.5,)
+        return [(-0.5,) for _ in samples]
 
     stream = SampleStream(exploding,
                           grid=lambda plan: [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}],
@@ -224,7 +225,8 @@ def test_a_nan_value_or_bound_is_inconclusive():
     # passed, and a case NaN everywhere raised "SupremumRecord inf exceeds sup"
     from parmeans.inequalities import InequalityCase, SampleStream, Slot
 
-    stream = SampleStream(lambda s, w, lnb: (math.nan if s["b"] > 10.0 else -0.5, math.nan, -0.5),
+    stream = SampleStream(lambda xs, ws, lnbs: [(math.nan if s["b"] > 10.0 else -0.5, math.nan, -0.5)
+                                                for s in xs],
                           grid=lambda plan: [],
                           draw=lambda rng, plan: {"a": 1.0, "b": rng.uniform(1.5, 20.0)})
     half, everywhere, bound = (InequalityCase(case_id, case_id, stream, slot, upper=upper)
@@ -263,11 +265,35 @@ def test_check_case_takes_the_logs_once_per_sample(case_id, monkeypatch):
     assert len(calls) <= report.total
 
 
+# every stream's samples span three blocks and end in a partial one, and the
+# (r, s) and (a, b)-only streams saturate in more than one block
+BLOCKS_PLAN = SamplingPlan(grid_b_count=12, random_count=700, seed=8, b_high=1e300)
+
+
+def test_the_blocks_plan_crosses_blocks_and_saturates_in_several():
+    from parmeans import inequalities
+    from parmeans.inequalities import BLOCK, _logs
+
+    for stream in (inequalities._RS, inequalities._DOUBLE, inequalities._AB):
+        rng = random.Random(BLOCKS_PLAN.seed)
+        samples = stream.grid(BLOCKS_PLAN) + [stream.draw(rng, BLOCKS_PLAN)
+                                              for _ in range(BLOCKS_PLAN.random_count)]
+        assert len(samples) > 2 * BLOCK and len(samples) % BLOCK
+        blocks_with_nan = set()
+        for i, s in enumerate(samples):
+            w, lnb = _logs(s)
+            if any(math.isnan(v) for v in stream.values([s], [w], [lnb])[0]):
+                blocks_with_nan.add(i // BLOCK)
+        if stream is not inequalities._DOUBLE:  # the double stream draws its own b range
+            assert len(blocks_with_nan) > 1
+
+
 @pytest.mark.parametrize("plan", [
     SamplingPlan(),
     SamplingPlan(random_count=0),
     SamplingPlan(grid_b_count=12, random_count=400, seed=6, b_high=1e300),  # saturates
-], ids=["default", "grid_only", "saturating"])
+    BLOCKS_PLAN,
+], ids=["default", "grid_only", "saturating", "blocks"])
 def test_check_cases_matches_check_case(plan):
     # the grouped run gives every case the report and record it gets alone, bit for bit
     cases = catalog()
@@ -277,6 +303,23 @@ def test_check_cases_matches_check_case(plan):
         assert repr(got) == repr(check_case(case, plan)), case.case_id
     if plan.b_high > 1e6:
         assert any(report.inconclusive for report, _ in grouped)
+
+
+def test_check_cases_memory_does_not_grow_with_the_sample_count():
+    # the streams are read a block at a time, never held whole: ten times the
+    # samples may not raise the traced peak by half
+    import tracemalloc
+
+    def peak(random_count):
+        tracemalloc.start()
+        try:
+            check_cases(catalog(), SamplingPlan(random_count=random_count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2000), peak(20000)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_check_cases_keeps_a_refused_case_apart():
@@ -294,9 +337,12 @@ def test_check_cases_keeps_a_refused_case_apart():
             raise SaturationError("synthetic overflow", 1234.0)
         return lnb + 0.25 * w
 
-    def values(s, w, lnb):
-        term = _or_nan(refusing, 1.0, 2.0, w, lnb)
-        return (term - lnb - 0.5, -0.5 - 1e-3 * lnb, 0.5 * (term - lnb) - 0.5)
+    def values(xs, ws, lnbs):
+        rows = []
+        for w, lnb in zip(ws, lnbs):
+            term = _or_nan(refusing, 1.0, 2.0, w, lnb)
+            rows.append((term - lnb - 0.5, -0.5 - 1e-3 * lnb, 0.5 * (term - lnb) - 0.5))
+        return rows
 
     stream = SampleStream(values,
                           grid=lambda plan: [{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 50.0}],
@@ -316,7 +362,8 @@ def test_check_cases_keeps_a_refused_case_apart():
 
 def test_check_cases_shares_the_rs_means(monkeypatch):
     # the five (r, s) cases on one stream: the sample's logs once, and six
-    # family evaluations per sample where the cases read twelve
+    # family evaluations per sample where the cases read twelve, counted as
+    # the elements of the family columns
     from parmeans import core, inequalities
 
     logs, evals = [], []
@@ -325,15 +372,16 @@ def test_check_cases_shares_the_rs_means(monkeypatch):
         logs.append((a, b))
         return math.log(a / b)
 
-    family_ln = inequalities._family_ln
+    family_ln_column = inequalities._family_ln_column
 
-    def counting_family(*args):
-        evals.append(args)
-        return family_ln(*args)
+    def counting_column(*args):
+        column = family_ln_column(*args)
+        evals.extend(column)
+        return column
 
     monkeypatch.setattr(inequalities, "log_ratio", counting_logs)
     monkeypatch.setattr(core, "log_ratio", counting_logs)
-    monkeypatch.setattr(inequalities, "_family_ln", counting_family)
+    monkeypatch.setattr(inequalities, "_family_ln_column", counting_column)
     cases = [c for c in catalog() if c.stream is inequalities._RS]
     assert len(cases) == 5
     results = check_cases(cases, SamplingPlan(grid_b_count=4, random_count=60, seed=2))
