@@ -56,13 +56,13 @@ from .core import (
     family_evaluator,
     family_generator_pair,
 )
-from .errors import DomainError, ParMeansError
+from .errors import DomainError, ParMeansError, SaturationError
 from .generators import GeneratorFunction
-from .hgf import (_HD_POLE, STEP_SCALE, _check_t_interval, _saturation_guard, _t_stencil,
-                  t_derivatives)
+from .hgf import _HD_POLE, _check_t_interval, _saturation_guard, t_derivatives
 from .stable import E1_FLOOR, E2_FLOOR, log_ratio
 
 _EPS = 2.0 ** -52
+STEP_SCALE = _EPS ** 0.25  # hessian_logF's finite-difference step at x is STEP_SCALE (1 + |x|)
 
 VERDICT_CONVEX = "convex"
 VERDICT_CONCAVE = "concave"
@@ -257,7 +257,7 @@ def hessian_logF(
 ) -> HessianReport:
     """Finite-difference Hessian of (p, q) -> ln M(p, q; a, b).
 
-    Steps hgf.STEP_SCALE (1 + |p|) and (1 + |q|), one Richardson halving.
+    Steps STEP_SCALE (1 + |p|) and (1 + |q|), one Richardson halving.
     The caller keeps (p, q) away from the singular loci by more than the
     step so the differences never straddle a branch switch.
     """
@@ -357,8 +357,7 @@ def _hessian_node(row: tuple, w: float, t: float) -> tuple:
     return row[0](v), w * row[1](v), w * w * row[2](v)
 
 
-def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_q: tuple,
-                  err2: float = 0.0) -> tuple:
+def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_q: tuple) -> tuple:
     """Hessian in (p, q) of (E(p) - E(q))/(p - q), E(t) = e(t w), in closed form,
     from the nodes (E, E', E'') at p and q (_hessian_node).
 
@@ -368,7 +367,7 @@ def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_
     error estimates: eps times each term's magnitude over its power of |d|, as
     in core._family_ln, with the kernels' absolute floors E1_FLOOR and E2_FLOOR,
     plus the row's (g, c) rounding, 2 eps (g |t w| + c) in E, 2 eps g |w| in E'
-    and 16 eps g gen_max w^2 in E'', and err2, any further error of E''.
+    and 16 eps g gen_max w^2 in E''.
     """
     gen_max, g, c = row[4:]
     ep, e1p, e2p = node_p
@@ -383,7 +382,7 @@ def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_
     err_m = (2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) + 2.0 * _EPS * (c + gw * (abs(p) + abs(q)))
              ) / ad + _EPS * abs(m)
     floor1 = _EPS * E1_FLOOR * abs(w) + 2.0 * _EPS * gw
-    floor2 = _EPS * E2_FLOOR * w * w + 16.0 * _EPS * g * gen_max * w * w + err2
+    floor2 = _EPS * E2_FLOOR * w * w + 16.0 * _EPS * g * gen_max * w * w
     err1p, err1q = floor1 + 4.0 * _EPS * abs(e1p), floor1 + 4.0 * _EPS * abs(e1q)
     est_pp = (floor2 + 4.0 * _EPS * abs(e2p) + 2.0 * (err1p + err_m) / ad) / ad
     est_qq = (floor2 + 4.0 * _EPS * abs(e2q) + 2.0 * (err1q + err_m) / ad) / ad
@@ -391,9 +390,9 @@ def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_
     return d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq
 
 
-def _quotient_hessian(row: tuple, w: float, p: float, q: float, err2: float = 0.0) -> tuple:
+def _quotient_hessian(row: tuple, w: float, p: float, q: float) -> tuple:
     """_pair_hessian of the row's nodes at p and q, each read afresh."""
-    return _pair_hessian(row, w, p, q, _hessian_node(row, w, p), _hessian_node(row, w, q), err2)
+    return _pair_hessian(row, w, p, q, _hessian_node(row, w, p), _hessian_node(row, w, q))
 
 
 def _node_reader(row: tuple) -> Callable[[float, float], tuple]:
@@ -449,9 +448,8 @@ def _with_delta(parts: tuple) -> tuple:
 
 def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tuple:
     """_family_hessian's 8-tuple for ln H_f: _quotient_hessian of the generator's row at
-    w = log_ratio(a, b).  A row derived without e2 reads E'' from _t_stencil at p and q, with
-    the stencil's estimate as err2, or E'' = 0 at w = 0, as for every row.
-    DomainError at p = q or across a pole."""
+    w = log_ratio(a, b).  DomainError at p = q or across a pole, and SaturationError
+    naming the first entry (d2_pp, d2_qq, d2_pq, delta) that is not finite."""
     p, q = pp.p, pp.q
     _check_t_interval(f, p, q)
     if p == q:
@@ -459,15 +457,11 @@ def _generator_hessian(f: GeneratorFunction, pp: ParamPair, pt: MeanPoint) -> tu
     w = log_ratio(pt.a, pt.b)
     _saturation_guard(p, w)
     _saturation_guard(q, w)
-    row, err2 = f.kernel, 0.0
-    if row[2] is None and w == 0.0:  # E'' = w^2 e2 is 0, as for a row with e2
-        row = row[:2] + (lambda v: 0.0,) + row[3:]
-    elif row[2] is None:
-        lb = math.log(pt.b)
-        at = {t: _t_stencil(f, t, w, lb) for t in (p, q)}
-        e2 = {t * w: at[t][1] / (w * w) for t in (p, q)}.__getitem__  # the e2 of E'' = T''
-        row, err2 = row[:2] + (e2,) + row[3:], max(at[p][3], at[q][3])
-    return _with_delta(_quotient_hessian(row, w, p, q, err2))
+    hessian = _with_delta(_quotient_hessian(f.kernel, w, p, q))
+    for name, value in zip(("d2_pp", "d2_qq", "d2_pq", "delta"), hessian):
+        if not math.isfinite(value):
+            raise SaturationError(f"{name} outside the floating range", value, None, name)
+    return hessian
 
 
 def scan_convexity(spec: ScanSpec) -> CheckReport:

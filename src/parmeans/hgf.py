@@ -10,9 +10,9 @@ gen_max, g, c), so with w = ln(a/b) every quantity reads the row at v = t w:
 
 The framework provides the branch-complete evaluator for H_f, core's
 engine run on the row at the real w; T', T'' and T''' from the row, three
-kernel calls (a row derived without e2 and e3 differences e1 instead);
-the cross-derivative quantities I = (ln f)_xy and J = (x-y)(xI)_x, which
-are T'' and T''' rescaled, so nothing is differenced in (x, y); the oracle
+kernel calls; the cross-derivative quantities I = (ln f)_xy and
+J = (x-y)(xI)_x, which are T'' and T''' rescaled, so nothing is
+differenced in (x, y); the oracle
 exp(int_0^1 T'(tp+(1-t)q) dt) = b^k exp(int_{qw}^{pw} e1 / (p - q)),
 which integrates e1 alone and so delivers ln(H_f/b^k) to 1e-12
 relative; and the difference-generator function H_D.  w is always
@@ -50,7 +50,6 @@ from .quadrature import integrate
 from .stable import log_ratio
 
 _EPS = 2.0 ** -52
-STEP_SCALE = _EPS ** 0.25  # the package's one finite-difference step at x is STEP_SCALE (1 + |x|)
 
 
 class TDerivatives(NamedTuple):
@@ -141,42 +140,11 @@ def hf_integral_oracle(
     return math.exp(f.order * lb + w * mean_g)
 
 
-def _t_stencil(f: GeneratorFunction, t: float, w: float, lb: float
-               ) -> tuple[float, float, float, float]:
-    """(T'(t), T''(t), T'''(t), estimated error of T'') of a row without e2 and e3,
-    at the point of logs w = log_ratio(a, b) != 0 and lb = ln b.
-
-    T' = k ln b + w g(t) is t_prime, with g(u) = e1(u w).  T'' = w g' and
-    T''' = w g'' come from the central first and second differences of g,
-    free of the rounding that k ln b carries in T', on the nodes t, t +- h/2
-    and t +- h with h = STEP_SCALE (1 + |t|), each with one Richardson
-    halving.  The estimate of T'' is |w| (|R - D(h/2)| + 32 eps (1 + max|g|)/h),
-    max|g| over t and t +- h, R the Richardson first difference and D(h/2) the
-    one at step h/2.  A stencil that reaches the pole at t = 0 of a generator
-    without a diagonal limit raises DomainError.
-    """
-    h = STEP_SCALE * (1.0 + abs(t))
-    _check_t_interval(f, t - h, t + h)
-    _saturation_guard(abs(t) + h, w)  # the outer nodes t +- h
-    g = f.kernel[1]
-    g0 = g(t * w)
-    first, second = [], []
-    for hh in (0.5 * h, h):
-        up, down = g((t + hh) * w), g((t - hh) * w)
-        first.append((up - down) / (2.0 * hh))
-        second.append((up - 2.0 * g0 + down) / (hh * hh))
-    g1 = (4.0 * first[0] - first[1]) / 3.0
-    g_max = max(abs(g0), abs(up), abs(down))
-    est2 = abs(w) * (abs(g1 - first[0]) + 32.0 * _EPS * (1.0 + g_max) / h)
-    return f.order * lb + w * g0, w * g1, w * ((4.0 * second[0] - second[1]) / 3.0), est2
-
-
 def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives:
     """T', T'', T''' plus I, J and C at a probe point t with t ln(a/b) != 0 in floats.
 
-    With w = log_ratio(a, b) and v = t w, a row with e3 gives
-    T' = k ln b + w e1(v), T'' = w^2 e2(v) and T''' = w^3 e3(v), three kernel
-    calls; a row derived without e2 and e3 takes _t_stencil.  Homogeneity gives
+    With w = log_ratio(a, b) and v = t w, the row gives T' = k ln b + w e1(v),
+    T'' = w^2 e2(v) and T''' = w^3 e3(v), three kernel calls.  Homogeneity gives
     I = -T''/(w^2 x y), J = -(1/y - 1/x) T'''/w^3 and C = (t w)^3/(1/y - 1/x).
     1/x and 1/y come from the logs, so x y is never formed; a field outside
     the floating range raises SaturationError.
@@ -194,13 +162,8 @@ def t_derivatives(f: GeneratorFunction, t: float, pt: MeanPoint) -> TDerivatives
     ta, tb = t * math.log(a), t * lb
     if abs(ta) > OVERFLOW_LIMIT or abs(tb) > OVERFLOW_LIMIT:
         raise SaturationError("probe coordinates a^t not representable", max(abs(ta), abs(tb)))
-    kernel = f.kernel
-    e3 = kernel[3]
-    if e3 is None:
-        T1, T2, T3, _ = _t_stencil(f, t, w, lb)
-    else:
-        v = t * w
-        T1, T2, T3 = f.order * lb + w * kernel[1](v), w * w * kernel[2](v), w * w * w * e3(v)
+    kernel, v = f.kernel, t * w
+    T1, T2, T3 = f.order * lb + w * kernel[1](v), w * w * kernel[2](v), w * w * w * kernel[3](v)
     inv_x, inv_y = math.exp(-ta), math.exp(-tb)
     d = -inv_y * math.expm1(-t * w)  # 1/y - 1/x
     I_val = -(T2 / (w * w)) * inv_x * inv_y

@@ -8,6 +8,7 @@ import pytest
 
 from parmeans import (
     DomainError,
+    GeneratorFunction,
     GeneratorPair,
     MeanPoint,
     ParamPair,
@@ -33,7 +34,7 @@ from parmeans import (
 )
 from parmeans import hgf
 from parmeans.convexity import _generator_hessian
-from parmeans.hgf import TDerivatives, _t_stencil, t_prime
+from parmeans.hgf import TDerivatives, t_prime
 from parmeans.stable import E2_FLOOR
 
 
@@ -89,8 +90,6 @@ def test_generator_diagonal_contracts():
         for x in (0.5, 1.0, 3.0):
             near = gen.value(x, x * (1 + 1e-9))
             assert gen.diagonal_limit(x) == pytest.approx(near, rel=1e-7)
-        gx, gy = gen.diagonal_partials
-        assert gx + gy == pytest.approx(gen.order * gen.value_at_one(), rel=1e-12)
 
 
 def test_catalog_values():
@@ -102,6 +101,14 @@ def test_catalog_values():
     assert D.order == 1.0 and D.value(7.0, 3.0) == 4.0
     S10 = stolarsky_generator(1.0, 0.0)
     assert S10.value(4.0, 2.0) == pytest.approx(L.value(4.0, 2.0), rel=1e-13)
+
+
+def test_a_generator_needs_its_kernel_row():
+    # no row is derived from value and the partials: the row is a required field
+    A = arithmetic_generator()
+    with pytest.raises(TypeError, match="kernel"):
+        GeneratorFunction(label="A", order=1.0, value=A.value, partial_x=A.partial_x,
+                          partial_y=A.partial_y, diagonal_limit=A.diagonal_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +230,9 @@ def test_t_derivatives_refuses_a_t_w_that_underflows_to_zero():
 
 @pytest.mark.parametrize("t", [1e-5, -1e-5, 1e-4])
 def test_t_derivatives_refuse_a_stencil_across_the_pole_of_D(t):
-    # T' of D has a pole at t = 0.  The builtin row reads T'' = w^2 e2(t w) and
-    # T''' = w^3 e3(t w) at t alone, within 1e-12 relative of 40-digit mpmath.
-    # A row derived from value and the partials differences e1 over [t - h, t + h],
-    # across the pole, and refuses: that stencil returned T'' = +3.45e8 at
-    # t = 1e-5, where the true value is about -1.0e10
+    # T' of D has a pole at t = 0.  The row reads T'' = w^2 e2(t w) and
+    # T''' = w^3 e3(t w) at t alone, so next to the pole they are within 1e-12
+    # relative of 40-digit mpmath
     mp = pytest.importorskip("mpmath")
     pt = MeanPoint(1, 3)
     der = t_derivatives(difference_generator(), t, pt)
@@ -235,8 +240,6 @@ def test_t_derivatives_refuse_a_stencil_across_the_pole_of_D(t):
         T = lambda u: mp.log(abs(1 - mp.mpf(3) ** u))
         T2, T3 = mp.diff(T, t, 2), mp.diff(T, t, 3)
     assert abs(der.T2 / T2 - 1) <= 1e-12 and abs(der.T3 / T3 - 1) <= 1e-12, (der, T2, T3)
-    with pytest.raises(DomainError):
-        t_derivatives(dataclasses.replace(difference_generator(), kernel=None), t, pt)
     # A has no pole there
     der = t_derivatives(arithmetic_generator(), t, pt)
     assert math.isfinite(der.T2) and math.isfinite(der.T3)
@@ -253,6 +256,15 @@ def test_D_saturates_where_its_kernels_leave_the_float_range(t):
     if abs(t) < 1e-154:  # e2 itself leaves the range, which the Hessian reads
         with pytest.raises(SaturationError):
             integral_hessian(f, ParamPair(t, math.copysign(1.0, t)), MeanPoint(1, 3))
+
+
+@pytest.mark.parametrize("p", [5e-155, 1e-154, 1e-170])
+def test_hessian_of_D_refuses_entries_outside_the_float_range(p):
+    # near D's pole E'' = w^2 e2(p w) overflows: the Hessian returned (inf, 707.58,
+    # 2e154, nan) at p = 5e-155 and delta = inf at 1e-154; it names the entry instead
+    with pytest.raises(SaturationError, match="^(d2_pp|d2_qq|d2_pq|delta) outside the "
+                                              "floating range"):
+        integral_hessian(difference_generator(), ParamPair(p, 1.0), MeanPoint(1, 3))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -333,8 +345,10 @@ def test_T2_I_and_J_sign_against_mpmath(f, ln_f, tol3):
 def test_t_derivatives_and_hessians_read_w_from_log_ratio():
     # w = ln a - ln b cancels near a = b: it put T'' of A at t = 1 5.5e-5 relative off
     # at a = 1e5, b = a (1 + 3e-11), and it read w = 0 at a = 1e300 with b one ulp
-    # above, where t_derivatives and the Hessian of a derived row raised DomainError.
-    # w = log_ratio(a, b) puts T'' and T''' within 1e-13 relative of 80-digit mpmath
+    # above, where t_derivatives raised DomainError.
+    # w = log_ratio(a, b) puts T'' and T''' within 1e-13 relative of 80-digit mpmath,
+    # and the Hessian reads the same w: at the one-ulp point it evaluates, each entry
+    # within its estimate of the true value there, which is O(w^2) = O(1e-32)
     mp = pytest.importorskip("mpmath")
     f = arithmetic_generator()
     tiny = MeanPoint(1e300, math.nextafter(1e300, 2e300))
@@ -346,17 +360,12 @@ def test_t_derivatives_and_hessians_read_w_from_log_ratio():
             T2, T3 = mp.diff(T, 1, 2), mp.diff(T, 1, 3)
         assert abs(der.T2 / T2 - 1) <= 1e-13 and abs(der.T3 / T3 - 1) <= 1e-13, (pt, der)
         assert t_prime(f, 1.0, pt) == der.T1
-    # a row derived from value and the partials reads the same w: its Hessian
-    # agrees with the builtin row's within both estimates
     pp = ParamPair(1.0, 2.0)
     for f in builtin_generators():
-        if f.diagonal_limit is None:
-            continue  # D: no derived e1 at v = 0, which a one-ulp w reaches
-        bare = dataclasses.replace(f, kernel=None)
-        got, ref = _generator_hessian(bare, pp, tiny), _generator_hessian(f, pp, tiny)
-        assert integral_hessian(bare, pp, tiny) == got[:4]
-        for i in range(4):
-            assert abs(got[i] - ref[i]) <= got[4 + i] + ref[4 + i], (f.label, i)
+        got = _generator_hessian(f, pp, tiny)
+        assert integral_hessian(f, pp, tiny) == got[:4]
+        if f.diagonal_limit is not None:  # D's keeps the O(1) Hessian of its pole ln|t|
+            assert all(abs(got[i]) <= got[4 + i] for i in range(4)), (f.label, got)
 
 
 def test_t_derivatives_record_is_a_named_tuple_with_the_dataclass_fields():
@@ -481,7 +490,6 @@ _PROBED = [(f, _MP_LN_F[f.label]) for f in builtin_generators()] + [
     (stolarsky_generator(r, s), _mp_ln_stolarsky(r, s))
     for r, s in ((2.0, 1.0), (-2.5, -2.0), (0.5, 0.5))]
 _PROBED_IDS = [f.label for f, _ in _PROBED]
-_PROBED_F = [f for f, _ in _PROBED]
 
 # S[-2.5,-2] inputs at which ln H_f is 2.0e-10, 8.7e-14 and 2.7e-11: a
 # tolerance relative to ln H_f could not be met there within 100 panels
@@ -560,12 +568,10 @@ def _mp_hessian(mp, ln_f, p, q, b):
         return d2_pp, d2_qq, d2_pq, d2_pp * d2_qq - d2_pq ** 2
 
 
-# the catalog, S_{r,s} off, on and just beside the (r, s) band, and rows derived
-# from value and the partials (no e2, and g = DERIVED_ROUNDING for their unknown rounding)
+# the catalog and S_{r,s} off, on and just beside the (r, s) band
 _HESSIAN_PROBED = _PROBED + [(stolarsky_generator(r, s), _mp_ln_stolarsky(r, s))
                              for r, s in ((1.002, 1.0), (-1.0, -1.0015))]
-_HESSIAN_PROBED += [(dataclasses.replace(f, kernel=None), ln_f) for f, ln_f in _HESSIAN_PROBED[:6]]
-_HESSIAN_IDS = [f.label + ("" if f.kernel[2] else "-derived") for f, _ in _HESSIAN_PROBED]
+_HESSIAN_IDS = [f.label for f, _ in _HESSIAN_PROBED]
 
 
 @pytest.mark.parametrize("f, ln_f", _HESSIAN_PROBED, ids=_HESSIAN_IDS)
@@ -614,64 +620,29 @@ _KERNELS = [(f, _MP_LN_F[f.label], 1.0) for f in builtin_generators()] + [
 
 @pytest.mark.parametrize("f, ln_f, g", _KERNELS, ids=[f.label for f, _, _ in _KERNELS])
 def test_e1_against_its_partials_and_mpmath(f, ln_f, g):
-    # the builtin e1 within 8 eps g max(1, |e1|) of 40-digit mpmath d/dv ln f(e^v, 1);
-    # the one derived from the partials within that plus 2 eps |e1'(v)|, the rounding
-    # of its normalized coordinate exp(-|v|), which is 1 - 1e-8 at v = 1e-8
+    # e1 within 8 eps g max(1, |e1|) of 40-digit mpmath d/dv ln f(e^v, 1)
     mp = pytest.importorskip("mpmath")
-    e1, derived = f.kernel[1], dataclasses.replace(f, kernel=None).kernel[1]
+    e1 = f.kernel[1]
     ln = lambda u: ln_f(mp, mp.exp(u), mp.mpf(1))
     with mp.workdps(40):
         for v in _KERNEL_VS:
             if v == 0.0 and f.diagonal_limit is None:
                 continue  # D has no diagonal limit: test_e1_of_D_at_0_is_a_domain_error
             # every mean has x f_x/f = 1/2 on the diagonal
-            ref, slope = (mp.mpf(0.5), 0.0) if v == 0.0 else (mp.diff(ln, v), mp.diff(ln, v, 2))
+            ref = mp.mpf(0.5) if v == 0.0 else mp.diff(ln, v)
             tol = 8.0 * _EPS * g * max(1.0, abs(float(ref)))
             assert abs(e1(v) - ref) <= tol, (f.label, v, e1(v), ref)
-            assert abs(derived(v) - ref) <= tol + 2.0 * _EPS * abs(slope), (f.label, v)
 
 
 def test_e1_of_D_at_0_is_a_domain_error():
-    f = difference_generator()
-    for e1 in (f.kernel[1], dataclasses.replace(f, kernel=None).kernel[1]):
-        with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
-            e1(0.0)
-
-
-@pytest.mark.parametrize("f", _PROBED_F, ids=_PROBED_IDS)
-def test_a_generator_without_e1_reads_its_partials(f):
-    # the documented contract, value and partials only: the oracle within 1e-11
-    # relative of the builtin kernel's, T'' within the stencil's estimate plus the
-    # builtin row's own rounding w^2 eps (E2_FLOOR + 4 |e2| + 16 g gen_max), and
-    # T' = k ln b + w e1(t w) within |w| times the two e1's tolerances of
-    # test_e1_against_its_partials_and_mpmath, 16 eps g max(1, |e1|) + 2 eps |e1'|
-    # with e1' = T''/w^2, plus the rounding of the sum
-    bare = dataclasses.replace(f, kernel=None)
-    assert bare.kernel[1] is not f.kernel[1] and bare.kernel[2] is None
-    e1, g = f.kernel[1], f.kernel[5]
-    for p, q, b in _same_sign_probes(63, count=10):
-        pt = MeanPoint(1.0, b)
-        got = hf_integral_oracle(bare, ParamPair(p, q), pt)
-        assert got == pytest.approx(hf_integral_oracle(f, ParamPair(p, q), pt), rel=1e-11)
-        w = -math.log(b)
-        for t in (p, q):
-            T1, T2, _, est = _t_stencil(bare, t, w, math.log(b))
-            ref = t_derivatives(f, t, pt)
-            R1, R2 = ref.T1, ref.T2
-            e1_tol = (16.0 * _EPS * max(1.0, g) * max(1.0, abs(e1(t * w)))
-                      + 2.0 * _EPS * abs(R2) / w ** 2)
-            assert abs(T1 - R1) <= abs(w) * e1_tol + 2.0 * _EPS * abs(R1), (f.label, t, b)
-            assert abs(T2 - R2) <= est + _t2_rounding(f, t, w), (f.label, t, b)
+    with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
+        difference_generator().kernel[1](0.0)
 
 
 def test_replace_keeps_a_given_e1_and_rederives_a_derived_one():
     # a tracer copies generators with new value and partial callables
     for f in builtin_generators():
         assert dataclasses.replace(f, value=lambda x, y: f.value(x, y)).kernel is f.kernel
-    bare = dataclasses.replace(arithmetic_generator(), kernel=None)
-    halved = dataclasses.replace(bare, partial_x=lambda x, y: 0.25)
-    assert halved.kernel[1](1.0) == 0.5 * bare.kernel[1](1.0)
-    assert dataclasses.replace(bare) == bare  # a derived row takes no part in equality
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +655,10 @@ _E_CONST = {"A": math.log(2.0)}
 
 @pytest.mark.parametrize("f, ln_f, g", _KERNELS, ids=[f.label for f, _, _ in _KERNELS])
 def test_e_against_its_value_and_mpmath(f, ln_f, g):
-    # the builtin e within 8 eps (max(1, |e|) + g |v| + c) of 40-digit mpmath
-    # ln f(e^v, 1) plus its constant, (g, c) the (r, s) kernels' rounding (1 and 0
-    # for the catalog); the one derived from value within that plus 2 eps (|k| + |e1|),
-    # the rounding of its normalized coordinate exp(-|v|)
+    # e within 8 eps (max(1, |e|) + g |v| + c) of 40-digit mpmath ln f(e^v, 1) plus
+    # its constant, (g, c) the (r, s) kernels' rounding (1 and 0 for the catalog)
     mp = pytest.importorskip("mpmath")
-    e, derived = f.kernel[0], dataclasses.replace(f, kernel=None).kernel[0]
-    assert derived is not e
-    c = f.kernel[6]
+    e, c = f.kernel[0], f.kernel[6]
     const = _E_CONST.get(f.label, 0.0)
     ln = lambda u: ln_f(mp, mp.exp(u), mp.mpf(1))
     with mp.workdps(40):
@@ -702,16 +669,12 @@ def test_e_against_its_value_and_mpmath(f, ln_f, g):
             ref = ln(mp.mpf(v)) if v != 0.0 else mp.log(f.diagonal_limit(1.0))
             tol = 8.0 * _EPS * (max(1.0, abs(float(ref))) + g * abs(v) + c)
             assert abs(e(v) - const - ref) <= tol, (f.label, v, e(v), ref)
-            slope = 0.5 if v == 0.0 else abs(float(mp.diff(ln, v)))
-            assert abs(derived(v) - ref) <= tol + 2.0 * _EPS * (abs(f.order) + slope), (f.label, v)
 
 
 def test_e_of_D_at_0_is_a_domain_error():
     # a DomainError of its own, not the ValueError of math.log(0)
-    f = difference_generator()
-    for e in (f.kernel[0], dataclasses.replace(f, kernel=None).kernel[0]):
-        with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
-            e(0.0)
+    with pytest.raises(DomainError, match="^generator D has no positive diagonal limit$"):
+        difference_generator().kernel[0](0.0)
 
 
 def test_replace_keeps_a_given_e_and_rederives_a_derived_one():
@@ -719,10 +682,6 @@ def test_replace_keeps_a_given_e_and_rederives_a_derived_one():
     for f in builtin_generators() + [stolarsky_generator(2.0, 1.0)]:
         copy = dataclasses.replace(f, value=lambda x, y: f.value(x, y))
         assert copy.kernel is f.kernel
-    bare = dataclasses.replace(arithmetic_generator(), kernel=None)
-    doubled = dataclasses.replace(bare, value=lambda x, y: x + y)
-    assert doubled.kernel[0](1.0) == pytest.approx(bare.kernel[0](1.0) + math.log(2.0), rel=1e-15)
-    assert dataclasses.replace(bare) == bare  # a derived row takes no part in equality
 
 
 def _bit_identity_probes(seed, count=60):
