@@ -23,7 +23,6 @@ from .core import (
 )
 from .errors import DomainError, ParMeansError
 from .inequalities import SamplingPlan
-from .stable import log_ratio
 from .suites import convexity_suite, full_suite, identity_suite, inequality_suite
 
 SCHEMA_VERSION = 1
@@ -82,17 +81,16 @@ def cmd_eval(args) -> int:
 
 def _hessian_rows(args, pairs) -> tuple[str, list]:
     """(family, [(p, q, d2_pp, d2_qq, d2_pq, delta, verdict)]) as scan_convexity reads each
-    point: the evaluator, whose errors propagate, then the classified closed form."""
+    point (_family_hessian): the evaluator, then the classified closed form, whose errors
+    propagate."""
     name, gen = _resolve_family(args)
-    ev, hessian = family_evaluator(name, gen), _family_hessian(name, gen)
-    pt = MeanPoint(args.a, args.b)
-    w = log_ratio(pt.a, pt.b)
     rows = []
-    for p, q in pairs:
-        ev(ParamPair(p, q), pt)
-        d2_pp, d2_qq, d2_pq, delta, est_pp, _, _, est_delta = hessian(p, q, w)
+    for _, pq, h in _family_hessian(name, gen, (MeanPoint(args.a, args.b),), pairs):
+        if isinstance(h, Exception):
+            raise h
+        d2_pp, d2_qq, d2_pq, delta, est_pp, _, _, est_delta = h
         verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
-        rows.append((p, q, d2_pp, d2_qq, d2_pq, delta, verdict))
+        rows.append((pq.p, pq.q, d2_pp, d2_qq, d2_pq, delta, verdict))
     return name, rows
 
 

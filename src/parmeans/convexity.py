@@ -22,12 +22,12 @@
                     k t ln b of its T has no Hessian
 
     A scan reads the row's three kernels once per distinct grid value and
-    mean point (a node, cached by _family_hessian's closure), H_D's pole row
-    once per grid value, and none per pair.  Entries and delta carry error
-    estimates; a point is inconclusive where |d2_pp| or |delta| is within
-    its estimate.  There is no p = q form.  The expected verdict comes
-    from the r + s sign rule; H_D is log-convex on the positive quadrant
-    and log-concave on the negative one;
+    mean point (a node: E, E', E'' and their error terms, in the mean point's
+    dict of _family_hessian), H_D's pole row once per grid value, and none
+    per pair.  Entries and delta carry error estimates; a point is
+    inconclusive where |d2_pp| or |delta| is within its estimate.  There is
+    no p = q form.  The expected verdict comes from the r + s sign rule; H_D
+    is log-convex on the positive quadrant and log-concave on the negative one;
   * hessian_logF: central second differences of (p, q) -> ln M with one
     Richardson halving, classified against SIGN_TOL: the Hessian of an
     arbitrary evaluator and the tests' finite-difference reference;
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     _FLOAT_MAX,
@@ -352,40 +352,40 @@ def _count_verdict(tally: Tally, verdict: str, expect: str) -> None:
 
 
 def _hessian_node(row: tuple, w: float, t: float) -> tuple:
-    """(E, E', E'') = (e(t w), w e1(t w), w^2 e2(t w)): the node stage of _quotient_hessian."""
+    """(E, E', E'', |E|, err E', err E''), E = e(t w), E' = w e1(t w), E'' = w^2 e2(t w):
+    the node stage of _quotient_hessian, with err E' = eps (E1_FLOOR + 2 g) |w| + 4 eps |E'|
+    and err E'' = eps (E2_FLOOR + 16 g gen_max) w^2 + 4 eps |E''|, g and gen_max the row's."""
     v = t * w
-    return row[0](v), w * row[1](v), w * w * row[2](v)
+    e, e1, e2 = row[0](v), w * row[1](v), w * w * row[2](v)
+    g = row[5]
+    floor1 = _EPS * E1_FLOOR * abs(w) + 2.0 * _EPS * (g * abs(w))
+    floor2 = _EPS * E2_FLOOR * w * w + 16.0 * _EPS * g * row[4] * w * w
+    return e, e1, e2, abs(e), floor1 + 4.0 * _EPS * abs(e1), floor2 + 4.0 * _EPS * abs(e2)
 
 
 def _pair_hessian(row: tuple, w: float, p: float, q: float, node_p: tuple, node_q: tuple) -> tuple:
     """Hessian in (p, q) of (E(p) - E(q))/(p - q), E(t) = e(t w), in closed form,
-    from the nodes (E, E', E'') at p and q (_hessian_node).
+    from the nodes (E, E', E'', |E|, err E', err E'') at p and q (_hessian_node).
 
     With d = p - q and m the quotient, E' = w e1(t w) and E'' = w^2 e2(t w):
     d2_pp = (E''(p) - 2 (E'(p) - m)/d)/d, d2_qq = -(E''(q) + 2 (E'(q) - m)/d)/d
     and d2_pq = (E'(p) + E'(q) - 2 m)/d^2.  Returns the three entries and their
     error estimates: eps times each term's magnitude over its power of |d|, as
-    in core._family_ln, with the kernels' absolute floors E1_FLOOR and E2_FLOOR,
-    plus the row's (g, c) rounding, 2 eps (g |t w| + c) in E, 2 eps g |w| in E'
-    and 16 eps g gen_max w^2 in E''.
+    in core._family_ln, from the nodes' error terms, plus the row's (g, c)
+    rounding of the quotient, 2 eps (g |t w| + c) in E.
     """
-    gen_max, g, c = row[4:]
-    ep, e1p, e2p = node_p
-    eq, e1q, e2q = node_q
+    ep, e1p, e2p, abs_ep, err1p, err2p = node_p
+    eq, e1q, e2q, abs_eq, err1q, err2q = node_q
     d = p - q
     ad = abs(d)
     m = (ep - eq) / d
     d2_pp = (e2p - 2.0 * (e1p - m) / d) / d
     d2_qq = -(e2q + 2.0 * (e1q - m) / d) / d
     d2_pq = (e1p + e1q - 2.0 * m) / (d * d)
-    gw = g * abs(w)
-    err_m = (2.0 * _EPS * (1.0 + abs(ep) + abs(eq)) + 2.0 * _EPS * (c + gw * (abs(p) + abs(q)))
-             ) / ad + _EPS * abs(m)
-    floor1 = _EPS * E1_FLOOR * abs(w) + 2.0 * _EPS * gw
-    floor2 = _EPS * E2_FLOOR * w * w + 16.0 * _EPS * g * gen_max * w * w
-    err1p, err1q = floor1 + 4.0 * _EPS * abs(e1p), floor1 + 4.0 * _EPS * abs(e1q)
-    est_pp = (floor2 + 4.0 * _EPS * abs(e2p) + 2.0 * (err1p + err_m) / ad) / ad
-    est_qq = (floor2 + 4.0 * _EPS * abs(e2q) + 2.0 * (err1q + err_m) / ad) / ad
+    err_m = (2.0 * _EPS * (1.0 + abs_ep + abs_eq)
+             + 2.0 * _EPS * (row[6] + row[5] * abs(w) * (abs(p) + abs(q)))) / ad + _EPS * abs(m)
+    est_pp = (err2p + 2.0 * (err1p + err_m) / ad) / ad
+    est_qq = (err2q + 2.0 * (err1q + err_m) / ad) / ad
     est_pq = (err1p + err1q + 2.0 * err_m) / (d * d)
     return d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq
 
@@ -395,45 +395,59 @@ def _quotient_hessian(row: tuple, w: float, p: float, q: float) -> tuple:
     return _pair_hessian(row, w, p, q, _hessian_node(row, w, p), _hessian_node(row, w, q))
 
 
-def _node_reader(row: tuple) -> Callable[[float, float], tuple]:
-    """(t, w) -> _hessian_node(row, w, t), memoised by (w, t).
-
-    A node whose kernel raises is not stored, and one at a zero t w is read
-    afresh, as the key would merge the signed zeros that its E' may keep.
-    """
-    nodes: dict = {}
-
-    def node(t: float, w: float) -> tuple:
-        if not t * w:
-            return _hessian_node(row, w, t)
-        key = (w, t)
-        found = nodes.get(key)
-        if found is None:
-            found = nodes[key] = _hessian_node(row, w, t)
-        return found
-
+def _stored_node(nodes: dict, row: tuple, w: float, t: float) -> tuple:
+    """_hessian_node(row, w, t), kept in nodes under t unless t w is zero, where
+    the key would merge the signed zeros that its E' may keep."""
+    node = _hessian_node(row, w, t)
+    if t * w:
+        nodes[t] = node
     return node
 
 
-def _family_hessian(family: str, gen: Optional[GeneratorPair]
-                    ) -> Callable[[float, float, float], tuple]:
-    """(p, q, w) -> (d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta):
-    the closed-form Hessian of ln M in (p, q) of a scan family at w = ln(a/b),
-    delta and their error estimates.  H_D adds its pole row at w = 1.  The
-    closure reads each node (row, w, t) once, so a grid of n values costs
-    n nodes per mean point, not two per pair."""
-    if family == "hd":
-        stolarsky, pole = _node_reader(_STOLARSKY), _node_reader(_HD_POLE)
+def _family_hessian(family: str, gen: Optional[GeneratorPair], points: Sequence[MeanPoint],
+                    pairs: Sequence[tuple[float, float]]) -> Iterator[tuple]:
+    """For each mean point and each (p, q) of pairs, in that order: (pt, ParamPair(p, q), h),
+    h the closed-form Hessian of ln M of a scan family at w = ln(a/b), (d2_pp, d2_qq,
+    d2_pq, delta, est_pp, est_qq, est_pq, est_delta), or the exception that the public
+    evaluator's call at the pair, made first, or the Hessian raised.
 
-        def hessian(p, q, w):
-            return _with_delta(tuple(s + t for s, t in zip(
-                _pair_hessian(_STOLARSKY, w, p, q, stolarsky(p, w), stolarsky(q, w)),
-                _pair_hessian(_HD_POLE, 1.0, p, q, pole(p, 1.0), pole(q, 1.0)))))
-        return hessian
-
-    row = _rs_kernels(gen.r, gen.s) if family == "four_param" else _KERNELS[family]
-    node = _node_reader(row)
-    return lambda p, q, w: _with_delta(_pair_hessian(row, w, p, q, node(p, w), node(q, w)))
+    A node is read after its pair's evaluator call, once per distinct grid value
+    and mean point (_stored_node); H_D adds its pole row at w = 1, whose nodes
+    serve every mean point.  So a pair costs its evaluator call and the
+    arithmetic on its two nodes.
+    """
+    ev = family_evaluator(family, gen)
+    pole = family == "hd"
+    row = (_STOLARSKY if pole else _rs_kernels(gen.r, gen.s) if family == "four_param"
+           else _KERNELS[family])
+    poles: dict = {}
+    for pt in points:
+        w = log_ratio(pt.a, pt.b)
+        nodes: dict = {}
+        for p, q in pairs:
+            pq = ParamPair(p, q)
+            try:
+                ev(pq, pt)
+                d2_pp, d2_qq, d2_pq, est_pp, est_qq, est_pq = _pair_hessian(
+                    row, w, p, q, nodes.get(p) or _stored_node(nodes, row, w, p),
+                    nodes.get(q) or _stored_node(nodes, row, w, q))
+                if pole:
+                    pole_pp, pole_qq, pole_pq, pole_est_pp, pole_est_qq, pole_est_pq = \
+                        _pair_hessian(_HD_POLE, 1.0, p, q,
+                                      poles.get(p) or _stored_node(poles, _HD_POLE, 1.0, p),
+                                      poles.get(q) or _stored_node(poles, _HD_POLE, 1.0, q))
+                    d2_pp, d2_qq, d2_pq = d2_pp + pole_pp, d2_qq + pole_qq, d2_pq + pole_pq
+                    est_pp, est_qq, est_pq = (est_pp + pole_est_pp, est_qq + pole_est_qq,
+                                              est_pq + pole_est_pq)
+            except Exception as exc:
+                h = exc
+            else:  # _with_delta, inline
+                delta = d2_pp * d2_qq - d2_pq * d2_pq
+                est_delta = (abs(d2_pp) * est_qq + abs(d2_qq) * est_pp + 2.0 * abs(d2_pq) * est_pq
+                             + est_pp * est_qq + est_pq * est_pq
+                             + 2.0 * _EPS * (abs(d2_pp * d2_qq) + d2_pq * d2_pq))
+                h = d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta
+            yield pt, pq, h
 
 
 def _with_delta(parts: tuple) -> tuple:
@@ -477,37 +491,33 @@ def scan_convexity(spec: ScanSpec) -> CheckReport:
     """
     sign = 1.0 if spec.region == "positive_quadrant" else -1.0
     expect = expected_verdict(spec)
-    ev = family_evaluator(spec.family, spec.gen)
-    hessian = _family_hessian(spec.family, spec.gen)
-
+    convex = expect == VERDICT_CONVEX
+    pairs = [(sign * abs(p), sign * abs(q)) for p in spec.p_grid for q in spec.q_grid
+             if abs(p - q) > EXCLUSION_BAND]
+    skipped = len(spec.mean_points) * (len(spec.p_grid) * len(spec.q_grid) - len(pairs))
+    classify = HessianReport.classify
     tally = Tally()
     observed: dict[str, int] = {}
-    skipped = 0
-    for pt in spec.mean_points:
-        w = log_ratio(pt.a, pt.b)
-        for p in spec.p_grid:
-            for q in spec.q_grid:
-                if abs(p - q) <= EXCLUSION_BAND:
-                    skipped += 1
-                    continue
-                pq = ParamPair(sign * abs(p), sign * abs(q))
-                try:
-                    ev(pq, pt)
-                    d2_pp, _, _, delta, est_pp, _, _, est_delta = hessian(pq.p, pq.q, w)
-                except Exception as exc:
-                    tally.error(exc, {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q})
-                    continue
-                verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
-                observed[verdict] = observed.get(verdict, 0) + 1
-                if expect is None:
-                    tally.count(True)
-                    continue
-                directional = d2_pp if expect == VERDICT_CONVEX else -d2_pp
-                margin = min(directional / est_pp, delta / est_delta)
-                if margin < tally.worst_margin:
-                    tally.margin(margin, {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q,
-                                          "d2_pp": d2_pp, "delta": delta, "verdict": verdict})
-                _count_verdict(tally, verdict, expect)
+    for pt, pq, h in _family_hessian(spec.family, spec.gen, spec.mean_points, pairs):
+        if type(h) is not tuple:
+            tally.error(h, {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q})
+            continue
+        d2_pp, _, _, delta, est_pp, _, _, est_delta = h
+        verdict = classify(d2_pp, delta, est_pp, est_delta)
+        observed[verdict] = observed.get(verdict, 0) + 1
+        if expect is None:
+            tally.passed += 1
+            continue
+        margin = min((d2_pp if convex else -d2_pp) / est_pp, delta / est_delta)
+        if margin < tally.worst_margin:
+            tally.margin(margin, {"a": pt.a, "b": pt.b, "p": pq.p, "q": pq.q,
+                                  "d2_pp": d2_pp, "delta": delta, "verdict": verdict})
+        if verdict == VERDICT_INCONCLUSIVE:  # _count_verdict, inline
+            tally.inconclusive += 1
+        elif verdict == expect:
+            tally.passed += 1
+        else:
+            tally.failed += 1
     notes = f"observed={observed}; skipped_near_diagonal={skipped}"
     if expect is None:
         dominant = max(observed, key=observed.get) if observed else "none"

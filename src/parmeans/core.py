@@ -267,7 +267,8 @@ def _family_ln(row: tuple, p: float, q: float, w: float, lnb: float,
     d = p - q
     ad = abs(d)
     if ad <= MIDPOINT_BAND or ad <= SINGULAR_DELTA * (1.0 + ap + aq):  # _in_band(p, q), inline
-        mean, corr = _band_mean(e1, p, q, w)
+        # p == q is _band_mean's zero-width interval: e1 at its midpoint, no correction
+        mean, corr = (e1(0.5 * (p * w + q * w)), 0.0) if d == 0.0 else _band_mean(e1, p, q, w)
         ln = lnb + w * mean
         est = abs(w) * (abs(corr) + E1_FLOOR * _EPS) + 4.0 * _EPS * (1.0 + abs(ln) + abs(lnb))
         if g:
@@ -304,7 +305,9 @@ def _family_ln_column(row: tuple, ps: Iterable[float], qs: Iterable[float],
             continue
         d = p - q
         ad = abs(d)
-        if ad <= MIDPOINT_BAND or ad <= SINGULAR_DELTA * (1.0 + ap + aq):  # _in_band(p, q), inline
+        if d == 0.0:  # _band_mean's zero-width interval, as in _family_ln
+            ln = lnb + w * e1(0.5 * (p * w + q * w))
+        elif ad <= MIDPOINT_BAND or ad <= SINGULAR_DELTA * (1.0 + ap + aq):  # _in_band, inline
             ln = lnb + w * _band_mean(e1, p, q, w)[0]
         else:
             ln = lnb + (e(p * w) - e(q * w)) / d

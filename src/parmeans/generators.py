@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from .errors import DomainError
 from .stable import (expm1_logd2, expm1_logd3, expm1_minus_z_over_z2, exprel_logd,
                      identric_weight, log_ratio)
-from .core import _GINI, _HERONIAN2, _IDENTRIC2, _STOLARSKY, GeneratorPair, _rs_kernels
+from .core import (_FLOAT_MAX, _GINI, _HERONIAN2, _IDENTRIC2, _STOLARSKY, GeneratorPair,
+                   _rs_kernels)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,13 @@ class GeneratorFunction:
     partial_y: Callable[[float, float], float]
     kernel: tuple
     diagonal_limit: Optional[Callable[[float], float]] = None
+
+    def __post_init__(self):
+        row = self.kernel
+        if not (isinstance(row, tuple) and len(row) == 7 and all(map(callable, row[:4]))
+                and all(isinstance(x, (int, float)) and abs(x) <= _FLOAT_MAX for x in row[4:])):
+            raise DomainError(f"generator {self.label!r} needs a kernel row of four callables "
+                              "(e, e1, e2, e3) and three finite reals (gen_max, g, c)")
 
 
 def arithmetic_generator() -> GeneratorFunction:

@@ -427,11 +427,11 @@ def test_a_key_error_inside_a_command_is_not_a_bad_name(monkeypatch):
 
 @pytest.mark.parametrize("family", ["stolarsky", "gini", "identric2", "heronian2", "hd"])
 def test_hessian_and_scan_equal_the_closed_form_on_the_suite_grid(tmp_path, capsys, family):
-    from parmeans.convexity import EXCLUSION_BAND, HessianReport, _family_hessian
+    from parmeans.convexity import EXCLUSION_BAND, HessianReport
     from parmeans.stable import log_ratio
     from parmeans.suites import DEFAULT_GRID, DEFAULT_MEAN_POINTS
+    from test_convexity import closed_form_hessian
 
-    hessian = _family_hessian(family, None)
     out_file = tmp_path / "scan.csv"
     for pt in DEFAULT_MEAN_POINTS:
         point = [f"--a={pt.a!r}", f"--b={pt.b!r}"]
@@ -446,7 +446,8 @@ def test_hessian_and_scan_equal_the_closed_form_on_the_suite_grid(tmp_path, caps
                     if abs(p - q) <= EXCLUSION_BAND:
                         assert (code, out) == (2, "")
                         continue
-                    d2_pp, d2_qq, d2_pq, delta, est_pp, _, _, est_delta = hessian(p, q, w)
+                    d2_pp, d2_qq, d2_pq, delta, est_pp, _, _, est_delta = \
+                        closed_form_hessian(family, None, p, q, w)
                     verdict = HessianReport.classify(d2_pp, delta, est_pp, est_delta)
                     assert code == 0
                     assert json.loads(out) == {

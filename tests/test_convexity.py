@@ -31,16 +31,30 @@ from parmeans.convexity import (
     VERDICT_CONCAVE,
     VERDICT_CONVEX,
     VERDICT_INCONCLUSIVE,
-    _family_hessian,
     _generator_hessian,
+    _quotient_hessian,
+    _with_delta,
     expected_verdict,
     random_blend_margins,
 )
+from parmeans.core import _KERNELS, _STOLARSKY, _rs_kernels
 from parmeans.errors import DomainError
+from parmeans.hgf import _HD_POLE
 from parmeans.stable import log_ratio
 from parmeans.suites import DEFAULT_GRID, DEFAULT_MEAN_POINTS, convexity_suite
 
 E = math.e
+
+
+def closed_form_hessian(family, gen, p, q, w):
+    """(d2_pp, d2_qq, d2_pq, delta, est_pp, est_qq, est_pq, est_delta) of a scan family,
+    its nodes read afresh: _quotient_hessian of the family's row, H_D's pole row at w = 1
+    added entry by entry, then delta."""
+    if family == "hd":
+        return _with_delta(tuple(s + t for s, t in zip(_quotient_hessian(_STOLARSKY, w, p, q),
+                                                       _quotient_hessian(_HD_POLE, 1.0, p, q))))
+    row = _rs_kernels(gen.r, gen.s) if family == "four_param" else _KERNELS[family]
+    return _with_delta(_quotient_hessian(row, w, p, q))
 
 
 def test_hessian_worked_examples():
@@ -297,7 +311,6 @@ GENERATOR_FAMILIES = [
 def test_integral_hessian_within_estimates_of_the_family_hessian(f, family, gen):
     # the generator's row at the real w against the family's: each entry and
     # delta within the sum of the two estimates
-    hessian = _family_hessian(family, gen)
     rng = random.Random(43)
     for _ in range(200):
         sign = rng.choice((-1.0, 1.0))
@@ -308,7 +321,7 @@ def test_integral_hessian_within_estimates_of_the_family_hessian(f, family, gen)
         pt = MeanPoint(a, a * 10.0 ** (rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 2.0)))
         closed = _generator_hessian(f, ParamPair(p, q), pt)
         assert integral_hessian(f, ParamPair(p, q), pt) == closed[:4]
-        ref = hessian(p, q, log_ratio(pt.a, pt.b))
+        ref = closed_form_hessian(family, gen, p, q, log_ratio(pt.a, pt.b))
         for i in range(4):
             assert abs(closed[i] - ref[i]) <= closed[4 + i] + ref[4 + i], (i, p, q, pt)
 
@@ -452,7 +465,6 @@ def test_closed_form_hessian_within_estimate_of_mpmath(family, region):
 
     name, gen = HESSIAN_FAMILIES[family]
     r, s = (gen.r, gen.s) if gen else (0.0, 0.0)
-    hessian = _family_hessian(name, gen)
     sign = 1.0 if region == "positive_quadrant" else -1.0
     rng = random.Random(41)
     checked = 0
@@ -463,7 +475,7 @@ def test_closed_form_hessian_within_estimate_of_mpmath(family, region):
             continue
         checked += 1
         w = log_ratio(1.0, b)
-        d2_pp, d2_qq, d2_pq, delta, *est = hessian(p, q, w)
+        d2_pp, d2_qq, d2_pq, delta, *est = closed_form_hessian(name, gen, p, q, w)
         with mp.workdps(50):
             E = _family_E(name, r, s)
             W = mp.mpf(w)
@@ -482,7 +494,6 @@ def test_closed_form_hessian_agrees_with_hessian_logF_on_the_suite_grid(family):
     # the stencil's rounding is eps |ln M| over h^2 = sqrt(eps) (1 + |p|)^2,
     # times its Richardson and stencil weights
     name, gen = HESSIAN_FAMILIES[family]
-    hessian = _family_hessian(name, gen)
     ev = family_evaluator(name, gen)
     for pt in DEFAULT_MEAN_POINTS:
         w = log_ratio(pt.a, pt.b)
@@ -492,7 +503,7 @@ def test_closed_form_hessian_agrees_with_hessian_logF_on_the_suite_grid(family):
                     if abs(p - q) <= 0.05:
                         continue
                     pq = ParamPair(sign * p, sign * q)
-                    closed = hessian(pq.p, pq.q, w)
+                    closed = closed_form_hessian(name, gen, pq.p, pq.q, w)
                     rep = hessian_logF(ev, pq, pt)
                     tol = 32.0 * 2.0 ** -26 * (1.0 + abs(math.log(ev(pq, pt).value)))
                     for c, fd in zip(closed, (rep.d2_pp, rep.d2_qq, rep.d2_pq)):

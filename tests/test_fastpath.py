@@ -51,12 +51,13 @@ from parmeans import (
     two_param_heronian,
     two_param_identric,
 )
-from parmeans import convexity, inequalities
+from parmeans import convexity, core, hgf, inequalities
 from parmeans.core import (
     _GINI,
     _HERONIAN2,
     _IDENTRIC2,
     _STOLARSKY,
+    _band_mean,
     _family_ln,
     _family_ln_column,
     _rs_kernels,
@@ -72,6 +73,7 @@ from parmeans.stable import (
     sigmoid,
     softplus,
 )
+from test_convexity import closed_form_hessian
 
 _EPS = 2.0 ** -52
 
@@ -356,9 +358,10 @@ ENGINE_ROWS = {
 
 @pytest.mark.parametrize("name", sorted(ENGINE_ROWS))
 def test_column_engine_matches_the_engine_on_each_named_row(name):
-    # one column per kind of input, on a real kernel row: p == q, the absolute
-    # 1e-3 band edge, the relative 1e-6 (1 + |p| + |q|) edge, and the 700 and
-    # 709 limits, each within a few ulps of the edge from either side
+    # one column per kind of input, on a real kernel row: p == q, signed zeros
+    # p == q == +-0 at w of both signs, the absolute 1e-3 band edge, the relative
+    # 1e-6 (1 + |p| + |q|) edge, and the 700 and 709 limits, each within a few
+    # ulps of the edge from either side
     row = ENGINE_ROWS[name]
     gen_max = row[4]
     rng = random.Random(21)
@@ -366,12 +369,14 @@ def test_column_engine_matches_the_engine_on_each_named_row(name):
     def ulps():
         return 1 + rng.randint(-4, 4) * _EPS
 
-    kinds = {kind: [] for kind in ("p_eq_q", "band_edge", "relative_edge", "limit_700",
-                                   "limit_709")}
+    kinds = {kind: [] for kind in ("p_eq_q", "signed_zero", "band_edge", "relative_edge",
+                                   "limit_700", "limit_709")}
     for _ in range(300):
         p, w, lnb = rng.uniform(-20, 20), rng.uniform(-3, 3), rng.uniform(-5, 5)
         sign = rng.choice((-1, 1))
         kinds["p_eq_q"].append((p, p, w, lnb))
+        kinds["signed_zero"].append((rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)),
+                                     rng.choice((w, -w, 0.0, -0.0)), lnb))
         kinds["band_edge"].append((p, p + sign * 1e-3 * ulps(), w, lnb))
         big = rng.choice((-1, 1)) * rng.uniform(600, 5000)  # 1e-6 (1 + 2|p|) > 1e-3
         kinds["relative_edge"].append((big, big + sign * 1e-6 * (1.0 + 2.0 * abs(big)) * ulps(),
@@ -382,7 +387,13 @@ def test_column_engine_matches_the_engine_on_each_named_row(name):
         quotient = _family_ln(row, p, q, w, 0.0)[0]
         kinds["limit_709"].append((p, q, w, sign * 709.0 * ulps() - quotient))
     raised = {kind: _column_outcomes(row, inputs) for kind, inputs in kinds.items()}
-    assert raised["p_eq_q"] == raised["band_edge"] == raised["relative_edge"] == 0
+    assert raised["p_eq_q"] == raised["signed_zero"] == raised["band_edge"] == \
+        raised["relative_edge"] == 0
+    for p, q, w, lnb in kinds["p_eq_q"] + kinds["signed_zero"]:
+        # p == q reads e1 at the midpoint, the band mean of a zero-width interval
+        mean, corr = _band_mean(row[1], p, q, w)
+        assert corr == 0.0
+        assert _family_ln(row, p, q, w, lnb)[0].hex() == (lnb + w * mean).hex(), (p, q, w)
     for kind in ("limit_700", "limit_709"):
         assert 0 < raised[kind] < len(kinds[kind]), (kind, raised)
 
@@ -479,15 +490,15 @@ def _fd_outcomes(spec):
 
 def _closed_outcomes(spec):
     """Per-sample verdict, or error text, of the closed form: the public evaluator,
-    then the family's closed-form Hessian classified against its estimates."""
+    then the family's closed-form Hessian, its nodes read afresh, classified against
+    its estimates."""
     ev = family_evaluator(spec.family, spec.gen)
-    hessian = convexity._family_hessian(spec.family, spec.gen)
     out = []
     for pt, pq in _samples(spec):
         try:
             ev(pq, pt)
-            d2_pp, _, _, delta, est_pp, _, _, est_delta = hessian(pq.p, pq.q,
-                                                                  log_ratio(pt.a, pt.b))
+            d2_pp, _, _, delta, est_pp, _, _, est_delta = closed_form_hessian(
+                spec.family, spec.gen, pq.p, pq.q, log_ratio(pt.a, pt.b))
         except ParMeansError as exc:
             out.append(("error", str(exc)))
             continue
@@ -547,34 +558,70 @@ SCAN_POINTS = (MeanPoint(1.0, 4.0), MeanPoint(2.5, 0.01), MeanPoint(3.0, 3.0),
                MeanPoint(1e-150, 1e150))
 
 
-def _hessian_or_error(hessian, p, q, w):
-    """The closure's 8-tuple as float hex strings, so signed zeros count, or its error."""
-    try:
-        return [x.hex() for x in hessian(p, q, w)]
-    except ParMeansError as exc:
-        return (type(exc).__name__, str(exc))
+def _scan_spec(family, region):
+    name, gen = SCAN_FAMILIES[family]
+    sign = 1.0 if region == "positive_quadrant" else -1.0
+    grid = tuple(sign * v for v in (0.2, 0.5, 1.0, 2.0, 3.5))
+    return ScanSpec(family=name, region=region, p_grid=grid, q_grid=grid,
+                    mean_points=SCAN_POINTS, gen=gen)
+
+
+@pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+def test_scan_calls_each_evaluator_once_per_pair_in_grid_order(monkeypatch, family):
+    # the benchmark's error recorder and the cross-check see the scan only through
+    # its public evaluator calls: one per pair, with these values, in mean point
+    # -> p -> q order, the saturating point included
+    calls = []
+
+    def recording(ev):
+        def call(pp, *rest):  # (pp, pt), or four_param_F's (pp, gp, pt)
+            calls.append((pp.p, pp.q, rest[-1].a, rest[-1].b))
+            return ev(pp, *rest)
+        return call
+
+    for key, ev in list(core._DIRECT_FAMILIES.items()):
+        monkeypatch.setitem(core._DIRECT_FAMILIES, key, recording(ev))
+    monkeypatch.setattr(core, "four_param_F", recording(core.four_param_F))
+    monkeypatch.setattr(hgf, "hd_eval", recording(hgf.hd_eval))
+    for region in ("positive_quadrant", "negative_quadrant"):
+        spec = _scan_spec(family, region)
+        calls.clear()
+        rep = scan_convexity(spec)
+        assert calls == [(p, q, pt.a, pt.b) for pt in SCAN_POINTS for p in spec.p_grid
+                         for q in spec.q_grid if abs(p - q) > convexity.EXCLUSION_BAND]
+        assert len(calls) == rep.total == len(SCAN_POINTS) * 20
+        assert rep.failed > 0  # the saturating point
 
 
 @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
 def test_family_hessian_reused_closure_bit_identical_to_fresh(family):
-    # the closure reads each node (row, w, t) once and keeps it for later pairs:
-    # every pair of the scan grid gets the fresh closure's 8-tuple bit for bit
+    # the reader keeps each node in its frame for later pairs (one dict per mean
+    # point, and H_D's pole nodes for all of them): every pair of the scan grid gets
+    # the 8-tuple of its nodes read afresh, plus delta, bit for bit, or the error
+    # of the evaluator's call or of the fresh read
     name, gen = SCAN_FAMILIES[family]
-    grid = (0.2, 0.5, 1.0, 2.0, 3.5)
-    reused = convexity._family_hessian(name, gen)
-    compared = 0
-    for sign in (1.0, -1.0):
-        for pt in SCAN_POINTS:
-            w = log_ratio(pt.a, pt.b)
-            for p in grid:
-                for q in grid:
-                    if abs(p - q) <= convexity.EXCLUSION_BAND:
-                        continue
-                    fresh = convexity._family_hessian(name, gen)
-                    assert _hessian_or_error(reused, sign * p, sign * q, w) == \
-                        _hessian_or_error(fresh, sign * p, sign * q, w), (sign * p, sign * q, pt)
-                    compared += 1
-    assert compared == 2 * len(SCAN_POINTS) * 20
+    ev = family_evaluator(name, gen)
+    errors = 0
+    for region in ("positive_quadrant", "negative_quadrant"):
+        spec = _scan_spec(family, region)
+        pairs = [(p, q) for p in spec.p_grid for q in spec.q_grid
+                 if abs(p - q) > convexity.EXCLUSION_BAND]
+        read = list(convexity._family_hessian(name, gen, SCAN_POINTS, pairs))
+        assert [(pt, pq.p, pq.q) for pt, pq, _ in read] == \
+            [(pt, p, q) for pt in SCAN_POINTS for p, q in pairs]
+        for pt, pq, h in read:
+            try:
+                ev(pq, pt)
+                fresh = [x.hex() for x in closed_form_hessian(name, gen, pq.p, pq.q,
+                                                              log_ratio(pt.a, pt.b))]
+            except ParMeansError as exc:
+                fresh = (type(exc).__name__, str(exc))
+            if isinstance(h, Exception):
+                errors += 1
+                assert (type(h).__name__, str(h)) == fresh, (pq, pt)
+            else:
+                assert [x.hex() for x in h] == fresh, (pq, pt)
+    assert errors > 0  # the saturating point
 
 
 def test_scan_fails_only_the_samples_that_read_a_raising_node(monkeypatch):

@@ -111,6 +111,33 @@ def test_a_generator_needs_its_kernel_row():
                           partial_y=A.partial_y, diagonal_limit=A.diagonal_limit)
 
 
+_ROW = arithmetic_generator().kernel
+MALFORMED_ROWS = {
+    "none": None,
+    "list": list(_ROW),
+    "short": _ROW[:6],
+    "long": _ROW + (0.0,),
+    "kernel_not_callable": _ROW[:2] + (None,) + _ROW[3:],
+    "constant_not_a_number": _ROW[:4] + ("1",) + _ROW[5:],
+    "constant_nan": _ROW[:5] + (math.nan,) + _ROW[6:],
+    "constant_inf": _ROW[:6] + (math.inf,),
+    "constant_beyond_the_float_range": _ROW[:4] + (10 ** 400,) + _ROW[5:],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_ROWS))
+def test_a_generator_refuses_a_malformed_kernel_row(shape):
+    # the row is checked where the generator is built, so no probe meets a bare
+    # TypeError; dataclasses.replace builds through the same check
+    with pytest.raises(DomainError, match="kernel row"):
+        dataclasses.replace(arithmetic_generator(), kernel=MALFORMED_ROWS[shape])
+
+
+def test_a_kernel_row_may_hold_int_constants():
+    # S_{r,s} at int (r, s) has gen_max = max(|r|, |s|), an int
+    assert stolarsky_generator(2, 1).kernel[4] == 2
+
+
 # ---------------------------------------------------------------------------
 # hf_eval
 # ---------------------------------------------------------------------------

@@ -307,13 +307,17 @@ def test_check_cases_matches_check_case(plan):
 
 def test_check_cases_memory_does_not_grow_with_the_sample_count():
     # the streams are read a block at a time, never held whole: ten times the
-    # samples may not raise the traced peak by half
+    # samples may not raise the traced peak by half.  One stream, the cheapest,
+    # read in 8 and then 79 blocks of BLOCK samples, shows it as the catalog does
     import tracemalloc
+    from parmeans.inequalities import _AB
+
+    cases = [case for case in catalog() if case.stream is _AB]
 
     def peak(random_count):
         tracemalloc.start()
         try:
-            check_cases(catalog(), SamplingPlan(random_count=random_count))
+            check_cases(cases, SamplingPlan(random_count=random_count))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
